@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   opt.sim.replay_threads =
       static_cast<uint32_t>(cli.get_int("replay-threads", 1));
   numa_from_cli(cli, opt);
-  spms_from_cli(cli, opt);
+  const alg::SpmsTuning spms = spms_from_cli(cli);
   const std::vector<Backend> backends = backends_from_cli(cli);
 
   std::vector<RunReport> reports;
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   sweep("scan-ps", prog_ps(n));
   sweep("msum", prog_msum(n));
   sweep("sort", prog_sort(n / 4));
-  sweep("sort-spms", prog_sort(n / 4, 1, SortKind::kSpms));
+  sweep("sort-spms", prog_sort(n / 4, 1, SortKind::kSpms, spms));
   sweep("mt-bi", prog_mt(static_cast<uint32_t>(next_pow2(isqrt(n)))));
 
   // The sort's merge base case off-simulator (scalar vs kern::merge), as

@@ -1,14 +1,12 @@
 // E18 — SPMS vs HBP msort, head to head on the simulated machine and on
 // real threads, plus the two hot-path gates the sort carries for CI:
 //
-//  * span trend: record the interleaved SPMS (default tuning) and the
-//    legacy staged variant (SpmsTuning::interleave = false, the binary
-//    merge2 tree that costs an extra log factor) over doubling n.  The
-//    recorded span is deterministic — same trace on every build flag —
-//    so the gate is exact: interleaved span <= staged span pointwise,
-//    span / (lg n · lg lg n) stays in a narrow band, and the absolute
-//    coefficient is bounded.  Together these pin the O(log n · log log n)
-//    bound; the staged tree fails the band check by the extra log factor.
+//  * span trend: record SPMS over doubling n.  The recorded span is
+//    deterministic — same trace on every build flag — so the gate is
+//    exact: span / (lg n · lg lg n) stays in a narrow band and the
+//    absolute coefficient is bounded.  Together these pin the
+//    O(log n · log log n) bound (a binary merge tree's extra log factor
+//    fails the band); tests/test_spms.cpp pins the exact spans.
 //  * kernel head-to-head: the branchy scalar merge (what the recording
 //    backends execute) vs kern::merge (the cmov kernel the par-*
 //    backends select), both as a raw merge microbench and as the full
@@ -42,8 +40,7 @@ namespace {
 // the critical-path span.  Deterministic: same n + same tuning = same
 // value on every build and host.
 uint64_t spms_span(size_t n, const alg::SpmsTuning& t) {
-  SpmsTuningGuard guard(t);
-  return engine().record(prog_sort(n, 1, alg::SortKind::kSpms)).stats.span;
+  return engine().record(prog_sort(n, 1, alg::SortKind::kSpms, t)).stats.span;
 }
 
 double span_norm(size_t n, uint64_t span) {
@@ -59,10 +56,8 @@ int main(int argc, char** argv) {
   SimConfig c = cfg(static_cast<uint32_t>(cli.get_int("p", 8)),
                     static_cast<uint64_t>(cli.get_int("M", 1 << 12)),
                     static_cast<uint32_t>(cli.get_int("B", 32)));
-  RunOptions base_opt;
-  spms_from_cli(cli, base_opt);
-  // --spms-* flags steer the recordings below too, not just the par runs.
-  SpmsTuningGuard tuning(base_opt.spms.value_or(alg::spms_tuning()));
+  // --spms-* flags steer every SPMS program below.
+  const alg::SpmsTuning tuning = spms_from_cli(cli);
 
   Table t("E18: SPMS vs msort (n=" + std::to_string(n) + ")");
   t.header({"sort", "backend", "W", "T_inf", "Q(n,M,B)", "misses", "excess",
@@ -71,7 +66,7 @@ int main(int argc, char** argv) {
   uint64_t q[2] = {0, 0};
   for (SortKind kind : {SortKind::kMsort, SortKind::kSpms}) {
     const char* name = alg::sort_kind_name(kind);
-    const Recording rec = engine().record(prog_sort(n, 1, kind));
+    const Recording rec = engine().record(prog_sort(n, 1, kind, tuning));
     for (Backend b : {Backend::kSimPws, Backend::kSimRws}) {
       const RunReport r = engine().replay(rec, b, c);
       if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
@@ -82,11 +77,11 @@ int main(int argc, char** argv) {
              Table::num(r.wall_ms)});
     }
     for (Backend b : {Backend::kParRandom, Backend::kParPriority}) {
-      RunOptions opt = base_opt;
+      RunOptions opt;
       opt.backend = b;
       opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
       opt.label = name;
-      const RunReport r = engine().run(prog_sort(n, 1, kind), opt);
+      const RunReport r = engine().run(prog_sort(n, 1, kind, tuning), opt);
       t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
              Table::num(r.wall_ms)});
     }
@@ -94,29 +89,21 @@ int main(int argc, char** argv) {
   t.print();
   if (cli.has("csv")) t.write_csv("spms.csv");
 
-  // ---- span trend: interleaved vs staged over doubling n ----
+  // ---- span trend over doubling n ----
   // Gate constants sit well clear of the measured values (band max/min
   // ~1.50 and coefficient <= ~48 over 2^12..2^17 on the bench seed) while
-  // the staged tree's extra log factor blows through both.
+  // a binary merge tree's extra log factor blows through both.
   {
-    Table st("Span trend: interleaved vs staged (span / (lg n · lg lg n))");
-    st.header({"n", "T_inf (interleaved)", "T_inf (staged)", "staged/intl",
-               "norm"});
-    alg::SpmsTuning staged = alg::spms_tuning();
-    staged.interleave = false;
+    Table st("Span trend (span / (lg n · lg lg n))");
+    st.header({"n", "T_inf", "norm"});
     double norm_min = 0, norm_max = 0;
     bool first = true;
     const size_t lo = std::max<size_t>(4096, n / 16);
     for (size_t m = lo; m <= n; m <<= 1) {
-      const uint64_t intl = spms_span(m, alg::spms_tuning());
-      const uint64_t stg = spms_span(m, staged);
-      const double norm = span_norm(m, intl);
-      st.row({Table::num(static_cast<uint64_t>(m)), Table::num(intl),
-              Table::num(stg),
-              Table::num(static_cast<double>(stg) / intl), Table::num(norm)});
-      RO_CHECK_MSG(intl <= stg,
-                   "SPMS span trend: interleaved span exceeds the staged "
-                   "merge tree");
+      const uint64_t span = spms_span(m, tuning);
+      const double norm = span_norm(m, span);
+      st.row({Table::num(static_cast<uint64_t>(m)), Table::num(span),
+              Table::num(norm)});
       RO_CHECK_MSG(norm <= 80.0,
                    "SPMS span trend: span above 80 · lg n · lg lg n");
       norm_min = first ? norm : std::min(norm_min, norm);
@@ -144,16 +131,15 @@ int main(int argc, char** argv) {
 
     double sort_ms[2] = {0, 0};
     for (const bool kernels : {false, true}) {
-      alg::SpmsTuning kt = alg::spms_tuning();
+      alg::SpmsTuning kt = tuning;
       kt.kernels = kernels;
-      RunOptions opt = base_opt;
+      RunOptions opt;
       opt.backend = Backend::kSeq;
       opt.label = "kernel-ab";
-      opt.spms = kt;
       double best = 0;
       for (int r = 0; r < 3; ++r) {
         const double ms =
-            engine().run(prog_sort(n, 1, SortKind::kSpms), opt).wall_ms;
+            engine().run(prog_sort(n, 1, SortKind::kSpms, kt), opt).wall_ms;
         best = (r == 0 || ms < best) ? ms : best;
       }
       sort_ms[kernels] = best;

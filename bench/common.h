@@ -125,18 +125,10 @@ inline void numa_from_cli(const Cli& cli, RunOptions& opt) {
 
 /// The shared SPMS tuning flags (`--spms-*`): every knob of
 /// alg::SpmsTuning is overridable from the command line so bench sweeps
-/// never need a recompile.  Only materializes RunOptions::spms when at
-/// least one flag is present, so the process default stays in charge
-/// otherwise.
-inline void spms_from_cli(const Cli& cli, RunOptions& opt) {
-  const bool any =
-      cli.has("spms-merge-base") || cli.has("spms-merge2-min") ||
-      cli.has("spms-stride-mul") || cli.has("spms-seq-cap-div") ||
-      cli.has("spms-stride-per-seq") || cli.has("spms-ms-leaf") ||
-      cli.has("spms-sample-seq") || cli.has("spms-machinery-min") ||
-      cli.has("spms-interleave") || cli.has("spms-kernels");
-  if (!any) return;
-  alg::SpmsTuning t = alg::spms_tuning();
+/// never need a recompile.  Returns the defaults with the given flags
+/// applied; benches pass it into their programs (prog_sort).
+inline alg::SpmsTuning spms_from_cli(const Cli& cli) {
+  alg::SpmsTuning t;
   t.merge_base = static_cast<size_t>(
       cli.get_int("spms-merge-base", static_cast<int64_t>(t.merge_base)));
   t.merge2_min = static_cast<size_t>(
@@ -153,27 +145,9 @@ inline void spms_from_cli(const Cli& cli, RunOptions& opt) {
       cli.get_int("spms-sample-seq", static_cast<int64_t>(t.sample_sort_seq)));
   t.machinery_min = static_cast<size_t>(
       cli.get_int("spms-machinery-min", static_cast<int64_t>(t.machinery_min)));
-  t.interleave = cli.get_int("spms-interleave", t.interleave ? 1 : 0) != 0;
   t.kernels = cli.get_int("spms-kernels", t.kernels ? 1 : 0) != 0;
-  opt.spms = t;
+  return t;
 }
-
-/// Installs `t` as the process-default SpmsTuning for its lifetime —
-/// the bench-side twin of the RunOptions::spms engine guard, for code
-/// paths (Engine::record) that take no RunOptions.
-class SpmsTuningGuard {
- public:
-  explicit SpmsTuningGuard(const alg::SpmsTuning& t)
-      : saved_(alg::spms_tuning()) {
-    alg::set_spms_tuning(t);
-  }
-  ~SpmsTuningGuard() { alg::set_spms_tuning(saved_); }
-  SpmsTuningGuard(const SpmsTuningGuard&) = delete;
-  SpmsTuningGuard& operator=(const SpmsTuningGuard&) = delete;
-
- private:
-  alg::SpmsTuning saved_;
-};
 
 /// One scalar-vs-kernel head-to-head on the pairwise merge base case: the
 /// branchy scalar loop (what the recording backends execute) against
@@ -368,15 +342,17 @@ inline auto prog_fft(size_t n, bool bi_transpose = false, size_t grain = 1) {
 }
 
 inline auto prog_sort(size_t n, size_t grain = 1,
-                      SortKind kind = SortKind::kMsort) {
+                      SortKind kind = SortKind::kMsort,
+                      const alg::SpmsTuning& spms = {}) {
   return [=](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
     Rng rng(n + 4);
     for (size_t i = 0; i < n; ++i)
       a.raw()[i] = static_cast<i64>(rng.next() >> 1);
     auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n,
-           [&] { alg::sort_by(cx, kind, a.slice(), out.slice(), 8, grain); });
+    cx.run(2 * n, [&] {
+      alg::sort_by(cx, kind, a.slice(), out.slice(), 8, grain, spms);
+    });
   };
 }
 

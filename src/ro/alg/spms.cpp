@@ -21,26 +21,16 @@ const char* sort_kind_name(SortKind k) {
   return "?";
 }
 
-namespace {
-// Process-wide default tuning.  Reads are lock-free (the sort takes a
-// const& snapshot at entry); set_spms_tuning documents the install-before-
-// concurrent-runs contract instead of paying for synchronization on the
-// hot path.
-SpmsTuning g_spms_tuning;
-}  // namespace
-
-const SpmsTuning& spms_tuning() { return g_spms_tuning; }
-
-void set_spms_tuning(const SpmsTuning& t) {
-  RO_CHECK_MSG(t.merge_base >= 2, "SpmsTuning: merge_base must be >= 2");
-  RO_CHECK_MSG(t.merge2_min >= 2, "SpmsTuning: merge2_min must be >= 2");
-  RO_CHECK_MSG(t.stride_mul >= 1, "SpmsTuning: stride_mul must be >= 1");
-  RO_CHECK_MSG(t.seq_cap_div >= 1, "SpmsTuning: seq_cap_div must be >= 1");
-  RO_CHECK_MSG(t.stride_per_seq >= 1,
-               "SpmsTuning: stride_per_seq must be >= 1");
-  RO_CHECK_MSG(t.multisearch_leaf >= 2,
-               "SpmsTuning: multisearch_leaf must be >= 2");
-  g_spms_tuning = t;
+const char* spms_tuning_error(const SpmsTuning& t) {
+  if (t.merge_base < 2) return "SpmsTuning: merge_base must be >= 2";
+  if (t.merge2_min < 2) return "SpmsTuning: merge2_min must be >= 2";
+  if (t.stride_mul < 1) return "SpmsTuning: stride_mul must be >= 1";
+  if (t.seq_cap_div < 1) return "SpmsTuning: seq_cap_div must be >= 1";
+  if (t.stride_per_seq < 1) return "SpmsTuning: stride_per_seq must be >= 1";
+  if (t.multisearch_leaf < 2) {
+    return "SpmsTuning: multisearch_leaf must be >= 2";
+  }
+  return nullptr;
 }
 
 }  // namespace ro::alg

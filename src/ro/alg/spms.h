@@ -30,10 +30,9 @@
 //
 // Bounds vs the paper: W = O(n log n), Q = O((n/B)·log_M n)-shaped
 // (bench_spms measures Q below msort's (n/B)·log₂(n/M) from n = 2^16 up),
-// and span O(log n · log log n)-consistent: bench_spms --span-trend
-// RO_CHECKs that span/(log n · log log n) stays flat over doubling n,
-// where the staged merge tree previously drifted upward.  msort
-// (sort.h) remains O(log³ n).
+// and span O(log n · log log n)-consistent: bench_spms RO_CHECKs that
+// span/(log n · log log n) stays flat over doubling n, and test_spms pins
+// the exact spans.  msort (sort.h) remains O(log³ n).
 //
 // Hardware fast path: on non-recording contexts (SeqCtx, rt::ParCtx) the
 // base cases switch to the branch-free kernels in kernels.h (cmov merge,
@@ -47,10 +46,10 @@
 // frame-local (cx.local), so replay reuses arena stacks exactly as msort's
 // temporaries do.
 //
-// Tuning: every threshold lives in SpmsTuning (process-wide default via
-// spms_tuning()/set_spms_tuning, per-run override via RunOptions::spms,
-// per-call override via the trailing parameter) so bench sweeps never need
-// a recompile.
+// Tuning: every threshold lives in SpmsTuning, passed by value down the
+// call like SortKind (the trailing parameter of spms / sort_by; named
+// workloads take it from RunOptions::spms), so bench sweeps never need a
+// recompile and differently-tuned sorts run side by side.
 #pragma once
 
 #include <algorithm>
@@ -74,7 +73,8 @@ const char* sort_kind_name(SortKind k);
 
 /// Runtime tuning of the SPMS recursion — the constants that used to be
 /// compile-time.  Defaults reproduce the shipped behavior; benches sweep
-/// them through --spms-* flags (bench/common.h) or RunOptions::spms.
+/// them through --spms-* flags (bench/common.h), served jobs through
+/// RunOptions::spms.
 struct SpmsTuning {
   /// Leaf size below which a (sub)problem is resolved by the sequential
   /// base case.
@@ -95,33 +95,28 @@ struct SpmsTuning {
   /// whole leaf with one linear merge-sweep (the amortized base case).
   size_t multisearch_leaf = 48;
   /// Samples up to this count sort via the sequential base case — a fixed
-  /// cap, so the O(1)-span shortcut never reintroduces the legacy path's
-  /// Θ(√m)-span sequential sample sort; larger samples (m beyond ~2^20)
-  /// take the parallel recursive merge.
+  /// cap, so the O(1)-span shortcut never reintroduces a Θ(√m)-span
+  /// sequential sample sort; larger samples (m beyond ~2^20) take the
+  /// parallel recursive merge.
   size_t sample_sort_seq = 256;
   /// Below this merge size the sampling machinery's per-level apparatus
   /// (sample sort, multisearch, boundary tables, two prefix-sum passes)
   /// costs more span than it saves: resolve with the binary merge tree
   /// instead.  Subproblems under a *fixed* cutoff contribute O(1) span, so
   /// this floor does not reintroduce the asymptotic log factor — it is
-  /// what keeps the interleaved recursion's constants below the staged
-  /// tree's at every measured size.
+  /// what keeps the interleaved recursion's constants low at every
+  /// measured size.
   size_t machinery_min = 2048;
-  /// Fully interleaved bucket recursion (adaptive stride + grouped
-  /// fallback).  Off = the pre-rework staged binary merge tree, kept for
-  /// span A/B measurement in bench_spms.
-  bool interleave = true;
   /// Branch-free kernels (kernels.h) on non-recording backends.
   bool kernels = true;
 
   bool operator==(const SpmsTuning&) const = default;
 };
 
-/// Process-wide tuning the sort uses when no explicit override is passed.
-/// set_spms_tuning RO_CHECKs the invariants (nonzero thresholds); it is
-/// not synchronized — install before spawning concurrent runs.
-const SpmsTuning& spms_tuning();
-void set_spms_tuning(const SpmsTuning& t);
+/// The tuning's invariants (thresholds the recursion needs to make
+/// progress): nullptr when `t` is valid, else a message naming the field.
+/// alg::spms RO_CHECKs it; Engine::submit turns it into a kError result.
+const char* spms_tuning_error(const SpmsTuning& t);
 
 namespace detail {
 
@@ -438,11 +433,10 @@ void tile2d(Ctx& cx, size_t b0, size_t b1, size_t i0, size_t i1,
   }
 }
 
-/// Legacy resolver for bucket subproblems whose sequence count is too
-/// large for the sampling machinery: a balanced *binary* merge tree over
-/// seqs[lo, hi) — span O(log r · log² m), one log factor worse than the
-/// grouped+interleaved path.  Kept behind SpmsTuning::interleave = false
-/// so bench_spms can measure the span gap it used to cost.
+/// Balanced *binary* merge tree over seqs[lo, hi) — span O(log r · log² m),
+/// one log factor worse than the sampling machinery, so spms_merge only
+/// takes it below the fixed machinery_min cutoff, where it wins on
+/// constants and contributes O(1) span.
 template <class Ctx>
 void merge_many(Ctx& cx, const std::vector<Slice<i64>>& seqs, size_t lo,
                 size_t hi, Slice<i64> out, size_t base, size_t grain,
@@ -564,15 +558,10 @@ void spms_merge(Ctx& cx, const std::vector<Slice<i64>>& seqs_in,
     spms_copy(cx, seqs[0], out, grain, tn);
     return;
   }
-  // Base case.  The legacy path additionally bails to the sequential base
-  // below 2r (it had no parallel resolver for many tiny sequences); the
-  // interleaved path keeps those parallel via merge_grouped — the
-  // sequential Θ(r)-span sample sorts this removes from every machinery
-  // level are part of the span fix.
-  const size_t cutoff = tn.interleave
-                            ? std::max(base, tn.merge_base)
-                            : std::max({base, tn.merge_base, 2 * r});
-  if (m <= cutoff || depth >= kSpmsDepthCap) {
+  // Base case.  Many tiny sequences stay parallel via merge_grouped
+  // rather than bailing to the sequential base below 2r: that keeps
+  // Θ(r)-span sequential sample sorts off every machinery level.
+  if (m <= std::max(base, tn.merge_base) || depth >= kSpmsDepthCap) {
     spms_base(cx, seqs, out, tn);
     return;
   }
@@ -585,26 +574,19 @@ void spms_merge(Ctx& cx, const std::vector<Slice<i64>>& seqs_in,
   for (size_t i = 0; i < r; ++i) {
     ns += spms_sample_count(seqs[i].n, s, spms_sample_off(i, r, s));
   }
-  if (tn.interleave) {
-    // Below the machinery floor the binary tree wins on constants and its
-    // depth is bounded by the fixed cutoff — O(1) span per occurrence.
-    if (m < tn.machinery_min) {
-      merge_many(cx, seqs, 0, seqs.size(), out, base, grain, tn);
-      return;
-    }
-    // The machinery wants r ≤ ⌈√m⌉/4 sequences: beyond that the per-
-    // sequence table overhead binds (stride_per_seq·r outgrows the
-    // natural stride) and a level would yield almost no pivots.  One
-    // word-balanced grouping round collapses r to the cap and re-enters
-    // — O(1) rounds where the staged tree paid O(log r) merge2 levels.
-    if (ns < 2 || tn.stride_per_seq * r > s || r * ns > m) {
-      merge_grouped(cx, seqs, out, base, grain, depth, tn);
-      return;
-    }
-  } else if (r > spms_seq_cap(m, tn) || ns < 2) {
-    // Legacy bucket shape (many short segments): the r×t boundary tables
-    // would dominate, so resolve with the binary merge tree instead.
+  // Below the machinery floor the binary tree wins on constants and its
+  // depth is bounded by the fixed cutoff — O(1) span per occurrence.
+  if (m < tn.machinery_min) {
     merge_many(cx, seqs, 0, seqs.size(), out, base, grain, tn);
+    return;
+  }
+  // The machinery wants r ≤ ⌈√m⌉/4 sequences: beyond that the per-
+  // sequence table overhead binds (stride_per_seq·r outgrows the natural
+  // stride) and a level would yield almost no pivots.  One word-balanced
+  // grouping round collapses r to the cap and re-enters — O(1) rounds
+  // where a binary merge tree would pay O(log r) merge2 levels.
+  if (ns < 2 || tn.stride_per_seq * r > s || r * ns > m) {
+    merge_grouped(cx, seqs, out, base, grain, depth, tn);
     return;
   }
 
@@ -642,7 +624,7 @@ void spms_merge(Ctx& cx, const std::vector<Slice<i64>>& seqs_in,
     for (size_t i = 0; i < r; ++i) {
       if (scnt[i]) sseqs.push_back(sample.slice(soff[i], scnt[i]));
     }
-    if (tn.interleave && ns <= tn.sample_sort_seq) {
+    if (ns <= tn.sample_sort_seq) {
       // Small sample: the sequential base case beats any parallel
       // structure's fork overhead, and the fixed cap keeps this O(1) span.
       spms_base(cx, sseqs, sample_sorted.slice(), tn);
@@ -836,11 +818,13 @@ void spms_sort_rec(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base,
 
 }  // namespace detail
 
-/// Sorts `a` into `out` with SPMS (non-destructive; |a| = |out|).  `tn`
-/// overrides the process-wide tuning for this call.
+/// Sorts `a` into `out` with SPMS (non-destructive; |a| = |out|) under
+/// the tuning `tn` (RO_CHECKs spms_tuning_error).
 template <class Ctx>
 void spms(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base = 32,
-          size_t grain = 1, const SpmsTuning& tn = spms_tuning()) {
+          size_t grain = 1, const SpmsTuning& tn = {}) {
+  const char* bad = spms_tuning_error(tn);
+  RO_CHECK_MSG(bad == nullptr, bad);
   detail::spms_sort_rec(cx, a, out, base, grain, 0, tn);
 }
 
@@ -849,9 +833,9 @@ void spms(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base = 32,
 /// unchanged.
 template <class Ctx>
 void sort_by(Ctx& cx, SortKind kind, Slice<i64> a, Slice<i64> out,
-             size_t base = 8, size_t grain = 1) {
+             size_t base = 8, size_t grain = 1, const SpmsTuning& tn = {}) {
   if (kind == SortKind::kSpms) {
-    spms(cx, a, out, std::max<size_t>(base, 32), grain);
+    spms(cx, a, out, std::max<size_t>(base, 32), grain, tn);
   } else {
     msort(cx, a, out, base, grain);
   }

@@ -13,50 +13,6 @@ namespace ro {
 
 namespace detail {
 
-TuningGate::Lease& TuningGate::Lease::operator=(Lease&& o) noexcept {
-  if (this != &o) {
-    if (gate_ != nullptr) gate_->leave();
-    gate_ = o.gate_;
-    o.gate_ = nullptr;
-  }
-  return *this;
-}
-
-TuningGate::Lease::~Lease() {
-  if (gate_ != nullptr) gate_->leave();
-}
-
-TuningGate::Lease TuningGate::enter(
-    const std::optional<alg::SpmsTuning>& want) {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (active_ == 0) {
-      // Machine idle: this job starts a group.  Snapshot the process
-      // default so later joiners with no override compare against what
-      // "default" meant when the group formed, and restore it on drain.
-      base_ = alg::spms_tuning();
-      cur_ = want.value_or(base_);
-      if (want.has_value() && !(cur_ == base_)) alg::set_spms_tuning(cur_);
-      active_ = 1;
-      return Lease(this);
-    }
-    if (want.value_or(base_) == cur_) {
-      ++active_;  // same effective tuning: join the running group
-      return Lease(this);
-    }
-    cv_.wait(lk);
-  }
-}
-
-void TuningGate::leave() {
-  std::lock_guard<std::mutex> lk(mu_);
-  RO_CHECK_MSG(active_ > 0, "TuningGate lease underflow");
-  if (--active_ == 0) {
-    if (!(cur_ == base_)) alg::set_spms_tuning(base_);
-    cv_.notify_all();
-  }
-}
-
 void require_ok(const JobResult& jr, const char* what) {
   if (jr.ok()) return;
   std::fprintf(stderr, "%s: %s\n", what, jr.error.c_str());
@@ -527,8 +483,8 @@ JobResult& fail(JobResult& jr, const std::string& why) {
 
 /// Spec-level validation that must not abort: submit is the wire-facing
 /// entry point, so everything a remote caller can get wrong becomes a
-/// kError result.  Mirrors set_spms_tuning's RO_CHECK invariants so a bad
-/// tuning is refused here instead of aborting inside the gate.
+/// kError result — a bad SPMS tuning included, which alg::spms would
+/// otherwise RO_CHECK mid-record.
 bool check_spec(const JobSpec& spec, JobResult& jr) {
   if (!spec.schema_version.empty()) {
     char* end = nullptr;
@@ -553,10 +509,8 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     return false;
   }
   if (spec.opt.spms.has_value()) {
-    const alg::SpmsTuning& t = *spec.opt.spms;
-    if (t.merge_base < 2 || t.merge2_min < 2 || t.stride_mul < 1 ||
-        t.seq_cap_div < 1 || t.stride_per_seq < 1 || t.multisearch_leaf < 2) {
-      fail(jr, "spms tuning violates its invariants (see alg/spms.h)");
+    if (const char* bad = alg::spms_tuning_error(*spec.opt.spms)) {
+      fail(jr, bad);
       return false;
     }
   }
@@ -579,6 +533,34 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The pool configuration a parallel run asks for, from the options alone
+/// (threads = 0 means hardware concurrency).
+PoolKey pool_key_of(const RunOptions& opt) {
+  PoolKey key;
+  key.policy = Engine::steal_policy_of(opt.backend);
+  key.threads = opt.threads != 0 ? opt.threads : hw_threads();
+  if (backend_is_numa(opt.backend)) {
+    key.numa = true;
+    // Canonical group count: 0 resolves to one group per detected node, so
+    // "auto" and the explicit detected count share one cache entry (the
+    // layouts are identical — rt::numa_group_layout).
+    key.groups = rt::numa_group_layout(key.threads, opt.numa_groups).groups();
+    key.escape = opt.numa_escape;
+    key.pin = opt.numa_pin;
+  }
+  return key;
+}
+
+/// A program carries its own SPMS tuning, so a programmatic job cannot
+/// take one from its spec.
+bool refuse_spms_override(const JobSpec& spec, JobResult& jr) {
+  if (!spec.opt.spms.has_value()) return false;
+  fail(jr,
+       "spms tuning applies to named workloads only; pass it to alg::spms / "
+       "alg::sort_by in the program instead");
+  return true;
 }
 
 }  // namespace
@@ -639,24 +621,11 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
     case Backend::kParPriority:
     case Backend::kParNumaRandom:
     case Backend::kParNumaPriority: {
-      const rt::StealPolicy policy = steal_policy_of(opt.backend);
-      const bool numa = backend_is_numa(opt.backend);
-      const int slot = (numa ? 2 : 0) +
-                       (policy == rt::StealPolicy::kPriority ? 1 : 0);
-      const PoolKey key =
-          numa ? resolve_numa_key(policy, opt.threads, opt.numa_groups,
-                                  opt.numa_escape, opt.numa_pin)
-               : resolve_flat_key(policy, opt.threads);
       // Exclusive lease: concurrent submits wanting the same configuration
       // get sibling pools instead of racing on one (Pool::run is not
-      // reentrant).  The memo keeps the legacy accessors pointing at the
-      // engine's most recent pool for the slot.
-      PoolCache::Lease lease = pool_cache_.acquire(key);
+      // reentrant).
+      PoolCache::Lease lease = pool_cache_.acquire(pool_key_of(opt));
       rt::Pool& pool = lease.pool();
-      {
-        std::lock_guard<std::mutex> lk(memo_mu_);
-        memo_[slot] = SlotMemo{true, key, &pool};
-      }
       const rt::PoolStats before = pool.stats();
       rt::ParCtx cx(pool, opt.serial_below);
       detail::EngineCtx<rt::ParCtx> ec(cx);
@@ -724,6 +693,7 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
+  const alg::SpmsTuning spms = spec.opt.spms.value_or(alg::SpmsTuning{});
   if (spec.kind == JobKind::kBatch) {
     const uint32_t shards = spec.shards == 0 ? 1 : spec.shards;
     std::vector<AnyProg> progs;
@@ -731,26 +701,41 @@ JobResult Engine::submit(const JobSpec& spec) {
     for (uint32_t i = 0; i < shards; ++i) {
       // Per-shard seed salt: tenants of a batch run distinct-but-
       // deterministic inputs of the same workload.
-      progs.push_back(make_workload(spec.workload, spec.n, spec.seed + i));
+      progs.push_back(
+          make_workload(spec.workload, spec.n, spec.seed + i, spms));
     }
     if (!progs[0]) {
       JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
       fail(jr, "unknown workload \"" + spec.workload + "\"");
       return jr;
     }
-    return submit(spec, progs);
+    return execute(start_result(next_job_id_.fetch_add(1), spec), spec,
+                   progs);
   }
-  const AnyProg prog = make_workload(spec.workload, spec.n, spec.seed);
+  const AnyProg prog = make_workload(spec.workload, spec.n, spec.seed, spms);
   if (!prog) {
     JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
     fail(jr, "unknown workload \"" + spec.workload + "\"");
     return jr;
   }
-  return submit(spec, prog);
+  return execute(start_result(next_job_id_.fetch_add(1), spec), spec, prog);
 }
 
 JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
   JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+  if (refuse_spms_override(spec, jr)) return jr;
+  return execute(std::move(jr), spec, prog);
+}
+
+JobResult Engine::submit(const JobSpec& spec,
+                         const std::vector<AnyProg>& progs) {
+  JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+  if (refuse_spms_override(spec, jr)) return jr;
+  return execute(std::move(jr), spec, progs);
+}
+
+JobResult Engine::execute(JobResult jr, const JobSpec& spec,
+                          const AnyProg& prog) {
   if (!check_spec(spec, jr)) return jr;
   if (spec.kind == JobKind::kBatch) {
     fail(jr, "batch jobs take one program per shard");
@@ -766,7 +751,6 @@ JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
     return jr;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);
   if (spec.kind == JobKind::kRun) {
     jr.report = run_one(prog, spec.opt);
   } else {  // kDiagnose: record here, then run the doctor loop
@@ -782,9 +766,8 @@ JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
   return jr;
 }
 
-JobResult Engine::submit(const JobSpec& spec,
-                         const std::vector<AnyProg>& progs) {
-  JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+JobResult Engine::execute(JobResult jr, const JobSpec& spec,
+                          const std::vector<AnyProg>& progs) {
   if (!check_spec(spec, jr)) return jr;
   if (spec.kind != JobKind::kBatch) {
     fail(jr, "a program vector makes a batch job; set kind to \"batch\"");
@@ -801,7 +784,6 @@ JobResult Engine::submit(const JobSpec& spec,
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);
   jr.batch = run_batch_any(progs, spec.opt);
   jr.has_batch = true;
   jr.exec_ms = ms_since(t0);
@@ -820,71 +802,6 @@ RunReport Engine::replay(const TaskGraph& g, Backend backend,
   fill_replay(r, g, backend, sim, seq_baseline);
   r.wall_ms = ms_since(t0);
   return r;
-}
-
-PoolKey Engine::resolve_flat_key(rt::StealPolicy policy, unsigned threads) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 0 : 1;
-  PoolKey key;
-  key.policy = policy;
-  if (threads != 0) {
-    key.threads = threads;
-  } else {
-    // 0 = keep the policy's current size (the legacy contract).
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    key.threads = memo_[slot].valid ? memo_[slot].key.threads : hw_threads();
-  }
-  return key;
-}
-
-PoolKey Engine::resolve_numa_key(rt::StealPolicy policy, unsigned threads,
-                                 uint32_t groups, double escape, bool pin) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 2 : 3;
-  PoolKey key;
-  key.policy = policy;
-  key.numa = true;
-  if (threads != 0) {
-    key.threads = threads;
-  } else {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    key.threads = memo_[slot].valid ? memo_[slot].key.threads : hw_threads();
-  }
-  // Canonical group count: 0 resolves to one group per detected node, so
-  // "auto" and the explicit detected count share one cache entry (the
-  // layouts are identical — rt::numa_group_layout).
-  key.groups = rt::numa_group_layout(key.threads, groups).groups();
-  key.escape = escape;
-  key.pin = pin;
-  return key;
-}
-
-rt::Pool& Engine::sticky_pool(int slot, const PoolKey& key) {
-  {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    if (memo_[slot].valid && memo_[slot].key == key) {
-      return *memo_[slot].pool;
-    }
-  }
-  // Non-leasing lookup: take (or create) an instance and return it to the
-  // free list immediately — the accessor contract is a stable reference
-  // for a single-threaded caller, not exclusivity.
-  PoolCache::Lease lease = pool_cache_.acquire(key);
-  rt::Pool& pool = lease.pool();
-  lease.release();
-  std::lock_guard<std::mutex> lk(memo_mu_);
-  memo_[slot] = SlotMemo{true, key, &pool};
-  return pool;
-}
-
-rt::Pool& Engine::pool(rt::StealPolicy policy, unsigned threads) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 0 : 1;
-  return sticky_pool(slot, resolve_flat_key(policy, threads));
-}
-
-rt::Pool& Engine::numa_pool(rt::StealPolicy policy, unsigned threads,
-                            uint32_t groups, double escape, bool pin) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 2 : 3;
-  return sticky_pool(slot,
-                     resolve_numa_key(policy, threads, groups, escape, pin));
 }
 
 }  // namespace ro

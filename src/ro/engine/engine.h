@@ -23,20 +23,19 @@
 // versioned spec describes the job (docs/engine.md), the result comes back
 // as a JobResult with a status instead of an abort, and — the redesign's
 // point — submit is safe to call from many threads at once.  Pools come
-// from a thread-safe PoolCache under exclusive leases, and per-job SPMS
-// tuning goes through a TuningGate instead of an unsynchronized global
-// swap.  run / run_batch are thin shims over submit and remain the
-// convenient single-caller surface; record / replay / diagnose expose the
-// two phases separately for benches that replay one trace on many machines.
+// from a thread-safe PoolCache under exclusive leases, and a job's SPMS
+// tuning travels inside its program (make_workload captures
+// RunOptions::spms), so differently-tuned jobs share no mutable state and
+// run side by side.  run / run_batch are thin shims over submit and remain
+// the convenient single-caller surface; record / replay / diagnose expose
+// the two phases separately for benches that replay one trace on many
+// machines.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,45 +59,6 @@ namespace ro {
 
 namespace detail {
 
-/// Serializes jobs over the process-wide SPMS tuning (alg::spms_tuning is
-/// read as a default argument on pool threads mid-record, so it cannot be
-/// job-local state).  Jobs whose *effective* tuning — their RunOptions
-/// override, or the process default snapshotted when the machine was idle —
-/// matches the currently installed one proceed concurrently; a job needing
-/// a different tuning waits for the active group to drain, installs its
-/// own, and the default is restored when the last job of a group leaves.
-/// This replaces the old unsynchronized per-run global swap
-/// (SpmsTuningScope), which silently corrupted concurrent runs.
-class TuningGate {
- public:
-  class Lease {
-   public:
-    Lease(Lease&& o) noexcept : gate_(o.gate_) { o.gate_ = nullptr; }
-    Lease& operator=(Lease&& o) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-   private:
-    friend class TuningGate;
-    explicit Lease(TuningGate* gate) : gate_(gate) {}
-    TuningGate* gate_ = nullptr;
-  };
-
-  /// Blocks until `want` (or, unset, the idle-snapshot default) can be the
-  /// installed tuning, then joins the active group.
-  Lease enter(const std::optional<alg::SpmsTuning>& want);
-
- private:
-  void leave();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t active_ = 0;       // jobs currently inside the gate
-  alg::SpmsTuning cur_{};     // tuning the active group runs under
-  alg::SpmsTuning base_{};    // process default snapshotted at group start
-};
-
 /// Aborts with the JobResult's error when a shim's job failed — the legacy
 /// entry points promised RO_CHECK semantics, submit promises a status.
 void require_ok(const JobResult& jr, const char* what);
@@ -114,18 +74,20 @@ class Engine {
   // ---- the concurrent-caller entry point -------------------------------
 
   /// Executes the named workload the spec selects (spec.workload, resolved
-  /// through engine/workloads.h) as a kRun / kBatch / kDiagnose job.
-  /// Thread-safe: concurrent submits share the pool cache and serialize
-  /// only when their SPMS tunings differ.  Invalid specs come back as
-  /// status kError with a reason — never an abort — so wire callers
-  /// (ro-serve) stay up across bad input.
+  /// through engine/workloads.h, built under spec.opt.spms) as a kRun /
+  /// kBatch / kDiagnose job.  Thread-safe: concurrent submits share only
+  /// the pool cache.  Invalid specs come back as status kError with a
+  /// reason — never an abort — so wire callers (ro-serve) stay up across
+  /// bad input.
   JobResult submit(const JobSpec& spec);
 
   /// Programmatic flavour: runs `prog` instead of a named workload
-  /// (kRun and kDiagnose jobs; spec.workload is ignored).
+  /// (kRun and kDiagnose jobs; spec.workload is ignored).  A program
+  /// carries its own SPMS tuning (the alg::spms / sort_by argument), so a
+  /// spec with opt.spms set is a kError here rather than silently ignored.
   JobResult submit(const JobSpec& spec, const AnyProg& prog);
 
-  /// Batch flavour: one program per shard (kBatch jobs).
+  /// Batch flavour: one program per shard (kBatch jobs); opt.spms as above.
   JobResult submit(const JobSpec& spec, const std::vector<AnyProg>& progs);
 
   // ---- legacy single-caller surface (shims over submit) ----------------
@@ -171,9 +133,7 @@ class Engine {
   /// address space) and returns the graph + stats for repeated replay.
   /// `shard` selects the address shard recorded into (0 = the classic
   /// single-shard layout); replay rebases per shard, so the shard choice
-  /// never changes the replayed Metrics.  Recording reads the *process
-  /// default* SPMS tuning: submit() is the entry point that coordinates
-  /// per-job tunings.
+  /// never changes the replayed Metrics.
   template <class Prog>
   Recording record(Prog&& prog, bool padded = false,
                    uint64_t align_words = 4096, uint32_t shard = 0) {
@@ -239,36 +199,6 @@ class Engine {
     return diagnose(rec.graph, backend, sim, opt, label);
   }
 
-  // ---- legacy pool accessors -------------------------------------------
-  // Deprecated single-caller conveniences over the PoolCache: they return
-  // a plain reference *without* holding the exclusive lease, exactly like
-  // the old cached slots — fine for one thread driving the engine, unsound
-  // for concurrent use (that is what submit() is for).  The cache keeps
-  // every pool alive for the engine's lifetime, so the references stay
-  // valid even after a different configuration is requested.
-
-  /// The cached flat real-thread pool for a policy.  threads = 0 keeps the
-  /// policy's current pool (created at hardware concurrency on first use);
-  /// a nonzero value selects (and on first use creates) that size.
-  rt::Pool& pool(rt::StealPolicy policy, unsigned threads = 0);
-
-  /// The cached NUMA-aware pool for a policy: `groups` worker groups
-  /// (0 = one per detected node) with `escape` as the random flavor's
-  /// cross-group steal probability.  A different configuration selects a
-  /// different cached pool.
-  rt::Pool& numa_pool(rt::StealPolicy policy, unsigned threads = 0,
-                      uint32_t groups = 0, double escape = 1.0 / 16,
-                      bool pin = false);
-
-  /// The pool `opt` asks for — flat or NUMA-aware, from opt.backend.
-  rt::Pool& pool_for(const RunOptions& opt) {
-    if (backend_is_numa(opt.backend)) {
-      return numa_pool(steal_policy_of(opt.backend), opt.threads,
-                       opt.numa_groups, opt.numa_escape, opt.numa_pin);
-    }
-    return pool(steal_policy_of(opt.backend), opt.threads);
-  }
-
   /// Pools ever constructed by this engine's cache (tests/observability).
   uint64_t pools_created() const { return pool_cache_.created(); }
 
@@ -295,30 +225,15 @@ class Engine {
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 
-  /// Resolves the pool configuration a parallel run asks for, applying the
-  /// "threads = 0 keeps the policy's current size" memo.
-  PoolKey resolve_flat_key(rt::StealPolicy policy, unsigned threads);
-  PoolKey resolve_numa_key(rt::StealPolicy policy, unsigned threads,
-                           uint32_t groups, double escape, bool pin);
-
-  /// The legacy accessors' core: returns the memoized pool when the key
-  /// matches, otherwise looks the key up in the cache (non-leasing) and
-  /// re-memoizes.
-  rt::Pool& sticky_pool(int slot, const PoolKey& key);
+  /// submit's job core once the programs are built: validates the spec,
+  /// then fills `jr` (already carrying the job id) with the kRun /
+  /// kDiagnose or kBatch execution.
+  JobResult execute(JobResult jr, const JobSpec& spec, const AnyProg& prog);
+  JobResult execute(JobResult jr, const JobSpec& spec,
+                    const std::vector<AnyProg>& progs);
 
   PoolCache pool_cache_;
-  detail::TuningGate tuning_gate_;
   std::atomic<uint64_t> next_job_id_{1};
-
-  // Last-key memos behind the legacy accessors' "0 = keep current"
-  // semantics: slots 0/1 flat random/priority, 2/3 NUMA random/priority.
-  struct SlotMemo {
-    bool valid = false;
-    PoolKey key;
-    rt::Pool* pool = nullptr;  // owned by pool_cache_, never destroyed
-  };
-  std::mutex memo_mu_;
-  SlotMemo memo_[4];
 };
 
 }  // namespace ro

@@ -78,7 +78,6 @@ std::string spms_to_json(const alg::SpmsTuning& t) {
   kv(s, "multisearch_leaf", static_cast<uint64_t>(t.multisearch_leaf));
   kv(s, "sample_sort_seq", static_cast<uint64_t>(t.sample_sort_seq));
   kv(s, "machinery_min", static_cast<uint64_t>(t.machinery_min));
-  kv(s, "interleave", static_cast<uint64_t>(t.interleave ? 1 : 0));
   kv(s, "kernels", static_cast<uint64_t>(t.kernels ? 1 : 0));
   s += "}";
   return s;
@@ -100,7 +99,6 @@ bool spms_from_json(const std::string& text, alg::SpmsTuning& t) {
       t.sample_sort_seq = static_cast<size_t>(as_u64(v));
     else if (k == "machinery_min")
       t.machinery_min = static_cast<size_t>(as_u64(v));
-    else if (k == "interleave") t.interleave = as_u64(v) != 0;
     else if (k == "kernels") t.kernels = as_u64(v) != 0;
   }
   return true;
@@ -132,7 +130,6 @@ std::string JobSpec::to_json() const {
   kv(s, "M2", opt.sim.M2);
   kv(s, "l2_latency", static_cast<uint64_t>(opt.sim.l2_latency));
   kv(s, "write_hold", static_cast<uint64_t>(opt.sim.write_hold));
-  kv(s, "flat_lru", static_cast<uint64_t>(opt.sim.flat_lru ? 1 : 0));
   kv(s, "replay_threads", static_cast<uint64_t>(opt.sim.replay_threads));
   kv(s, "padded", static_cast<uint64_t>(opt.padded ? 1 : 0));
   kv(s, "align_words", opt.align_words);
@@ -209,7 +206,6 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
       spec.opt.sim.l2_latency = static_cast<uint32_t>(as_u64(v));
     else if (k == "write_hold")
       spec.opt.sim.write_hold = static_cast<uint32_t>(as_u64(v));
-    else if (k == "flat_lru") spec.opt.sim.flat_lru = as_u64(v) != 0;
     else if (k == "replay_threads")
       spec.opt.sim.replay_threads = static_cast<uint32_t>(as_u64(v));
     else if (k == "padded") spec.opt.padded = as_u64(v) != 0;
@@ -234,7 +230,7 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
       spec.doc.max_lines = static_cast<uint32_t>(as_u64(v));
     else if (k == "doc_min_false_events") spec.doc.min_false_events = as_u64(v);
     else if (k == "spms") {
-      alg::SpmsTuning t = alg::spms_tuning();
+      alg::SpmsTuning t;
       if (!spms_from_json(v, t)) return fail("malformed spms tuning object");
       spec.opt.spms = t;
     }

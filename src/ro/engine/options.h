@@ -78,9 +78,7 @@ struct RunOptions {
   bool capacity_shared = false;
 
   // ---- parallel backends ----
-  // Pool size.  0 = keep the engine's current pool for the policy (created
-  // at hardware concurrency on first use); a nonzero value selects (and on
-  // first use creates) the pool of that size.
+  // Pool size.  0 = hardware concurrency.
   unsigned threads = 0;
   uint64_t serial_below = 1 << 12;  // ParCtx serial cutoff, words
 
@@ -90,11 +88,11 @@ struct RunOptions {
   bool numa_pin = false;          // pin workers to their node's cpus (Linux)
 
   // ---- algorithm tuning ----
-  // Per-run override of the SPMS tuning knobs (alg/spms.h SpmsTuning).
-  // Submitted jobs whose effective tuning matches the running jobs' proceed
-  // concurrently; a job needing a different tuning waits for the machine to
-  // drain, then installs its override for the duration of its group
-  // (detail::TuningGate).  Unset = the process default.
+  // SPMS tuning (alg/spms.h SpmsTuning) for named workloads: submit builds
+  // the sort-spms program under it, so jobs with different tunings run
+  // concurrently.  Unset = the defaults.  A program handed to submit / run
+  // carries its own tuning (the alg::spms / sort_by argument); setting
+  // this for one is a kError.
   std::optional<alg::SpmsTuning> spms;
 };
 

@@ -40,14 +40,17 @@ AnyProg wl_ps(uint64_t n, uint64_t seed) {
   };
 }
 
-AnyProg wl_sort(uint64_t n, uint64_t seed, alg::SortKind kind) {
-  return [n, seed, kind](auto& cx) {
+AnyProg wl_sort(uint64_t n, uint64_t seed, alg::SortKind kind,
+                const alg::SpmsTuning& spms = {}) {
+  return [n, seed, kind, spms](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
     Rng rng(n + 4 + seed);
     for (uint64_t i = 0; i < n; ++i)
       a.raw()[i] = static_cast<i64>(rng.next() >> 1);
     auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] { alg::sort_by(cx, kind, a.slice(), out.slice(), 8); });
+    cx.run(2 * n, [&] {
+      alg::sort_by(cx, kind, a.slice(), out.slice(), 8, 1, spms);
+    });
   };
 }
 
@@ -70,11 +73,12 @@ AnyProg wl_counters(uint64_t n, uint64_t stride) {
 
 }  // namespace
 
-AnyProg make_workload(const std::string& name, uint64_t n, uint64_t seed) {
+AnyProg make_workload(const std::string& name, uint64_t n, uint64_t seed,
+                      const alg::SpmsTuning& spms) {
   if (name == "msum") return wl_msum(n, seed);
   if (name == "ps") return wl_ps(n, seed);
   if (name == "sort") return wl_sort(n, seed, alg::SortKind::kMsort);
-  if (name == "sort-spms") return wl_sort(n, seed, alg::SortKind::kSpms);
+  if (name == "sort-spms") return wl_sort(n, seed, alg::SortKind::kSpms, spms);
   if (name == "counters-packed") return wl_counters(n, 1);
   if (name == "counters-padded") return wl_counters(n, 64);
   return AnyProg{};

@@ -11,7 +11,8 @@
 //   msum             — divide-and-conquer sum over n random i64
 //   ps               — prefix sums over n random i64
 //   sort             — the recursive multi-way mergesort over n random i64
-//   sort-spms        — the SPMS sample-partition mergesort, same inputs
+//   sort-spms        — the SPMS sample-partition mergesort, same inputs,
+//                      under the job's RunOptions::spms tuning
 //   counters-packed  — the false-sharing adversary: n counters packed one
 //                      word apart (the ro-doctor workload)
 //   counters-padded  — the control: the same counters a block apart
@@ -24,14 +25,17 @@
 #include <string>
 #include <vector>
 
+#include "ro/alg/spms.h"
 #include "ro/engine/any_prog.h"
 
 namespace ro {
 
 /// Builds the named workload as a type-erased program.  Returns an empty
 /// AnyProg (operator bool false) for unknown names — the caller turns
-/// that into a JobResult error, not an abort.
-AnyProg make_workload(const std::string& name, uint64_t n, uint64_t seed);
+/// that into a JobResult error, not an abort.  `spms` is the tuning the
+/// sort-spms workload sorts under (ignored by the others).
+AnyProg make_workload(const std::string& name, uint64_t n, uint64_t seed,
+                      const alg::SpmsTuning& spms = {});
 
 /// Registry names, for CLIs and error messages.
 const std::vector<std::string>& workload_names();

@@ -132,12 +132,7 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 /// `Source` (VecSource / StreamSource above), never by walking a resident
 /// array directly, so the same scheduling loop serves both the in-memory
 /// and the bounded-memory streaming representations.
-///
-/// `Cache` selects the simulated-cache implementation (SimConfig::flat_lru):
-/// FlatLru, the allocation-free flat data plane, or the legacy node-based
-/// LruCache.  Both implement exact LRU, so the choice never shows in
-/// Metrics — only in host replay throughput (docs/perf.md).
-template <class Source, class Cache>
+template <class Source>
 class ShardReplayer {
  public:
   ShardReplayer(const TaskGraph& g, std::vector<ShardSpan> spans,
@@ -235,8 +230,8 @@ class ShardReplayer {
     // classic single-span unit has exactly one).
     std::vector<typename Source::Cursor> curs;
     std::deque<uint32_t> dq;  // stealable right children; back = bottom
-    Cache cache;                 // private L1
-    Cache l2;                    // L2 partition (§5.2)
+    FlatLru cache;               // private L1
+    FlatLru l2;                  // L2 partition (§5.2)
     FlatBlockSet invalidated;    // blocks lost to coherence
     std::vector<uint64_t> ever;  // ever-loaded bitset
     CoreMetrics m;
@@ -719,30 +714,15 @@ SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
   return cfg;
 }
 
-/// Data-plane dispatch (SimConfig::flat_lru): one walk, either cache class.
-template <class Source>
-Metrics run_spans(const TaskGraph& g, std::vector<ShardSpan> spans,
-                  SchedKind kind, const SimConfig& cfg,
-                  std::vector<Source> srcs,
-                  std::vector<TenantShare>* shares = nullptr) {
-  if (cfg.flat_lru) {
-    return ShardReplayer<Source, FlatLru>(g, std::move(spans), kind, cfg,
-                                          std::move(srcs), shares)
-        .run();
-  }
-  return ShardReplayer<Source, LruCache>(g, std::move(spans), kind, cfg,
-                                         std::move(srcs), shares)
-      .run();
-}
-
 Metrics run_unit(const Unit& u) {
   if (u.part >= 0) {
     const StreamPart& part = u.g->streams[static_cast<size_t>(u.part)];
     StreamSource src{part.store.get(), part.acc_base, u.span.first_act};
-    return run_spans<StreamSource>(*u.g, {u.span}, u.kind, u.cfg, {src});
+    return ShardReplayer<StreamSource>(*u.g, {u.span}, u.kind, u.cfg, {src})
+        .run();
   }
   VecSource src{u.g->accesses.data()};
-  return run_spans<VecSource>(*u.g, {u.span}, u.kind, u.cfg, {src});
+  return ShardReplayer<VecSource>(*u.g, {u.span}, u.kind, u.cfg, {src}).run();
 }
 
 /// Host pool for the parallel replay phase.  A flat random-stealing pool
@@ -867,11 +847,13 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                                   g.streams[k].acc_base,
                                   spans[k].first_act});
     }
-    return run_spans<StreamSource>(g, spans, kind, ecfg, std::move(srcs),
-                                   shares);
+    return ShardReplayer<StreamSource>(g, spans, kind, ecfg, std::move(srcs),
+                                       shares)
+        .run();
   }
   std::vector<VecSource> srcs(spans.size(), VecSource{g.accesses.data()});
-  return run_spans<VecSource>(g, spans, kind, ecfg, std::move(srcs), shares);
+  return ShardReplayer<VecSource>(g, spans, kind, ecfg, std::move(srcs), shares)
+      .run();
 }
 
 std::vector<std::vector<Metrics>> simulate_shards_all(

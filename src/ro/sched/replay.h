@@ -94,15 +94,6 @@ struct SimConfig {
   // of ping-ponging per word.  0 = plain invalidation protocol.
   uint32_t write_hold = 0;
 
-  // Replay data-plane selector (docs/perf.md).  true (default) = the flat
-  // allocation-free FlatLru cache with the single-probe combined access op;
-  // false = the legacy node-based LruCache (std::list + unordered_map).
-  // LRU semantics are identical, so every deterministic metric is
-  // bit-identical either way — the legacy plane exists exactly so that
-  // claim stays RO_CHECK-able (tests/, bench_sim_micro A/B rows).  A host
-  // implementation knob like replay_threads: never visible in Metrics.
-  bool flat_lru = true;
-
   // Host threads replaying shard units (see header comment).  1 = the
   // sequential walk (default), 0 = hardware concurrency.  A host knob, not
   // a machine parameter: it never appears in Metrics, and every value

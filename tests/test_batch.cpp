@@ -18,6 +18,7 @@
 #include "ro/engine/engine.h"
 #include "ro/rt/pool.h"
 #include "ro/util/rng.h"
+#include "golden.h"
 #include "test_helpers.h"
 
 namespace ro {
@@ -262,19 +263,20 @@ TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   }
 }
 
-TEST(Batch, FlatAndLegacyDataPlanesAreBitIdentical) {
-  // The flat-LRU acceptance criterion (docs/perf.md): SimConfig::flat_lru
-  // selects a host implementation, never a machine — Metrics must be
-  // bit-identical flat-vs-legacy on every workload, scheduler, host
-  // thread count, and on machines exercising the §5.1 write-hold and the
-  // §5.2 partitioned-L2 paths (whose discrete cache-op order the flat
-  // plane must reproduce exactly).
+TEST(Batch, ReplayMetricsMatchCommittedGoldens) {
+  // Replay is exact, so the Metrics of every workload and scheduler are
+  // committed goldens: plain machines, a host thread count of 2 (same
+  // rows as plain), and machines exercising the §5.1 write-hold and the
+  // §5.2 partitioned-L2 paths, whose discrete cache-op order the flat
+  // cache plane must keep.  The rows were captured while the flat plane
+  // was still checked bit for bit against the node-based reference LRU.
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
   parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
   parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
   parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
+  const char* const part_names[] = {"route", "listrank", "spms"};
 
   std::vector<std::pair<const char*, SimConfig>> machines;
   machines.emplace_back("plain", small_machine(1));
@@ -286,25 +288,62 @@ TEST(Batch, FlatAndLegacyDataPlanesAreBitIdentical) {
   l2.M2 = l2.M * 4;
   machines.emplace_back("l2", l2);
 
-  const auto both = [](SimConfig cfg, bool flat) {
-    cfg.flat_lru = flat;
-    return cfg;
-  };
+  testing::GoldenTable golden({
+      {"route/SEQ/plain", 15955, 102, 0, 0, 0xb0f5f9f287790f7full},
+      {"listrank/SEQ/plain", 354100, 2600, 0, 0, 0x96739ed7c391304aull},
+      {"spms/SEQ/plain", 28027, 294, 0, 0, 0xc0a2137fd6f5cb7cull},
+      {"route/SEQ/threads2", 15955, 102, 0, 0, 0xb0f5f9f287790f7full},
+      {"listrank/SEQ/threads2", 354100, 2600, 0, 0, 0x96739ed7c391304aull},
+      {"spms/SEQ/threads2", 28027, 294, 0, 0, 0xc0a2137fd6f5cb7cull},
+      {"route/SEQ/write_hold", 15955, 102, 0, 0, 0xb0f5f9f287790f7full},
+      {"listrank/SEQ/write_hold", 354100, 2600, 0, 0, 0x96739ed7c391304aull},
+      {"spms/SEQ/write_hold", 28027, 294, 0, 0, 0xc0a2137fd6f5cb7cull},
+      {"route/SEQ/l2", 15955, 102, 0, 0, 0xb0f5f9f287790f7full},
+      {"listrank/SEQ/l2", 343684, 2618, 0, 0, 0x11665723d5f8a7a1ull},
+      {"spms/SEQ/l2", 25987, 294, 0, 0, 0x079080bf59d4fee9ull},
+      {"route/PWS/plain", 14071, 531, 166, 100, 0x989ad9eaa3d55342ull},
+      {"listrank/PWS/plain", 425617, 15161, 6935, 3420, 0xeac3b3484b3d3701ull},
+      {"spms/PWS/plain", 13755, 601, 63, 59, 0xefb30510e74da3b5ull},
+      {"route/PWS/threads2", 14071, 531, 166, 100, 0x989ad9eaa3d55342ull},
+      {"listrank/PWS/threads2", 425617, 15161, 6935, 3420, 0xeac3b3484b3d3701ull},
+      {"spms/PWS/threads2", 13755, 601, 63, 59, 0xefb30510e74da3b5ull},
+      {"route/PWS/write_hold", 13636, 539, 84, 104, 0x8dd7420706dbed7full},
+      {"listrank/PWS/write_hold", 421267, 15275, 3896, 3470, 0x8abdb0c6be3ed742ull},
+      {"spms/PWS/write_hold", 13960, 623, 43, 66, 0x73cd3c7a4ec2b7ceull},
+      {"route/PWS/l2", 14071, 531, 166, 100, 0x989ad9eaa3d55342ull},
+      {"listrank/PWS/l2", 431289, 15301, 7027, 3492, 0x4b2b26df49648e1bull},
+      {"spms/PWS/l2", 13574, 600, 61, 57, 0xada233d726ed1902ull},
+      {"route/RWS/plain", 12951, 458, 100, 71, 0x9d971ed446391f89ull},
+      {"listrank/RWS/plain", 419645, 12970, 4332, 2567, 0xcd87fd1b94c33563ull},
+      {"spms/RWS/plain", 14013, 609, 68, 53, 0x0b9c50e2864514afull},
+      {"route/RWS/threads2", 12951, 458, 100, 71, 0x9d971ed446391f89ull},
+      {"listrank/RWS/threads2", 419645, 12970, 4332, 2567, 0xcd87fd1b94c33563ull},
+      {"spms/RWS/threads2", 14013, 609, 68, 53, 0x0b9c50e2864514afull},
+      {"route/RWS/write_hold", 12062, 431, 51, 64, 0xd686aa89f3e09bf6ull},
+      {"listrank/RWS/write_hold", 421721, 12888, 2681, 2564, 0x0c3fbe084ec5aa37ull},
+      {"spms/RWS/write_hold", 15247, 621, 56, 67, 0x0bdad6989f397601ull},
+      {"route/RWS/l2", 12951, 458, 100, 71, 0x9d971ed446391f89ull},
+      {"listrank/RWS/l2", 420964, 12994, 4513, 2544, 0x27231a7037bbd218ull},
+      {"spms/RWS/l2", 14682, 601, 70, 57, 0x6bd0ff44f2950941ull},
+      {"merged/pws/plain", 425617, 16293, 7164, 3579, 0x2c5cd423744fb058ull},
+      {"merged/pws/threads2", 425617, 16293, 7164, 3579, 0x2c5cd423744fb058ull},
+      {"merged/pws/write_hold", 421267, 16437, 4023, 3640, 0x8b130a4a24301098ull},
+      {"merged/pws/l2", 431289, 16432, 7254, 3649, 0x47003f2d1ae8d37full},
+  });
   for (const SchedKind kind :
        {SchedKind::kSeq, SchedKind::kPws, SchedKind::kRws}) {
     for (const auto& [mname, mcfg] : machines) {
-      for (const TaskGraph& g : parts) {
-        EXPECT_EQ(simulate(g, kind, both(mcfg, true)),
-                  simulate(g, kind, both(mcfg, false)))
-            << sched_name(kind) << " machine=" << mname;
+      for (size_t i = 0; i < parts.size(); ++i) {
+        golden.check(testing::golden_of(
+            std::string(part_names[i]) + "/" + sched_name(kind) + "/" + mname,
+            simulate(parts[i], kind, mcfg)));
       }
     }
   }
   const TaskGraph merged = merge_shards(std::move(parts));
   for (const auto& [mname, mcfg] : machines) {
-    EXPECT_EQ(simulate(merged, SchedKind::kPws, both(mcfg, true)),
-              simulate(merged, SchedKind::kPws, both(mcfg, false)))
-        << "merged machine=" << mname;
+    golden.check(testing::golden_of(std::string("merged/pws/") + mname,
+                                    simulate(merged, SchedKind::kPws, mcfg)));
   }
 }
 

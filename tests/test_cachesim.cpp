@@ -11,14 +11,15 @@
 #include "ro/sim/directory.h"
 #include "ro/sim/flat_index.h"
 #include "ro/util/rng.h"
+#include "lru_cache.h"
 
 namespace ro {
 namespace {
 
 using alg::i64;
 
-// Both data planes (docs/perf.md) implement the same exact-LRU contract;
-// every directed cache test runs against each.
+// FlatLru and its reference oracle (lru_cache.h) implement the same
+// exact-LRU contract; every directed cache test runs against each.
 template <class C>
 class LruImpl : public ::testing::Test {};
 using LruImpls = ::testing::Types<FlatLru, LruCache>;
@@ -99,7 +100,7 @@ TEST(FlatLru, CapacityOneChurn) {
   }
 }
 
-// Randomized property test: FlatLru against the legacy list+map cache as
+// Randomized property test: FlatLru against the list+map LruCache as
 // oracle, over op sequences mixing combined accesses, touches (present and
 // absent) and invalidations (MRU / LRU / middle / absent), at capacities
 // down to 1 and with enough universe pressure for sustained full-cache

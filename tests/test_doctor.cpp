@@ -16,6 +16,7 @@
 #include "ro/engine/engine.h"
 #include "ro/sim/contention.h"
 #include "ro/util/rng.h"
+#include "golden.h"
 #include "test_helpers.h"
 
 namespace ro {
@@ -151,27 +152,24 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   }
 }
 
-TEST(ContentionProfile, FlatAndLegacyDataPlanesProfileIdentically) {
-  // The profile — like Metrics — must not see the cache implementation:
-  // last-touch attribution now lives in a flat open-addressed table, and
-  // the flat-vs-legacy cache swap must leave every recorded invalidation,
-  // coherence miss and transfer bit-identical on the packed-counter
-  // adversary (the doctor's diagnostic input).
+TEST(ContentionProfile, PackedCountersMatchCommittedGolden) {
+  // The profile, like Metrics, is exact: every recorded invalidation,
+  // coherence miss and transfer on the packed-counter adversary (the
+  // doctor's diagnostic input) is pinned by a committed golden, captured
+  // while the flat cache plane was still checked against the node-based
+  // reference LRU.
   const Recording rec = engine().record(prog_counters(8, 16, 1));
-  ContentionProfile flat, legacy;
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.profile = &flat;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.flat_lru = false;
-    cfg.profile = &legacy;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(flat, legacy);
+  ContentionProfile prof;
+  SimConfig cfg = doctor_cfg();
+  cfg.profile = &prof;
+  const RunReport r = engine().replay(rec, Backend::kSimPws, cfg, false);
+  ASSERT_FALSE(prof.empty());
+  testing::GoldenTable golden({
+      {"counters8x16/pws/profile", 122, 0, 122, 1, 0x459f7e257b328531ull},
+      {"counters8x16/pws/metrics", 1422, 12, 121, 6, 0x1fc9b7a5a901b5c4ull},
+  });
+  golden.check(testing::golden_of("counters8x16/pws/profile", prof));
+  golden.check(testing::golden_of("counters8x16/pws/metrics", r.sim));
 }
 
 TEST(ContentionProfile, DeterministicAcrossStreamWindows) {

@@ -317,34 +317,76 @@ TEST(Engine, BackendNamesRoundTrip) {
   EXPECT_FALSE(parse_backend("warp-drive", out));
 }
 
+/// A par-backend msum job (the pool tests only look at the pool).
+JobSpec par_spec(Backend backend, unsigned threads) {
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 10;
+  spec.opt.backend = backend;
+  spec.opt.threads = threads;
+  return spec;
+}
+
+RunReport submit_ok(Engine& eng, const JobSpec& spec) {
+  JobResult jr = eng.submit(spec);
+  EXPECT_TRUE(jr.ok() && jr.report.has_pool) << jr.error;
+  return std::move(jr.report);
+}
+
 TEST(Engine, PoolIsCachedPerPolicy) {
   Engine eng;
-  rt::Pool& a = eng.pool(rt::StealPolicy::kRandom, 2);
-  rt::Pool& b = eng.pool(rt::StealPolicy::kRandom, 2);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.threads(), 2u);
-  rt::Pool& c = eng.pool(rt::StealPolicy::kRandom);  // 0 = keep current
-  EXPECT_EQ(&a, &c);
-  rt::Pool& d = eng.pool(rt::StealPolicy::kPriority, 2);
-  EXPECT_NE(&a, &d);
-  EXPECT_EQ(d.policy(), rt::StealPolicy::kPriority);
+  JobSpec spec = par_spec(Backend::kParRandom, 2);
+  EXPECT_EQ(submit_ok(eng, spec).threads, 2u);
+  EXPECT_EQ(eng.pools_created(), 1u);
+  submit_ok(eng, spec);
+  EXPECT_EQ(eng.pools_created(), 1u);  // same configuration: reused
+  spec.opt.backend = Backend::kParPriority;
+  submit_ok(eng, spec);
+  EXPECT_EQ(eng.pools_created(), 2u);  // other policy: its own pool
+  submit_ok(eng, spec);
+  EXPECT_EQ(eng.pools_created(), 2u);
 }
 
 TEST(Engine, NumaPoolIsCachedPerConfig) {
   Engine eng;
-  rt::Pool& a = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(a.threads(), 4u);
-  EXPECT_EQ(a.groups(), 2u);
-  rt::Pool& b = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(&a, &b);  // same config: cached
-  rt::Pool& c = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4);
-  EXPECT_EQ(c.groups(), 4u);  // group count change: recreated
-  rt::Pool& d = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4, /*escape=*/0.5);
-  EXPECT_EQ(d.escape_prob(), 0.5);  // escape change: recreated
-  // The numa slots are independent of the flat ones.
-  rt::Pool& flat = eng.pool(rt::StealPolicy::kRandom, 4);
-  EXPECT_NE(&flat, &d);
-  EXPECT_EQ(flat.groups(), 1u);
+  JobSpec spec = par_spec(Backend::kParNumaRandom, 4);
+  spec.opt.numa_groups = 2;
+  RunReport r = submit_ok(eng, spec);
+  EXPECT_EQ(r.threads, 4u);
+  EXPECT_EQ(r.pool_groups, 2u);
+  submit_ok(eng, spec);
+  EXPECT_EQ(eng.pools_created(), 1u);  // same config: cached
+  spec.opt.numa_groups = 4;
+  EXPECT_EQ(submit_ok(eng, spec).pool_groups, 4u);
+  EXPECT_EQ(eng.pools_created(), 2u);  // group count change: new pool
+  spec.opt.numa_escape = 0.5;
+  submit_ok(eng, spec);
+  EXPECT_EQ(eng.pools_created(), 3u);  // escape change: new pool
+  // NUMA pools are keyed apart from the flat ones.
+  EXPECT_EQ(submit_ok(eng, par_spec(Backend::kParRandom, 4)).pool_groups, 1u);
+  EXPECT_EQ(eng.pools_created(), 4u);
+}
+
+TEST(Engine, ZeroThreadsMeansHardwareConcurrencyWhateverRanBefore) {
+  // threads = 0 resolves from the spec alone, not from the size of the
+  // pool the previous job happened to use.
+  Engine eng;
+  EXPECT_EQ(submit_ok(eng, par_spec(Backend::kParRandom, 2)).threads, 2u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(submit_ok(eng, par_spec(Backend::kParRandom, 0)).threads,
+            hw == 0 ? 2u : hw);
+}
+
+/// A report's JSON without its host wall-clock fields, which differ run to
+/// run while every deterministic field may not.
+std::string without_host_times(std::string s) {
+  for (const char* key : {"\"wall_ms\":", "\"record_ms\":",
+                          "\"replay_ms\":"}) {
+    size_t i;
+    while ((i = s.find(key)) != std::string::npos)
+      s.erase(i, s.find(',', i) + 1 - i);
+  }
+  return s;
 }
 
 TEST(Engine, RunShimIsBitIdenticalToSubmit) {
@@ -365,16 +407,8 @@ TEST(Engine, RunShimIsBitIdenticalToSubmit) {
   const JobResult via_submit = eng.submit(spec);
   ASSERT_TRUE(via_submit.ok()) << via_submit.error;
 
-  std::string a = via_run.to_json();
-  std::string b = via_submit.report.to_json();
-  auto strip_wall = [](std::string& s) {
-    const size_t i = s.find("\"wall_ms\":");
-    ASSERT_NE(i, std::string::npos);
-    s.erase(i, s.find(',', i) + 1 - i);
-  };
-  strip_wall(a);
-  strip_wall(b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(without_host_times(via_run.to_json()),
+            without_host_times(via_submit.report.to_json()));
 
   // Batch shards too: run_batch(progs) == submit(kBatch spec).
   std::vector<AnyProg> progs;
@@ -390,11 +424,8 @@ TEST(Engine, RunShimIsBitIdenticalToSubmit) {
   bspec.opt = opt;
   const JobResult bjr = eng.submit(bspec);
   ASSERT_TRUE(bjr.ok() && bjr.has_batch) << bjr.error;
-  std::string ba = via_batch.aggregate.to_json();
-  std::string bb = bjr.batch.aggregate.to_json();
-  strip_wall(ba);
-  strip_wall(bb);
-  EXPECT_EQ(ba, bb);
+  EXPECT_EQ(without_host_times(via_batch.aggregate.to_json()),
+            without_host_times(bjr.batch.aggregate.to_json()));
 }
 
 TEST(Engine, SubmitRejectsBadSpecsInsteadOfAborting) {
@@ -446,7 +477,7 @@ TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {
   // At most one pool per concurrent caller (plus the golden's): the cache
   // reuses free pools instead of creating one per submit.
   EXPECT_LE(eng.pools_created(), static_cast<size_t>(kThreads + 1));
-  // Sim-backend submits race the same way (they share the TuningGate).
+  // Sim-backend submits race the same way.
   spec.opt.backend = Backend::kSimPws;
   spec.opt.threads = 0;
   std::vector<std::thread> sims;
@@ -459,6 +490,80 @@ TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {
   }
   for (std::thread& w : sims) w.join();
   EXPECT_EQ(sim_failures.load(), 0);
+}
+
+TEST(Engine, MixedTuningSubmitsMatchTheirSoloGoldens) {
+  // Jobs with different SPMS tunings share no state, so they run at once
+  // (nothing drains the machine between them) and each still reproduces
+  // its solo result exactly.  sim-pws jobs are the named sort-spms
+  // workload with RunOptions::spms; par-priority jobs are programs that
+  // pass their tuning to alg::spms themselves.
+  Engine eng;
+  alg::SpmsTuning tuned;
+  tuned.merge_base = 64;
+  tuned.multisearch_leaf = 96;
+  const alg::SpmsTuning tunings[2] = {alg::SpmsTuning{}, tuned};
+
+  auto sim_spec = [&](int t) {
+    JobSpec spec;
+    spec.workload = "sort-spms";
+    spec.n = 1 << 12;
+    spec.opt.backend = Backend::kSimPws;
+    if (t == 1) spec.opt.spms = tuned;
+    return spec;
+  };
+  const size_t n = 1 << 14;
+  auto par_job = [&](int t, std::vector<i64>& out) {
+    auto prog = [&, t](auto& cx) {
+      auto a = cx.template alloc<i64>(n, "a");
+      Rng rng(n);
+      for (size_t i = 0; i < n; ++i)
+        a.raw()[i] = static_cast<i64>(rng.next() >> 1);
+      auto o = cx.template alloc<i64>(n, "o");
+      cx.run(2 * n, [&] {
+        alg::spms(cx, a.slice(), o.slice(), 32, 1, tunings[t]);
+      });
+      out.assign(o.raw(), o.raw() + n);
+    };
+    JobSpec spec;
+    spec.opt.backend = Backend::kParPriority;
+    spec.opt.threads = 2;
+    return eng.submit(spec, AnyProg(prog));
+  };
+
+  std::string sim_gold[2];
+  std::vector<i64> par_gold[2];
+  for (int t : {0, 1}) {
+    const JobResult jr = eng.submit(sim_spec(t));
+    ASSERT_TRUE(jr.ok()) << jr.error;
+    sim_gold[t] = without_host_times(jr.report.to_json());
+    ASSERT_TRUE(par_job(t, par_gold[t]).ok());
+  }
+  ASSERT_NE(sim_gold[0], sim_gold[1]);  // the tuning shows in the trace
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::thread> workers;
+  std::atomic<int> mismatches{0};
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        const int t = (w + r) % 2;  // neighbours always differ in tuning
+        const JobResult sim = eng.submit(sim_spec(t));
+        if (!sim.ok() ||
+            without_host_times(sim.report.to_json()) != sim_gold[t]) {
+          mismatches.fetch_add(1);
+        }
+        std::vector<i64> out;
+        const JobResult par = par_job(t, out);
+        if (!par.ok() || par.report.threads != 2 || out != par_gold[t]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Engine, CapacitySharedBatchAttributesEveryMissAndTransfer) {
@@ -492,17 +597,8 @@ TEST(Engine, CapacitySharedBatchAttributesEveryMissAndTransfer) {
   // And the whole thing is deterministic: a second submit is identical.
   const JobResult again = eng.submit(spec);
   ASSERT_TRUE(again.ok() && again.has_batch);
-  std::string a = br.to_json();
-  std::string b = again.batch.to_json();
-  for (std::string* s : {&a, &b}) {  // wall fields differ, metrics may not
-    for (const char* key : {"\"wall_ms\":", "\"record_ms\":",
-                            "\"replay_ms\":"}) {
-      size_t i;
-      while ((i = s->find(key)) != std::string::npos)
-        s->erase(i, s->find(',', i) + 1 - i);
-    }
-  }
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(without_host_times(br.to_json()),
+            without_host_times(again.batch.to_json()));
 }
 
 TEST(Engine, NumaReportCarriesLocalityCounters) {

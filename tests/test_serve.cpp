@@ -181,19 +181,28 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
   EXPECT_EQ(out.schema_version, "1.7");  // echoed, not rewritten
 }
 
-TEST(JobSchema, FlatLruKnobRoundTrips) {
-  // The data-plane selector rides the wire like any other sim knob, and
-  // its default (flat on) survives a spec that omits the key entirely.
-  JobSpec base;
-  base.workload = "msum";
-  base.opt.sim.flat_lru = false;
-  JobSpec out;
+TEST(JobSchema, RetiredFlatLruKeyStillParses) {
+  // Specs from before the single cache plane may still send "flat_lru".
+  // The key is skipped like any unknown key, is not written back, and the
+  // job runs exactly as it would without it.
+  JobSpec old;
   std::string err;
-  ASSERT_TRUE(jobspec_from_json(base.to_json(), out, &err)) << err;
-  EXPECT_FALSE(out.opt.sim.flat_lru);
-  JobSpec dflt;
-  ASSERT_TRUE(jobspec_from_json("{\"workload\":\"msum\"}", dflt, &err)) << err;
-  EXPECT_TRUE(dflt.opt.sim.flat_lru);
+  ASSERT_TRUE(jobspec_from_json(
+      "{\"workload\":\"msum\",\"n\":1024,\"backend\":\"sim-pws\","
+      "\"flat_lru\":0}",
+      old, &err))
+      << err;
+  EXPECT_EQ(old.to_json().find("flat_lru"), std::string::npos);
+  JobSpec plain;
+  ASSERT_TRUE(jobspec_from_json(
+      "{\"workload\":\"msum\",\"n\":1024,\"backend\":\"sim-pws\"}",
+      plain, &err))
+      << err;
+  EXPECT_EQ(old.to_json(), plain.to_json());
+  const JobResult a = ro::testing::engine().submit(old);
+  const JobResult b = ro::testing::engine().submit(plain);
+  ASSERT_TRUE(a.ok() && b.ok()) << a.error << b.error;
+  EXPECT_EQ(a.report.sim, b.report.sim);
 }
 
 TEST(JobSchema, NewerMajorIsRejectedWithReason) {

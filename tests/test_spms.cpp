@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "ro/alg/route.h"
 #include "ro/alg/spms.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/util/rng.h"
 #include "test_helpers.h"
 
@@ -274,27 +276,25 @@ TEST(SpmsStructure, WorkIsNLogN) {
   EXPECT_GT(r2 / r1, 0.67);
 }
 
-TEST(SpmsStructure, InterleavedSpanBeatsStagedAndStaysFlat) {
-  // The amortized multisearch + interleaved bucket recursion must beat the
-  // legacy staged variant (SpmsTuning::interleave = false, the binary
-  // merge2 tree with its extra log factor) pointwise, and its span
-  // normalized by lg n · lg lg n must stay in a narrow band — the
-  // O(log n · log log n) trend.  Spans are recording-derived and
-  // deterministic, so these are exact comparisons, not noise bands.
-  alg::SpmsTuning staged = alg::spms_tuning();
-  staged.interleave = false;
+TEST(SpmsStructure, SpanMatchesCommittedGoldensAndStaysFlat) {
+  // Spans are recording-derived and deterministic, so the default tuning's
+  // span at each size is an exact committed value (captured when the
+  // interleaved recursion still beat the old staged merge tree
+  // pointwise).  Normalized by lg n · lg lg n it must also stay in a
+  // narrow band — the O(log n · log log n) trend.
+  const std::pair<size_t, uint64_t> golden[] = {
+      {4096, 1372},
+      {8192, 1744},
+      {16384, 1895},
+      {32768, 2289},
+  };
   double norm_min = 0, norm_max = 0;
   bool first = true;
-  for (const size_t n : {4096u, 8192u, 16384u, 32768u}) {
-    const uint64_t intl = record_sort(SortKind::kSpms, n).span;
-    const alg::SpmsTuning saved = alg::spms_tuning();
-    alg::set_spms_tuning(staged);
-    const uint64_t stg = record_sort(SortKind::kSpms, n).span;
-    alg::set_spms_tuning(saved);
-    EXPECT_LE(intl, stg) << "interleaved span lost to the staged tree at n="
-                         << n;
+  for (const auto& [n, span] : golden) {
+    const uint64_t got = record_sort(SortKind::kSpms, n).span;
+    EXPECT_EQ(got, span) << "span moved at n=" << n;
     const double lg = std::log2(static_cast<double>(n));
-    const double norm = static_cast<double>(intl) / (lg * std::log2(lg));
+    const double norm = static_cast<double>(got) / (lg * std::log2(lg));
     EXPECT_LT(norm, 80.0) << "span above 80·lg·lglg at n=" << n;
     norm_min = first ? norm : std::min(norm_min, norm);
     norm_max = first ? norm : std::max(norm_max, norm);
@@ -304,43 +304,78 @@ TEST(SpmsStructure, InterleavedSpanBeatsStagedAndStaysFlat) {
       << "normalized span not flat: [" << norm_min << ", " << norm_max << "]";
 }
 
-TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
-  const alg::SpmsTuning before = alg::spms_tuning();
-  const size_t n = 4096;
-  auto prog = [n](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-    auto o = cx.template alloc<i64>(n, "o");
-    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
-  };
-  RunOptions base;
-  base.backend = Backend::kSimPws;
-  const RunReport intl = testing::engine().run(prog, base);
-  RunOptions override_opt = base;
-  alg::SpmsTuning staged = before;
-  staged.interleave = false;
-  override_opt.spms = staged;
-  const RunReport stg = testing::engine().run(prog, override_opt);
-  ASSERT_TRUE(intl.has_graph);
-  ASSERT_TRUE(stg.has_graph);
-  // The override took effect (the staged tree has the longer critical
-  // path) and was rolled back when the run finished.
-  EXPECT_LT(intl.graph.span, stg.graph.span);
-  EXPECT_TRUE(alg::spms_tuning() == before);
+TEST(SpmsTuningKnobs, RunOptionsTuneNamedWorkloadsOnly) {
+  // RunOptions::spms reaches the named sort-spms workload: a non-default
+  // tuning records a different span, the same one a program built with
+  // that tuning records.  A program carries its own tuning, so a
+  // programmatic submit with the option set is refused, not ignored.
+  Engine& eng = testing::engine();
+  JobSpec spec;
+  spec.workload = "sort-spms";
+  spec.n = 4096;
+  spec.opt.backend = Backend::kSimPws;
+  const JobResult dflt = eng.submit(spec);
+  alg::SpmsTuning tuned;
+  tuned.multisearch_leaf = 96;
+  spec.opt.spms = tuned;
+  const JobResult named = eng.submit(spec);
+  ASSERT_TRUE(dflt.ok() && named.ok()) << dflt.error << named.error;
+  EXPECT_NE(named.report.graph.span, dflt.report.graph.span);
+
+  const AnyProg prog = make_workload("sort-spms", spec.n, 0, tuned);
+  const JobResult refused = eng.submit(spec, prog);
+  EXPECT_EQ(refused.status, JobStatus::kError);
+  EXPECT_NE(refused.error.find("alg::spms"), std::string::npos)
+      << refused.error;
+  spec.opt.spms.reset();
+  const JobResult programmatic = eng.submit(spec, prog);
+  ASSERT_TRUE(programmatic.ok()) << programmatic.error;
+  EXPECT_EQ(programmatic.report.graph.span, named.report.graph.span);
+  EXPECT_EQ(programmatic.report.sim, named.report.sim);
 }
 
-TEST(SpmsTuningKnobs, SetRejectsDegenerateValues) {
-  alg::SpmsTuning bad = alg::spms_tuning();
+TEST(SpmsTuningKnobs, ValidatorNamesTheBadField) {
+  EXPECT_EQ(alg::spms_tuning_error(alg::SpmsTuning{}), nullptr);
+  struct Case {
+    const char* field;
+    size_t alg::SpmsTuning::*knob;
+    size_t bad;
+  };
+  const Case cases[] = {
+      {"merge_base", &alg::SpmsTuning::merge_base, 1},
+      {"merge2_min", &alg::SpmsTuning::merge2_min, 1},
+      {"stride_mul", &alg::SpmsTuning::stride_mul, 0},
+      {"seq_cap_div", &alg::SpmsTuning::seq_cap_div, 0},
+      {"stride_per_seq", &alg::SpmsTuning::stride_per_seq, 0},
+      {"multisearch_leaf", &alg::SpmsTuning::multisearch_leaf, 1},
+  };
+  for (const Case& c : cases) {
+    alg::SpmsTuning t;
+    t.*c.knob = c.bad;
+    const char* err = alg::spms_tuning_error(t);
+    ASSERT_NE(err, nullptr) << c.field;
+    EXPECT_NE(std::string(err).find(c.field), std::string::npos) << err;
+    // A submitted job gets the same reason back as a kError.
+    JobSpec spec;
+    spec.workload = "sort-spms";
+    spec.n = 1024;
+    spec.opt.backend = Backend::kSimPws;
+    spec.opt.spms = t;
+    const JobResult jr = testing::engine().submit(spec);
+    EXPECT_EQ(jr.status, JobStatus::kError) << c.field;
+    EXPECT_NE(jr.error.find(c.field), std::string::npos) << jr.error;
+  }
+  // Called directly, the sort RO_CHECKs the validator at entry.
+  alg::SpmsTuning bad;
   bad.merge_base = 1;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "merge_base");
-  bad = alg::spms_tuning();
-  bad.multisearch_leaf = 1;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "multisearch_leaf");
-  bad = alg::spms_tuning();
-  bad.stride_mul = 0;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "stride_mul");
+  EXPECT_DEATH(
+      {
+        SeqCtx cx;
+        auto a = cx.alloc<i64>(64);
+        auto o = cx.alloc<i64>(64);
+        alg::spms(cx, a.slice(), o.slice(), 32, 1, bad);
+      },
+      "merge_base");
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "ro/core/trace_store.h"
 #include "ro/engine/engine.h"
 #include "ro/util/rng.h"
+#include "golden.h"
 #include "test_helpers.h"
 
 namespace ro {
@@ -475,23 +476,27 @@ TEST(StreamReplay, BitIdenticalAcrossWindowsAndThreads) {
   }
 }
 
-TEST(StreamReplay, FlatAndLegacyDataPlanesMatchOnStreamedTraces) {
-  // The flat-LRU exactness contract holds on the streamed representation
-  // too: the same trace through the chunked TraceStore at resident windows
-  // 1 / unbounded replays bit-identically under both data planes (the
-  // cursors feed the identical access sequence to either cache class).
+TEST(StreamReplay, StreamedTracesMatchCommittedGoldens) {
+  // The same trace through the chunked TraceStore at resident windows
+  // 1 / unbounded replays to committed goldens (captured while the flat
+  // cache plane was still checked against the node-based reference LRU):
+  // the cursors feed the cache the identical access sequence either way.
   const size_t n = 160;
   Engine& eng = testing::engine();
   const auto prog = prog_route(n);
+  testing::GoldenTable golden({
+      {"route/PWS/window1", 14071, 531, 166, 100, 0x989ad9eaa3d55342ull},
+      {"route/RWS/window1", 12951, 458, 100, 71, 0x9d971ed446391f89ull},
+      {"route/PWS/window0", 14071, 531, 166, 100, 0x989ad9eaa3d55342ull},
+      {"route/RWS/window0", 12951, 458, 100, 71, 0x9d971ed446391f89ull},
+  });
   for (const uint32_t window : {1u, 0u}) {
     const Recording str = eng.record_stream(prog, tiny_stream(window));
     for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-      SimConfig flat = stream_machine(2);
-      SimConfig legacy = flat;
-      legacy.flat_lru = false;
-      EXPECT_EQ(simulate(str.graph, kind, flat),
-                simulate(str.graph, kind, legacy))
-          << sched_name(kind) << " window=" << window;
+      golden.check(testing::golden_of(
+          std::string("route/") + sched_name(kind) + "/window" +
+              std::to_string(window),
+          simulate(str.graph, kind, stream_machine(2))));
     }
   }
 }
