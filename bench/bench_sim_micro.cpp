@@ -170,9 +170,10 @@ int main(int argc, char** argv) {
     const double t0 = now_ms();
     TaskGraph g = rec_msum(n);
     const double rec_ms = now_ms() - t0;
-    const double rate = g.accesses.size() / rec_ms * 1e3;
-    std::printf("\nrecord: %zu accesses in %.2f ms (%.2f Macc/s)\n",
-                g.accesses.size(), rec_ms, rate / 1e6);
+    const uint64_t accs = g.acc_count();
+    const double rate = accs / rec_ms * 1e3;
+    std::printf("\nrecord: %llu accesses in %.2f ms (%.2f Macc/s)\n",
+                static_cast<unsigned long long>(accs), rec_ms, rate / 1e6);
     json_row(json, "sim-record", "native", rec_ms, rate);
 
     // ---- full replay ----------------------------------------------------
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
         const double f = now_ms() - t1;
         ms = (i == 0 || f < ms) ? f : ms;
       }
-      const double rate = g.accesses.size() / ms * 1e3;
+      const double rate = accs / ms * 1e3;
       rt.row({leg.label, Table::num(ms), Table::num(rate / 1e6)});
       json_row(json, leg.label, "flat", ms, rate);
     }

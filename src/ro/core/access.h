@@ -1,12 +1,12 @@
 // The unit record of a trace: one memory access of one task.
 //
-// Lives in its own header so both the resident TaskGraph tables (graph.h)
-// and the chunked TraceStore (trace_store.h) can speak the same record
-// type without a dependency cycle.  The 16-byte fixed layout is the
-// *resident* form only: spilled trace segments are delta/varint encoded
-// (trace_codec.h) unless compression is disabled, in which case this
-// struct doubles as the raw on-disk layout — which is why it is
-// static_asserted to stay trivially copyable and exactly 16 bytes.
+// Lives in its own header so both the TaskGraph (graph.h) and the chunked
+// TraceStore (trace_store.h) can speak the same record type without a
+// dependency cycle.  The 16-byte fixed layout is the *resident* form
+// only: spilled trace segments are delta/varint encoded (trace_codec.h)
+// unless compression is disabled, in which case this struct doubles as
+// the raw on-disk layout — which is why it is static_asserted to stay
+// trivially copyable and exactly 16 bytes.
 #pragma once
 
 #include <cstdint>

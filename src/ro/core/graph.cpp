@@ -21,7 +21,7 @@ void AccessReader::seek(uint64_t i) {
   base_ = part.acc_base;
   count_ = part.acc_count;
   act_off_ = g_->shards.empty() ? 0 : g_->shards[lo].first_act;
-  cur_ = TraceStore::Cursor(*part.store);
+  cur_ = TraceStore::Cursor(*part.store, part.acc_base);
 }
 
 uint64_t TaskGraph::seg_cost(const Segment& s) const {
@@ -78,11 +78,10 @@ TaskGraph merge_shards(std::vector<TaskGraph> parts) {
   RO_CHECK_MSG(!parts.empty(), "merge_shards needs at least one recording");
   TaskGraph out;
   out.align_words = parts[0].align_words;
-  const bool streaming = parts[0].streaming();
   std::unordered_set<uint32_t> seen_shards;
   for (size_t k = 0; k < parts.size(); ++k) {
     TaskGraph& g = parts[k];
-    RO_CHECK_MSG(g.shards.empty(),
+    RO_CHECK_MSG(g.shards.empty() && g.streams.size() == 1,
                  "merge_shards inputs must be single-shard recordings");
     RO_CHECK_MSG(g.align_words == out.align_words,
                  "merge_shards inputs must share an allocation alignment");
@@ -91,8 +90,6 @@ TaskGraph merge_shards(std::vector<TaskGraph> parts) {
     const uint64_t acc_off = out.acc_count();
     RO_CHECK_MSG(out.acts.size() + g.acts.size() < (uint64_t{1} << 31),
                  "merged graph exceeds activation id range");
-    RO_CHECK_MSG(g.streaming() == streaming,
-                 "merge_shards inputs must agree on streamed vs resident");
 
     const uint32_t sid = shard_of(g.data_base);
     RO_CHECK_MSG(seen_shards.insert(sid).second,
@@ -114,19 +111,11 @@ TaskGraph merge_shards(std::vector<TaskGraph> parts) {
       if (s.right >= 0) s.right += static_cast<int32_t>(act_off);
       out.segments.push_back(s);
     }
-    for (Access a : g.accesses) {
-      if (a.act != kNoAct) a.act += act_off;
-      out.accesses.push_back(a);
-    }
-    if (g.streaming()) {
-      // Streamed records are immutable (the store is shared), so their
-      // part-local activation ids are NOT rewritten here; readers add the
-      // owning span's first_act (== act_off recorded above) instead.
-      RO_CHECK_MSG(g.streams.size() == 1,
-                   "merge_shards inputs must be single-shard recordings");
-      out.streams.push_back(
-          StreamPart{g.streams[0].store, acc_off, g.streams[0].acc_count});
-    }
+    // Records are immutable (the store is shared), so their part-local
+    // activation ids are NOT rewritten here; readers add the owning span's
+    // first_act (== act_off recorded above) instead.
+    out.streams.push_back(
+        StreamPart{g.streams[0].store, acc_off, g.streams[0].acc_count});
     out.data_base = k == 0 ? g.data_base : std::min(out.data_base, g.data_base);
     out.data_top = std::max(out.data_top, g.data_top);
     g = TaskGraph{};  // release the part's storage as we go

@@ -14,6 +14,12 @@
 // Priorities: `depth` counts fork edges from the root.  In a balanced HBP
 // computation all tasks at one depth have the same size up to constants
 // (§4.1), so depth is a valid PWS priority (smaller depth = higher priority).
+//
+// The access records themselves live in chunked TraceStores
+// (trace_store.h), one per shard component: the one representation of the
+// access stream, whether the store keeps every segment resident (a default
+// recording) or spills sealed segments to disk.  Readers go through
+// AccessReader or the replayer's per-core cursors.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +35,7 @@ namespace ro {
 
 /// A run of accesses optionally terminated by a binary fork.
 struct Segment {
-  uint64_t acc_begin = 0;  // [acc_begin, acc_end) into TaskGraph::accesses
+  uint64_t acc_begin = 0;  // [acc_begin, acc_end) of the access stream
   uint64_t acc_end = 0;
   int32_t left = -1;   // forked children (activation ids); -1 = terminal
   int32_t right = -1;
@@ -82,16 +88,16 @@ struct GraphStats {
   uint64_t leaves = 0;
 };
 
-/// One shard's slice of a *streamed* access stream: the chunked TraceStore
-/// holding the shard's records, placed at [acc_base, acc_base + acc_count)
-/// of the graph's global access index space.  Record `i - acc_base` of the
-/// store is global access `i`; activation ids inside streamed records stay
-/// part-local (the store is immutable and shared), so readers add the
-/// owning span's `first_act` when translating them (see AccessReader and
-/// sched/replay.cpp's stream source).  Whether the store compresses its
-/// spilled segments (trace_codec.h) is invisible here: cursors always
-/// yield the decoded 16-byte records, so every reader — including the
-/// replay walk — is representation-oblivious.
+/// One shard's slice of the access stream: the chunked TraceStore holding
+/// the shard's records, placed at [acc_base, acc_base + acc_count) of the
+/// graph's global access index space.  Record `i - acc_base` of the store
+/// is global access `i`; activation ids inside the records stay part-local
+/// (the store is immutable and shared), so readers add the owning span's
+/// `first_act` when translating them (AccessReader, and the replayer on
+/// its frame-access path).  Whether the store spills, and whether it
+/// compresses what it spills (trace_codec.h), is invisible here: cursors
+/// always yield the decoded 16-byte records, so every reader — including
+/// the replay walk — is representation-oblivious.
 struct StreamPart {
   std::shared_ptr<TraceStore> store;
   uint64_t acc_base = 0;
@@ -105,10 +111,8 @@ class TaskGraph {
  public:
   std::vector<Activation> acts;
   std::vector<Segment> segments;
-  std::vector<Access> accesses;
-  // Streamed access storage (trace_store.h): when non-empty, `accesses`
-  // is empty and the stream lives in bounded-memory chunked stores, one
-  // part per shard component (same order as `shards`).
+  // The access stream: one part per shard component, in the same order as
+  // `shards` (one part for a classic single-shard recording).
   std::vector<StreamPart> streams;
   uint32_t root = 0;
   vaddr_t data_base = 0;     // first vaddr of recorded global data (shard base)
@@ -125,14 +129,10 @@ class TaskGraph {
 
   GraphStats analyze() const;
 
-  /// True when the access stream lives in chunked TraceStores instead of
-  /// the resident `accesses` vector.
-  bool streaming() const { return !streams.empty(); }
-
-  /// Total access records, resident or streamed.
+  /// Total access records over every part.
   uint64_t acc_count() const {
-    if (streams.empty()) return accesses.size();
-    return streams.back().acc_base + streams.back().acc_count;
+    return streams.empty() ? 0
+                           : streams.back().acc_base + streams.back().acc_count;
   }
 
   /// The shard components of this graph, in shard order (always >= 1).
@@ -146,27 +146,25 @@ class TaskGraph {
   /// Sum of access words in segment (compute cost of the segment body).
   /// The one-argument form spins up a throwaway reader; per-segment
   /// callers should hoist one AccessReader and use the two-argument
-  /// overload so streamed graphs pay one store fault per trace segment,
-  /// not one per task segment.
+  /// overload so they pay one store fault per trace segment, not one per
+  /// task segment.
   uint64_t seg_cost(const Segment& s) const;
   uint64_t seg_cost(const Segment& s, AccessReader& rd) const;
 };
 
-/// Uniform reader over a graph's access stream — the resident vector or
-/// the chunked stores — with one pinned trace segment of cache.  Returns
-/// records by value, with part-local activation ids of streamed records
-/// translated into the graph's global id space, so resident and streamed
-/// reads are indistinguishable to callers.  Not thread-safe; create one
-/// per thread.
+/// Reader over a graph's access stream with one pinned trace segment of
+/// cache.  Returns records by value, with part-local activation ids
+/// translated into the graph's global id space.  Not thread-safe; create
+/// one per thread.
 class AccessReader {
  public:
   explicit AccessReader(const TaskGraph& g) : g_(&g) {}
 
   Access at(uint64_t i) {
-    if (!g_->streaming()) return g_->accesses[i];
     if (i - base_ >= count_) seek(i);  // wraps when i < base_ -> seek
-    Access a = cur_.at(i - base_);
-    if (a.act != kNoAct) a.act += act_off_;
+    Access a = cur_.at(i);
+    // Branch-free: the data-vs-frame mix makes a kNoAct test unpredictable.
+    a.act += act_off_ & (0u - static_cast<uint32_t>(a.act != kNoAct));
     return a;
   }
 
@@ -182,8 +180,9 @@ class AccessReader {
 
 /// Fuses independent single-shard recordings into one batch TaskGraph.
 /// Activation / segment / access indices are remapped into the shared
-/// tables; addresses are left untouched (they are already disjoint by the
-/// shard-id bit split).  Each input must occupy a distinct shard; the
+/// tables.  The parts' stores are shared, not copied: their records keep
+/// part-local activation ids and untouched addresses (already disjoint by
+/// the shard-id bit split).  Each input must occupy a distinct shard; the
 /// result's `shards` vector lists the components in input order and its
 /// `root` is the first component's root.  The merged graph replays through
 /// ro::simulate exactly as the parts do individually (see

@@ -8,11 +8,13 @@ TraceCtx::TraceCtx(Options opt)
                                       shard_base(opt.shard))),
       vs_(owned_.get()) {
   RO_CHECK_MSG(opt.shard < kMaxShards, "shard id out of range");
+  if (!opt_.store) opt_.store = std::make_shared<TraceStore>();
 }
 
 TraceCtx::TraceCtx(Options opt, VSpace& vs) : opt_(opt), vs_(&vs) {
   opt_.align_words = vs.alignment();
   opt_.shard = vs.shard();
+  if (!opt_.store) opt_.store = std::make_shared<TraceStore>();
 }
 
 uint32_t TraceCtx::new_act(uint32_t parent, uint32_t parent_seg, uint8_t slot,

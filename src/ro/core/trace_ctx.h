@@ -1,12 +1,13 @@
 // Recording execution context.
 //
 // Executes the algorithm exactly like SeqCtx (so outputs are real and
-// testable) while building the TaskGraph: every get/set appends an Access,
-// every fork2 creates two child activations and splits the current
-// activation into segments.  Frame-local temporaries (`local<T>`) reserve
-// symbolic offsets in the owning activation's stack frame; their concrete
-// addresses are chosen by the scheduler at replay time, because they depend
-// on which core's execution-stack arena the activation lands on (§3.3).
+// testable) while building the TaskGraph: every get/set appends an Access
+// to the recording's TraceStore, every fork2 creates two child activations
+// and splits the current activation into segments.  Frame-local
+// temporaries (`local<T>`) reserve symbolic offsets in the owning
+// activation's stack frame; their concrete addresses are chosen by the
+// scheduler at replay time, because they depend on which core's
+// execution-stack arena the activation lands on (§3.3).
 #pragma once
 
 #include <cstdint>
@@ -33,11 +34,10 @@ class TraceCtx : public CtxBase<TraceCtx> {
     uint64_t align_words = 4096; // VSpace allocation alignment
     uint32_t shard = 0;          // address shard to record into (vspace.h);
                                  // 0 = the single-shard compatibility path
-    // Streaming record: when set, access records are appended to this
-    // chunked store (bounded memory, sealed segments spilled to disk per
-    // the store's options) instead of the resident TaskGraph::accesses
-    // vector; run() seals the store and hands it to the graph as its
-    // single StreamPart.  Null = the classic in-memory recording.
+    // The chunked store access records are appended to (bounded memory,
+    // sealed segments spilled to disk per the store's options); run()
+    // seals it and hands it to the graph as its single StreamPart.  Null =
+    // a default TraceStore(): an unwindowed store that never spills.
     std::shared_ptr<TraceStore> store;
   };
 
@@ -107,10 +107,8 @@ class TraceCtx : public CtxBase<TraceCtx> {
     g_.data_base = vs_->base();
     g_.data_top = vs_->top();
     g_.align_words = vs_->alignment();
-    if (opt_.store) {
-      opt_.store->seal();
-      g_.streams = {StreamPart{opt_.store, 0, opt_.store->size()}};
-    }
+    opt_.store->seal();
+    g_.streams = {StreamPart{opt_.store, 0, opt_.store->size()}};
     return std::move(g_);
   }
 
@@ -127,20 +125,13 @@ class TraceCtx : public CtxBase<TraceCtx> {
     std::vector<Segment> segs;
   };
 
-  /// Access records appended so far, wherever they live.
-  uint64_t acc_count() const {
-    return opt_.store ? opt_.store->size() : g_.accesses.size();
-  }
+  /// Access records appended so far.
+  uint64_t acc_count() const { return opt_.store->size(); }
 
   void record(vaddr_t addr, uint32_t act, uint32_t len, bool write) {
     RO_CHECK_MSG(!stack_.empty(), "access outside run()");
-    const Access a{addr, act, static_cast<uint16_t>(len),
-                   static_cast<uint16_t>(write ? 1 : 0)};
-    if (opt_.store) {
-      opt_.store->append(a);
-    } else {
-      g_.accesses.push_back(a);
-    }
+    opt_.store->append(Access{addr, act, static_cast<uint16_t>(len),
+                              static_cast<uint16_t>(write ? 1 : 0)});
   }
 
   uint32_t new_act(uint32_t parent, uint32_t parent_seg, uint8_t slot,

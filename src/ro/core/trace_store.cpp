@@ -55,7 +55,8 @@ void pread_full(int fd, void* buf, uint64_t n, uint64_t off) {
 
 }  // namespace
 
-TraceStore::TraceStore(Options opt) : opt_(opt) {
+TraceStore::TraceStore(Options opt)
+    : opt_(opt), open_limit_(opt.segment_tasks) {
   RO_CHECK_MSG(opt_.segment_tasks >= 1, "segment capacity must be >= 1");
 }
 
@@ -105,15 +106,20 @@ std::vector<Access> TraceStore::take_buffer(uint64_t n) const {
   return buf;
 }
 
-void TraceStore::append(const Access& a) {
+void TraceStore::append_slow(const Access& a) {
   RO_CHECK_MSG(!sealed_.load(std::memory_order_relaxed),
                "TraceStore::append after seal()");
-  if (open_.empty()) open_.reserve(opt_.segment_tasks);
+  if (open_limit_ == 0) {  // first record after a segment seal
+    open_.reserve(opt_.segment_tasks);
+    open_limit_ = opt_.segment_tasks;
+  }
   open_.push_back(a);
-  records_.fetch_add(1, std::memory_order_release);
+  records_.store(records_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
   if (open_.size() == opt_.segment_tasks) {
     std::lock_guard<std::mutex> lk(mu_);
     seal_open_locked();
+    open_limit_ = 0;
   }
 }
 
@@ -122,6 +128,7 @@ void TraceStore::seal() {
     std::lock_guard<std::mutex> lk(mu_);
     if (sealed_.load(std::memory_order_relaxed)) return;
     seal_open_locked();
+    open_limit_ = 0;  // any later append() takes the checked slow path
     sealed_.store(true, std::memory_order_release);
     cv_.notify_all();
   }
@@ -303,10 +310,10 @@ TraceStore::SlabPtr TraceStore::segment(uint64_t seg) {
 const Access& TraceStore::Cursor::fault(uint64_t i) {
   RO_CHECK_MSG(store_ != nullptr, "read through an empty trace cursor");
   const uint64_t cap = store_->opt_.segment_tasks;
-  const uint64_t seg = i / cap;
+  const uint64_t seg = (i - base_) / cap;
   pin_ = store_->segment(seg);  // may block on the seal watermark
   recs_ = pin_->data();
-  first_ = seg * cap;
+  first_ = base_ + seg * cap;
   count_ = pin_->size();
   RO_CHECK_MSG(i - first_ < count_, "trace cursor out of range");
   return recs_[i - first_];

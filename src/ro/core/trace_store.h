@@ -2,13 +2,15 @@
 //
 // The paper's PWS/RWS analyses are defined over *access streams*, not
 // resident graphs, and a production-scale trace does not fit in memory.
-// TraceStore therefore holds the access records of one recording (one
-// shard) as a chain of fixed-capacity *trace segments*: the recorder
-// appends records to the open segment, a full segment is sealed, and
-// sealed segments beyond a bounded resident window are spilled to an
-// anonymous file in `spill_dir`.  Replay reads the stream back through
-// Cursor objects that pin one segment at a time, reloading spilled
-// segments on demand (LRU window, same bound).
+// TraceStore is the one representation of a recording's access records
+// (one store per shard): a chain of fixed-capacity *trace segments*.  The
+// recorder appends records to the open segment, a full segment is sealed,
+// and sealed segments beyond a bounded resident window are spilled to an
+// anonymous file in `spill_dir`.  A default-constructed store has no
+// window (max_resident_segments = 0) and never spills: that is what every
+// recording without chunking options uses.  Replay reads the stream back
+// through Cursor objects that pin one segment at a time, reloading
+// spilled segments on demand (LRU window, same bound).
 //
 // Segment k covers record indices [k*C, (k+1)*C) for capacity C
 // (`Options::segment_tasks`, counted in task access records), so index
@@ -17,8 +19,8 @@
 // extent is variable: each sealed segment carries its own file offset
 // and byte length, allocated append-only.  A task segment whose access
 // run straddles a seal simply spans two trace segments — cursors cross
-// the boundary transparently, which is what keeps the streaming replay
-// bit-identical to the in-memory walk (docs/streaming.md).
+// the boundary transparently, which is what keeps a spilling replay
+// bit-identical to an unwindowed one (docs/streaming.md).
 //
 // Lifecycle and the pipelining seam: a single recorder thread append()s
 // and seal()s.  *Sealed* segments are immutable the moment the seal
@@ -99,7 +101,19 @@ class TraceStore {
 
   // ---- record side (one writer) ----
 
-  void append(const Access& a);
+  /// Appends one record.  The fast path is inline: a push into the open
+  /// segment and a release store of the single-writer counter.  Sealing a
+  /// full segment, reserving the next one and the append-after-seal check
+  /// run out of line.
+  void append(const Access& a) {
+    if (open_.size() + 1 < open_limit_) [[likely]] {
+      open_.push_back(a);
+      records_.store(records_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
+      return;
+    }
+    append_slow(a);
+  }
 
   /// Seals the open segment and freezes the store; idempotent.  Joins the
   /// async spill worker (which drains every remaining sealed segment).
@@ -126,11 +140,13 @@ class TraceStore {
   /// reference, the pin keeps the segment alive until the cursor moves.
   /// A fault into a not-yet-sealed segment blocks until the recorder
   /// seals it (the pipelining handoff); reading past the end of a sealed
-  /// store fails.
+  /// store fails.  `at(i)` reads record `i - base`, so a cursor can index a
+  /// graph's global access space directly (StreamPart::acc_base).
   class Cursor {
    public:
     Cursor() = default;
-    explicit Cursor(TraceStore& s) : store_(&s) {}
+    explicit Cursor(TraceStore& s, uint64_t base = 0)
+        : store_(&s), base_(base) {}
 
     const Access& at(uint64_t i) {
       const uint64_t off = i - first_;  // wraps when i < first_ -> fault
@@ -144,8 +160,9 @@ class TraceStore {
     TraceStore* store_ = nullptr;
     std::shared_ptr<const std::vector<Access>> pin_;
     const Access* recs_ = nullptr;
-    uint64_t first_ = 0;
+    uint64_t first_ = 0;  // index of recs_[0], base included
     uint64_t count_ = 0;
+    uint64_t base_ = 0;
   };
 
  private:
@@ -172,6 +189,7 @@ class TraceStore {
     bool spilled = false;     // contents are on disk
   };
 
+  void append_slow(const Access& a);
   SlabPtr make_slab(std::vector<Access> recs) const;
   std::vector<Access> take_buffer(uint64_t n) const;  // pooled, sized to n
   void seal_open_locked();
@@ -191,6 +209,12 @@ class TraceStore {
   std::vector<Entry> entries_;      // sealed segments
   std::vector<uint64_t> window_;    // resident sealed segments, LRU order
   std::vector<Access> open_;        // the segment being recorded
+  // append()'s fast path runs while open_.size() + 1 < open_limit_: the
+  // segment capacity, or 0 once a seal (of a segment or of the store)
+  // routes the next append through append_slow.  The first segment grows
+  // like a vector; later ones are reserved whole, because the recorder has
+  // then proven a full segment's worth of records.
+  uint64_t open_limit_;
   std::atomic<uint64_t> records_{0};
   std::atomic<bool> sealed_{false};
   uint64_t spilled_bytes_ = 0;      // raw record bytes spilled

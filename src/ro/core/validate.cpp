@@ -11,7 +11,7 @@ LimitedAccessReport check_limited_access(const TaskGraph& g) {
   std::unordered_map<uint64_t, uint32_t> global_writes;
   // Frame locations are keyed (act, offset); pack into one u64.
   std::unordered_map<uint64_t, uint32_t> frame_writes;
-  AccessReader rd(g);  // stream-aware: works for resident and chunked traces
+  AccessReader rd(g);  // one pinned trace segment at a time
   const uint64_t n = g.acc_count();
   for (uint64_t i = 0; i < n; ++i) {
     const Access a = rd.at(i);

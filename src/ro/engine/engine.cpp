@@ -69,20 +69,34 @@ unsigned hw_threads() {
   return hw == 0 ? 2 : hw;
 }
 
-/// Copies the graph's TraceStore statistics (segments, spilled bytes,
-/// resident high-water) into the report; no-op for resident graphs.
-void fill_stream_stats(RunReport& r, const TaskGraph& g) {
-  if (!g.streaming()) return;
+/// Adds one store's statistics (segments, spilled bytes, resident
+/// high-water) to the report.
+void add_stream_stats(RunReport& r, const TraceStore& store) {
+  const TraceStore::Stats st = store.stats();
   r.has_stream = true;
-  for (const StreamPart& part : g.streams) {
-    const TraceStore::Stats st = part.store->stats();
-    r.trace_segments += st.segments;
-    r.trace_spilled_bytes += st.spilled_bytes;
-    r.trace_compressed_bytes += st.compressed_bytes;
-    // Parts replay concurrently, so their peaks sum: the batch's resident
-    // bound is (window + open + pins) x live stores, and the report says
-    // so instead of hiding it behind a max.
-    r.trace_peak_resident_bytes += st.peak_resident_bytes;
+  r.trace_segments += st.segments;
+  r.trace_spilled_bytes += st.spilled_bytes;
+  r.trace_compressed_bytes += st.compressed_bytes;
+  // Stores replay concurrently, so their peaks sum: a batch's resident
+  // bound is (window + open + pins) x live stores, and the report says so
+  // instead of hiding it behind a max.
+  r.trace_peak_resident_bytes += st.peak_resident_bytes;
+}
+
+/// The replay half of a report: the machine, its Metrics and, when `seq`
+/// is non-null, the p=1 baseline they are measured against.
+void set_replay(RunReport& r, SchedKind kind, const SimConfig& sim,
+                const Metrics& main, const Metrics* seq) {
+  r.has_sim = true;
+  r.p = kind == SchedKind::kSeq ? 1 : sim.p;
+  r.M = sim.M;
+  r.B = sim.B;
+  r.sim = main;
+  if (seq != nullptr) {
+    r.has_baseline = true;
+    r.q_seq = seq->cache_misses();
+    r.seq_makespan = seq->makespan;
+    r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
   }
 }
 
@@ -91,10 +105,6 @@ void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
   RO_CHECK_MSG(!backend_is_parallel(backend),
                "parallel backends cannot replay a recorded trace");
   const SchedKind kind = sched_kind_of(backend);
-  r.has_sim = true;
-  r.p = kind == SchedKind::kSeq ? 1 : sim.p;
-  r.M = sim.M;
-  r.B = sim.B;
   if (seq_baseline && kind != SchedKind::kSeq) {
     // The main replay and its p=1 baseline are independent walks of the
     // same trace: with replay_threads > 1 they (and their shard units)
@@ -107,307 +117,140 @@ void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
     // and the two jobs run concurrently.  The remap, if any, stays — the
     // baseline then measures the repaired layout's Q(n,M,B).
     jobs[1].cfg.profile = nullptr;
-    std::vector<Metrics> res = simulate_all(jobs, sim.replay_threads);
-    r.sim = std::move(res[0]);
-    r.has_baseline = true;
-    r.q_seq = res[1].cache_misses();
-    r.seq_makespan = res[1].makespan;
-    r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
+    const std::vector<Metrics> res = simulate_all(jobs, sim.replay_threads);
+    set_replay(r, kind, sim, res[0], &res[1]);
     return;
   }
-  r.sim = simulate(g, kind, sim);
-  if (seq_baseline) {  // kind == kSeq: the replay is its own baseline
-    r.has_baseline = true;
-    r.q_seq = r.sim.cache_misses();
-    r.seq_makespan = r.sim.makespan;
-    r.cache_excess = 0;
+  // kSeq is its own baseline.
+  const Metrics m = simulate(g, kind, sim);
+  set_replay(r, kind, sim, m, seq_baseline ? &m : nullptr);
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Runs fn(i) for every shard i < n, on a host pool when `replay_threads`
+/// (SimConfig semantics) allows more than one worker.
+template <class F>
+void for_each_shard(uint32_t n, uint32_t replay_threads, F&& fn) {
+  const uint32_t threads = replay_host_threads(replay_threads, n);
+  if (threads <= 1) {
+    for (uint32_t i = 0; i < n; ++i) fn(i);
+  } else {
+    rt::Pool pool(threads, rt::StealPolicy::kRandom);
+    rt::parallel_index(pool, n, fn);
   }
 }
 
-BatchReport finish_batch(std::vector<TaskGraph> graphs, const RunOptions& opt,
-                         double record_ms,
-                         std::chrono::steady_clock::time_point t0) {
-  BatchReport br;
-  br.label = opt.label;
-  br.backend = opt.backend;
-  br.shards = static_cast<uint32_t>(graphs.size());
-  br.replay_threads = opt.sim.replay_threads;
-  br.record_ms = record_ms;
-
-  std::vector<GraphStats> stats;
-  stats.reserve(graphs.size());
-  for (const TaskGraph& g : graphs) stats.push_back(g.analyze());
-  const TaskGraph merged = merge_shards(std::move(graphs));
-
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const auto tr0 = std::chrono::steady_clock::now();
-  // One combined unit set so the main pass and the p=1 baselines overlap
-  // on the pool (2 * shards units when the baseline is on).
-  std::vector<ReplayJob> jobs;
-  jobs.push_back(ReplayJob{&merged, kind, opt.sim});
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
-  if (with_baseline) {
-    jobs.push_back(ReplayJob{&merged, SchedKind::kSeq, opt.sim});
-  }
-  std::vector<std::vector<double>> unit_wall;
-  std::vector<std::vector<Metrics>> res =
-      simulate_shards_all(jobs, opt.sim.replay_threads, &unit_wall);
-  const std::vector<Metrics> per = std::move(res[0]);
-  const std::vector<Metrics> base =
-      with_baseline ? std::move(res[1]) : std::vector<Metrics>{};
-  br.replay_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - tr0)
-                     .count();
-
-  br.runs.reserve(per.size());
-  for (size_t i = 0; i < per.size(); ++i) {
-    RunReport r;
-    r.label = opt.label + "#" + std::to_string(i);
-    r.backend = opt.backend;
-    r.has_graph = true;
-    r.graph = stats[i];
-    r.has_sim = true;
-    r.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-    r.M = opt.sim.M;
-    r.B = opt.sim.B;
-    r.sim = per[i];
-    if (opt.seq_baseline) {
-      const Metrics& seq = kind == SchedKind::kSeq ? per[i] : base[i];
-      r.has_baseline = true;
-      r.q_seq = seq.cache_misses();
-      r.seq_makespan = seq.makespan;
-      r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
-    }
-    if (merged.streaming()) {
-      const TraceStore::Stats st = merged.streams[i].store->stats();
-      r.has_stream = true;
-      r.trace_segments = st.segments;
-      r.trace_spilled_bytes = st.spilled_bytes;
-      r.trace_compressed_bytes = st.compressed_bytes;
-      r.trace_peak_resident_bytes = st.peak_resident_bytes;
-    }
-    // Host time spent replaying this shard (main walk + its baseline walk),
-    // so per-shard rows feed wall-clock tooling like any other RunReport.
-    r.wall_ms = unit_wall[0][i] + (with_baseline ? unit_wall[1][i] : 0.0);
-    br.runs.push_back(std::move(r));
-  }
-
-  // Shard-order aggregate: summed recording stats + merged metrics.
-  RunReport& agg = br.aggregate;
-  agg.label = opt.label;
-  agg.backend = opt.backend;
-  agg.has_graph = true;
-  for (const GraphStats& st : stats) {
-    agg.graph.work += st.work;
-    agg.graph.span = std::max(agg.graph.span, st.span);
-    agg.graph.max_depth = std::max(agg.graph.max_depth, st.max_depth);
-    agg.graph.activations += st.activations;
-    agg.graph.accesses += st.accesses;
-    agg.graph.leaves += st.leaves;
-  }
-  agg.has_sim = true;
-  agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-  agg.M = opt.sim.M;
-  agg.B = opt.sim.B;
-  agg.sim = merge_shard_metrics(per);
-  fill_stream_stats(agg, merged);
-  if (opt.seq_baseline) {
-    const Metrics seq =
-        kind == SchedKind::kSeq ? agg.sim : merge_shard_metrics(base);
-    agg.has_baseline = true;
-    agg.q_seq = seq.cache_misses();
-    agg.seq_makespan = seq.makespan;
-    agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  agg.wall_ms = br.wall_ms;
-  return br;
-}
-
-/// Capacity-shared batch (docs/serve.md): every shard replays on ONE
-/// simulated machine — shared cores, caches, coherence directory — via
-/// simulate_shared, with each miss/transfer charged to the span (tenant)
-/// whose task performed it.  Per-shard rows carry the attribution instead
-/// of per-machine Metrics; the aggregate carries the machine.  The p=1
-/// baseline replays the same co-scheduled trace sequentially, so a
-/// tenant's q_seq share is its contention-free miss count and
-/// cache_excess is the capacity/coherence cost of sharing.
-BatchReport finish_batch_shared(std::vector<TaskGraph> graphs,
-                                const RunOptions& opt, double record_ms,
-                                std::chrono::steady_clock::time_point t0) {
-  BatchReport br;
-  br.label = opt.label;
-  br.backend = opt.backend;
-  br.shards = static_cast<uint32_t>(graphs.size());
-  br.replay_threads = opt.sim.replay_threads;
-  br.capacity_shared = true;
-  br.record_ms = record_ms;
-
-  std::vector<GraphStats> stats;
-  stats.reserve(graphs.size());
-  for (const TaskGraph& g : graphs) stats.push_back(g.analyze());
-  const TaskGraph merged = merge_shards(std::move(graphs));
-
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const auto tr0 = std::chrono::steady_clock::now();
-  std::vector<TenantShare> shares;
-  const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
-  std::vector<TenantShare> base_shares;
-  Metrics base;
-  if (opt.seq_baseline) {
-    if (kind == SchedKind::kSeq) {
-      base = main;
-      base_shares = shares;
-    } else {
-      base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
-    }
-  }
-  br.replay_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - tr0)
-                     .count();
-
-  br.runs.reserve(shares.size());
-  for (size_t i = 0; i < shares.size(); ++i) {
-    RunReport r;
-    r.label = opt.label + "#" + std::to_string(i);
-    r.backend = opt.backend;
-    r.has_graph = true;
-    r.graph = stats[i];
-    r.has_tenant = true;
-    r.tenant = r.label;
-    r.tenant_compute = shares[i].compute;
-    r.tenant_cache_misses = shares[i].cache_misses;
-    r.tenant_block_misses = shares[i].block_misses;
-    r.tenant_transfers = shares[i].transfers;
-    if (opt.seq_baseline) {
-      r.has_baseline = true;
-      r.q_seq = base_shares[i].cache_misses;  // p=1: no coherence share
-      r.seq_makespan = base.makespan;         // machine-wide (co-scheduled)
-      r.cache_excess = excess(r.tenant_cache_misses, r.q_seq);
-    }
-    br.runs.push_back(std::move(r));
-  }
-
-  // The aggregate IS the machine: one shared simulator instance.
-  RunReport& agg = br.aggregate;
-  agg.label = opt.label;
-  agg.backend = opt.backend;
-  agg.has_graph = true;
-  for (const GraphStats& st : stats) {
-    agg.graph.work += st.work;
-    agg.graph.span = std::max(agg.graph.span, st.span);
-    agg.graph.max_depth = std::max(agg.graph.max_depth, st.max_depth);
-    agg.graph.activations += st.activations;
-    agg.graph.accesses += st.accesses;
-    agg.graph.leaves += st.leaves;
-  }
-  agg.has_sim = true;
-  agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-  agg.M = opt.sim.M;
-  agg.B = opt.sim.B;
-  agg.sim = main;
-  fill_stream_stats(agg, merged);
-  if (opt.seq_baseline) {
-    agg.has_baseline = true;
-    agg.q_seq = base.cache_misses();
-    agg.seq_makespan = base.makespan;
-    agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  agg.wall_ms = br.wall_ms;
-  return br;
-}
-
-/// One shard's results from a pipelined batch chain (record -> analyze ->
-/// replay with no cross-shard barriers).
-struct BatchShard {
-  TaskGraph g;
+/// One shard's results, whichever batch path produced them.
+struct ShardResult {
   GraphStats stats;
+  std::shared_ptr<TraceStore> store;  // the shard's recording
   Metrics main;
-  Metrics base;           // p=1 baseline (valid when the batch asks for it)
-  double record_ms = 0;   // host time this chain spent recording
-  double replay_ms = 0;   // host time replaying (main + baseline)
-  double wall_ms = 0;     // the chain end to end (incl. analyze)
+  Metrics base;             // p=1 baseline (when the batch has one)
+  TenantShare share;        // capacity-shared attribution ...
+  TenantShare base_share;   // ... and its share of the p=1 baseline
+  double record_ms = 0;     // pipelined: host time recording this shard
+  double replay_ms = 0;     // host time replaying it (main + baseline)
 };
 
-BatchReport finish_batch_pipelined(std::vector<BatchShard> sh,
-                                   const RunOptions& opt,
-                                   std::chrono::steady_clock::time_point t0) {
+/// The one per-shard batch row.  On independent machines it carries the
+/// shard's Metrics against its p=1 baseline, its store's statistics and
+/// the host time spent replaying it.  Capacity-shared rows carry the
+/// tenant's attribution on the shared machine instead: the p=1 baseline
+/// (`machine_seq`) replays the same co-scheduled trace sequentially, so a
+/// tenant's q_seq share is its contention-free miss count and
+/// cache_excess the capacity/coherence cost of sharing.
+RunReport shard_row(const RunOptions& opt, size_t i, const ShardResult& s,
+                    const Metrics& machine_seq) {
+  const SchedKind kind = sched_kind_of(opt.backend);
+  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
+  RunReport r;
+  r.label = opt.label + "#" + std::to_string(i);
+  r.backend = opt.backend;
+  r.has_graph = true;
+  r.graph = s.stats;
+  if (opt.capacity_shared) {
+    r.has_tenant = true;
+    r.tenant = r.label;
+    r.tenant_compute = s.share.compute;
+    r.tenant_cache_misses = s.share.cache_misses;
+    r.tenant_block_misses = s.share.block_misses;
+    r.tenant_transfers = s.share.transfers;
+    if (opt.seq_baseline) {
+      const TenantShare& seq = with_baseline ? s.base_share : s.share;
+      r.has_baseline = true;
+      r.q_seq = seq.cache_misses;  // p=1: no coherence share
+      r.seq_makespan = machine_seq.makespan;  // machine-wide (co-scheduled)
+      r.cache_excess = excess(r.tenant_cache_misses, r.q_seq);
+    }
+    return r;
+  }
+  set_replay(r, kind, opt.sim, s.main,
+             !opt.seq_baseline ? nullptr : with_baseline ? &s.base : &s.main);
+  if (opt.trace.segment_tasks > 0) add_stream_stats(r, *s.store);
+  r.wall_ms = s.replay_ms;
+  return r;
+}
+
+/// Assembles the BatchReport of every batch path: one shard_row per shard
+/// and the shard-order aggregate (summed recording stats, every store's
+/// statistics, and the batch machine against its p=1 baseline).  The
+/// machine is the shard-order merge of the per-shard Metrics, or under
+/// capacity sharing the one shared machine, `shared` / `shared_seq`.
+BatchReport finish_batch(const std::vector<ShardResult>& sh,
+                         const RunOptions& opt, double record_ms,
+                         double replay_ms,
+                         std::chrono::steady_clock::time_point t0,
+                         const Metrics& shared = {},
+                         const Metrics& shared_seq = {}) {
+  const SchedKind kind = sched_kind_of(opt.backend);
+  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   BatchReport br;
   br.label = opt.label;
   br.backend = opt.backend;
   br.shards = static_cast<uint32_t>(sh.size());
   br.replay_threads = opt.sim.replay_threads;
-  br.pipelined = true;
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
+  br.capacity_shared = opt.capacity_shared;
+  br.pipelined = opt.pipeline && !opt.capacity_shared;
+  br.record_ms = record_ms;
+  br.replay_ms = replay_ms;
 
-  std::vector<Metrics> per, base;
-  per.reserve(sh.size());
-  base.reserve(sh.size());
-  br.runs.reserve(sh.size());
-  for (size_t i = 0; i < sh.size(); ++i) {
-    BatchShard& s = sh[i];
-    br.record_ms += s.record_ms;  // cumulative busy times: see report.h
-    br.replay_ms += s.replay_ms;
-    RunReport r;
-    r.label = opt.label + "#" + std::to_string(i);
-    r.backend = opt.backend;
-    r.has_graph = true;
-    r.graph = s.stats;
-    r.has_sim = true;
-    r.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-    r.M = opt.sim.M;
-    r.B = opt.sim.B;
-    r.sim = s.main;
-    if (opt.seq_baseline) {
-      const Metrics& seq = with_baseline ? s.base : s.main;
-      r.has_baseline = true;
-      r.q_seq = seq.cache_misses();
-      r.seq_makespan = seq.makespan;
-      r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
+  Metrics machine = shared;
+  Metrics machine_seq = with_baseline ? shared_seq : shared;
+  if (!opt.capacity_shared) {
+    std::vector<Metrics> per, base;
+    for (const ShardResult& s : sh) {
+      per.push_back(s.main);
+      if (with_baseline) base.push_back(s.base);
     }
-    fill_stream_stats(r, s.g);
-    r.wall_ms = s.replay_ms;  // host time replaying this shard, as serial
-    per.push_back(s.main);
-    if (with_baseline) base.push_back(s.base);
-    br.runs.push_back(std::move(r));
+    machine = merge_shard_metrics(per);
+    machine_seq = with_baseline ? merge_shard_metrics(base) : machine;
   }
 
-  // Shard-order aggregate — field for field what finish_batch emits, so
-  // serial and pipelined batches are comparable row by row.
+  br.runs.reserve(sh.size());
+  for (size_t i = 0; i < sh.size(); ++i) {
+    br.runs.push_back(shard_row(opt, i, sh[i], machine_seq));
+  }
   RunReport& agg = br.aggregate;
   agg.label = opt.label;
   agg.backend = opt.backend;
   agg.has_graph = true;
-  for (const BatchShard& s : sh) {
+  for (const ShardResult& s : sh) {
     agg.graph.work += s.stats.work;
     agg.graph.span = std::max(agg.graph.span, s.stats.span);
     agg.graph.max_depth = std::max(agg.graph.max_depth, s.stats.max_depth);
     agg.graph.activations += s.stats.activations;
     agg.graph.accesses += s.stats.accesses;
     agg.graph.leaves += s.stats.leaves;
+    if (opt.trace.segment_tasks > 0) add_stream_stats(agg, *s.store);
   }
-  agg.has_sim = true;
-  agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-  agg.M = opt.sim.M;
-  agg.B = opt.sim.B;
-  agg.sim = merge_shard_metrics(per);
-  for (const BatchShard& s : sh) fill_stream_stats(agg, s.g);
-  if (opt.seq_baseline) {
-    const Metrics seq = with_baseline ? merge_shard_metrics(base) : agg.sim;
-    agg.has_baseline = true;
-    agg.q_seq = seq.cache_misses();
-    agg.seq_makespan = seq.makespan;
-    agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+  set_replay(agg, kind, opt.sim, machine,
+             opt.seq_baseline ? &machine_seq : nullptr);
+  br.wall_ms = ms_since(t0);
   agg.wall_ms = br.wall_ms;
   return br;
 }
@@ -418,7 +261,7 @@ BatchReport finish_batch_pipelined(std::vector<BatchShard> sh,
 /// recorder (async_spill).  Replaying each shard's own single-shard graph
 /// is bit-identical to replaying its span of the merged graph (the PR3
 /// per-shard determinism guarantee), which is what makes skipping
-/// merge_shards sound.
+/// merge_shards sound.  The phase timings are cumulative busy times.
 BatchReport run_batch_pipelined(const std::vector<AnyProg>& progs,
                                 const RunOptions& opt) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -426,44 +269,30 @@ BatchReport run_batch_pipelined(const std::vector<AnyProg>& progs,
   ShardedVSpace ssp(n, opt.align_words);
   const SchedKind kind = sched_kind_of(opt.backend);
   const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
-  std::vector<BatchShard> sh(n);
-  auto chain = [&](size_t i) {
+  StreamOptions stream = opt.trace;
+  stream.async_spill = true;  // spill/compress behind each recorder
+  std::vector<ShardResult> sh(n);
+  for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
     const auto c0 = std::chrono::steady_clock::now();
-    TraceCtx::Options topt;
-    topt.padded = opt.padded;
-    if (opt.trace.segment_tasks > 0) {
-      TraceStore::Options so = opt.trace.store_options();
-      so.async_spill = true;  // spill/compress behind this recorder
-      topt.store = std::make_shared<TraceStore>(so);
-    }
-    ShardCtx cx(ssp, static_cast<uint32_t>(i), topt);
-    detail::EngineCtx<TraceCtx> ec(cx);
-    progs[i](ec);
-    sh[i].g = std::move(ec.graph());
-    const auto c1 = std::chrono::steady_clock::now();
-    sh[i].stats = sh[i].g.analyze();
+    const TaskGraph g =
+        detail::record_graph(progs[i], stream, opt.padded, opt.align_words,
+                             0, &ssp.shard(static_cast<uint32_t>(i)));
+    sh[i].record_ms = ms_since(c0);
+    sh[i].stats = g.analyze();
+    sh[i].store = g.streams[0].store;
     const auto c2 = std::chrono::steady_clock::now();
     SimConfig scfg = opt.sim;
     scfg.replay_threads = 1;  // the chain is the unit of parallelism
-    sh[i].main = simulate(sh[i].g, kind, scfg);
-    if (with_baseline) {
-      sh[i].base = simulate(sh[i].g, SchedKind::kSeq, scfg);
-    }
-    const auto c3 = std::chrono::steady_clock::now();
-    sh[i].record_ms =
-        std::chrono::duration<double, std::milli>(c1 - c0).count();
-    sh[i].replay_ms =
-        std::chrono::duration<double, std::milli>(c3 - c2).count();
-    sh[i].wall_ms = std::chrono::duration<double, std::milli>(c3 - c0).count();
-  };
-  const uint32_t threads = replay_host_threads(opt.sim.replay_threads, n);
-  if (threads <= 1) {
-    for (uint32_t i = 0; i < n; ++i) chain(i);
-  } else {
-    rt::Pool pool(threads, rt::StealPolicy::kRandom);
-    rt::parallel_index(pool, n, chain);
+    sh[i].main = simulate(g, kind, scfg);
+    if (with_baseline) sh[i].base = simulate(g, SchedKind::kSeq, scfg);
+    sh[i].replay_ms = ms_since(c2);
+  });
+  double record_ms = 0, replay_ms = 0;
+  for (const ShardResult& s : sh) {
+    record_ms += s.record_ms;
+    replay_ms += s.replay_ms;
   }
-  return finish_batch_pipelined(std::move(sh), opt, t0);
+  return finish_batch(sh, opt, record_ms, replay_ms, t0);
 }
 
 JobResult start_result(uint64_t id, const JobSpec& spec) {
@@ -483,8 +312,8 @@ JobResult& fail(JobResult& jr, const std::string& why) {
 
 /// Spec-level validation that must not abort: submit is the wire-facing
 /// entry point, so everything a remote caller can get wrong becomes a
-/// kError result — a bad SPMS tuning included, which alg::spms would
-/// otherwise RO_CHECK mid-record.
+/// kError result — a bad SPMS tuning or allocation alignment included,
+/// which alg::spms / VSpace would otherwise RO_CHECK mid-record.
 bool check_spec(const JobSpec& spec, JobResult& jr) {
   if (!spec.schema_version.empty()) {
     char* end = nullptr;
@@ -508,6 +337,10 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     fail(jr, "sim cache must hold >= 1 block");
     return false;
   }
+  if (const char* bad = alignment_error(spec.opt.align_words)) {
+    fail(jr, bad);
+    return false;
+  }
   if (spec.opt.spms.has_value()) {
     if (const char* bad = alg::spms_tuning_error(*spec.opt.spms)) {
       fail(jr, bad);
@@ -527,12 +360,6 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     return false;
   }
   return true;
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// The pool configuration a parallel run asks for, from the options alone
@@ -565,20 +392,27 @@ bool refuse_spms_override(const JobSpec& spec, JobResult& jr) {
 
 }  // namespace
 
-TaskGraph Engine::record_graph(const AnyProg& prog,
-                               const StreamOptions* stream, bool padded,
-                               uint64_t align_words, uint32_t shard) {
+TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
+                               bool padded, uint64_t align_words,
+                               uint32_t shard, VSpace* vs) {
   TraceCtx::Options topt;
   topt.padded = padded;
   topt.align_words = align_words;
   topt.shard = shard;
-  if (stream != nullptr) {
-    topt.store = std::make_shared<TraceStore>(stream->store_options());
+  if (stream.segment_tasks > 0) {
+    topt.store = std::make_shared<TraceStore>(stream.store_options());
+  }
+  auto record = [&](TraceCtx& cx) {
+    detail::EngineCtx<TraceCtx> ec(cx);
+    prog(ec);
+    return std::move(ec.graph());
+  };
+  if (vs != nullptr) {
+    TraceCtx cx(topt, *vs);
+    return record(cx);
   }
   TraceCtx cx(topt);
-  detail::EngineCtx<TraceCtx> ec(cx);
-  prog(ec);
-  return std::move(ec.graph());
+  return record(cx);
 }
 
 RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
@@ -597,9 +431,8 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
     case Backend::kSimRws: {
       StreamOptions st = opt.trace;
       if (opt.pipeline) st.async_spill = true;  // spill behind recording
-      const TaskGraph g =
-          record_graph(prog, st.segment_tasks > 0 ? &st : nullptr, opt.padded,
-                       opt.align_words, opt.shard);
+      const TaskGraph g = detail::record_graph(prog, st, opt.padded,
+                                               opt.align_words, opt.shard);
       GraphStats gs;
       if (opt.pipeline) {
         // The analysis pass is a full walk of the stream; overlap it
@@ -614,7 +447,9 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
       }
       r.has_graph = true;
       r.graph = gs;
-      fill_stream_stats(r, g);  // post-replay: loads included
+      if (st.segment_tasks > 0) {  // post-replay: loads included
+        add_stream_stats(r, *g.streams[0].store);
+      }
       break;
     }
     case Backend::kParRandom:
@@ -663,33 +498,60 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
+  // One store per shard: shards spill and stream independently, so the
+  // batch's resident bound scales with the window x live recorders, not
+  // with the trace.
   std::vector<TaskGraph> graphs(n);
-  auto record_one = [&](size_t i) {
-    TraceCtx::Options topt;
-    topt.padded = opt.padded;
-    if (opt.trace.segment_tasks > 0) {
-      // One chunked store per shard: shards spill and stream
-      // independently, so the batch's resident bound scales with the
-      // window x live recorders, not with the trace.
-      topt.store = std::make_shared<TraceStore>(opt.trace.store_options());
-    }
-    ShardCtx cx(ssp, static_cast<uint32_t>(i), topt);
-    detail::EngineCtx<TraceCtx> ec(cx);
-    progs[i](ec);
-    graphs[i] = std::move(ec.graph());
-  };
-  const uint32_t rec_threads = replay_host_threads(opt.sim.replay_threads, n);
-  if (rec_threads <= 1) {
-    for (uint32_t i = 0; i < n; ++i) record_one(i);
-  } else {
-    rt::Pool pool(rec_threads, rt::StealPolicy::kRandom);
-    rt::parallel_index(pool, n, record_one);
-  }
+  for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
+    graphs[i] =
+        detail::record_graph(progs[i], opt.trace, opt.padded, opt.align_words,
+                             0, &ssp.shard(static_cast<uint32_t>(i)));
+  });
   const double record_ms = ms_since(t0);
-  if (opt.capacity_shared) {
-    return finish_batch_shared(std::move(graphs), opt, record_ms, t0);
+
+  std::vector<ShardResult> sh(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    sh[i].stats = graphs[i].analyze();
+    sh[i].store = graphs[i].streams[0].store;
   }
-  return finish_batch(std::move(graphs), opt, record_ms, t0);
+  const TaskGraph merged = merge_shards(std::move(graphs));
+  const SchedKind kind = sched_kind_of(opt.backend);
+  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
+  const auto tr0 = std::chrono::steady_clock::now();
+  if (opt.capacity_shared) {
+    // Every shard replays on ONE simulated machine — shared cores, caches,
+    // coherence directory — with each miss/transfer charged to the span
+    // (tenant) whose task performed it (docs/serve.md).
+    std::vector<TenantShare> shares, base_shares;
+    const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
+    Metrics base;
+    if (with_baseline) {
+      base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      sh[i].share = shares[i];
+      if (with_baseline) sh[i].base_share = base_shares[i];
+    }
+    return finish_batch(sh, opt, record_ms, ms_since(tr0), t0, main, base);
+  }
+  // One combined unit set so the main pass and the p=1 baselines overlap
+  // on the pool (2 * shards units when the baseline is on).
+  std::vector<ReplayJob> jobs{ReplayJob{&merged, kind, opt.sim}};
+  if (with_baseline) {
+    jobs.push_back(ReplayJob{&merged, SchedKind::kSeq, opt.sim});
+  }
+  std::vector<std::vector<double>> unit_wall;
+  std::vector<std::vector<Metrics>> res =
+      simulate_shards_all(jobs, opt.sim.replay_threads, &unit_wall);
+  for (uint32_t i = 0; i < n; ++i) {
+    sh[i].main = std::move(res[0][i]);
+    sh[i].replay_ms = unit_wall[0][i];
+    if (with_baseline) {
+      sh[i].base = std::move(res[1][i]);
+      sh[i].replay_ms += unit_wall[1][i];
+    }
+  }
+  return finish_batch(sh, opt, record_ms, ms_since(tr0), t0);
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
@@ -754,10 +616,9 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
   if (spec.kind == JobKind::kRun) {
     jr.report = run_one(prog, spec.opt);
   } else {  // kDiagnose: record here, then run the doctor loop
-    StreamOptions st = spec.opt.trace;
     const TaskGraph g =
-        record_graph(prog, st.segment_tasks > 0 ? &st : nullptr,
-                     spec.opt.padded, spec.opt.align_words, spec.opt.shard);
+        detail::record_graph(prog, spec.opt.trace, spec.opt.padded,
+                             spec.opt.align_words, spec.opt.shard);
     jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
                          spec.opt.label);
     jr.has_doctor = true;

@@ -63,6 +63,18 @@ namespace detail {
 /// entry points promised RO_CHECK semantics, submit promises a status.
 void require_ok(const JobResult& jr, const char* what);
 
+/// The one recording set-up behind record / record_stream and every submit
+/// path: executes `prog` through a fresh TraceCtx and returns the raw graph
+/// *without* analyzing it, so pipelined callers can overlap the analysis
+/// pass with replay.  The context records into `vs` when given (one shard
+/// of a batch's ShardedVSpace), else into a private space at `shard` with
+/// `align_words`.  stream.segment_tasks > 0 selects a chunked TraceStore
+/// with `stream`'s options; 0 keeps TraceCtx's default store, which has no
+/// window and never spills.
+TaskGraph record_graph(const AnyProg& prog, const StreamOptions& stream,
+                       bool padded, uint64_t align_words, uint32_t shard,
+                       VSpace* vs = nullptr);
+
 }  // namespace detail
 
 class Engine {
@@ -138,15 +150,17 @@ class Engine {
   Recording record(Prog&& prog, bool padded = false,
                    uint64_t align_words = 4096, uint32_t shard = 0) {
     Recording rec;
-    rec.graph = record_graph(AnyProg(std::forward<Prog>(prog)), nullptr,
-                             padded, align_words, shard);
+    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
+                                     StreamOptions{}, padded, align_words,
+                                     shard);
     rec.stats = rec.graph.analyze();
     return rec;
   }
 
-  /// Streaming flavour of record(): access records go through a chunked
-  /// ro::TraceStore with a bounded resident window (`stream`), sealed
-  /// segments spilling to disk, so the trace never has to fit in memory.
+  /// Chunked flavour of record(), which keeps every trace segment
+  /// resident: access records go through a ro::TraceStore with the
+  /// segment capacity and resident window of `stream`, sealed segments
+  /// spilling to disk, so the trace never has to fit in memory.
   /// The returned Recording replays through the exact same entry points
   /// (replay / simulate) with bit-identical Metrics; the graph keeps the
   /// store alive via its StreamPart.
@@ -157,8 +171,8 @@ class Engine {
     RO_CHECK_MSG(stream.segment_tasks > 0,
                  "record_stream needs a trace segment capacity");
     Recording rec;
-    rec.graph = record_graph(AnyProg(std::forward<Prog>(prog)), &stream,
-                             padded, align_words, shard);
+    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
+                                     stream, padded, align_words, shard);
     rec.stats = rec.graph.analyze();
     return rec;
   }
@@ -210,13 +224,6 @@ class Engine {
   }
 
  private:
-  /// Shared recording core of record / record_stream / submit: executes
-  /// `prog` through a fresh TraceCtx and returns the raw graph *without*
-  /// analyzing it, so pipelined callers can overlap the analysis pass
-  /// with replay.  `stream` non-null selects the chunked TraceStore.
-  TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
-                         bool padded, uint64_t align_words, uint32_t shard);
-
   /// kRun execution core (the old templated run()): dispatches on the
   /// backend, drives record/replay or a leased pool, fills the report.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt);

@@ -15,15 +15,16 @@
 
 namespace ro {
 
-/// Streaming trace pipeline knobs (RunOptions::trace): when segment_tasks
-/// is nonzero, sim-backend recordings go through a chunked ro::TraceStore
-/// (fixed-capacity trace segments, bounded resident window, sealed
-/// segments spilled to disk) instead of the monolithic in-memory access
-/// vector, and replay streams them back through cursors — bit-identical
-/// Metrics, bounded memory (docs/streaming.md).
+/// Trace chunking knobs (RunOptions::trace).  Every sim-backend recording
+/// goes through a ro::TraceStore; when segment_tasks is nonzero it is one
+/// with these options (fixed-capacity trace segments, bounded resident
+/// window, sealed segments spilled to disk) and the reports carry its
+/// statistics.  Replay streams the records back through cursors with
+/// bit-identical Metrics either way (docs/streaming.md).
 struct StreamOptions {
-  uint64_t segment_tasks = 0;          // records per trace segment;
-                                       // 0 = classic in-memory recording
+  uint64_t segment_tasks = 0;          // records per trace segment; 0 = a
+                                       // default store: no window, never
+                                       // spills, no trace_* report fields
   uint32_t max_resident_segments = 4;  // resident window (0 = unbounded)
   std::string spill_dir;               // "" = the system temp directory
   bool compress = true;                // delta/varint-encode spilled

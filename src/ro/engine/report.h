@@ -49,7 +49,11 @@ bool parse_backend(const std::string& name, Backend& out);
 struct RunReport {
   std::string label;                  // caller-chosen workload name
   Backend backend = Backend::kSeq;
-  double wall_ms = 0;                 // host wall-clock of the whole run
+  // Host wall-clock of the whole run.  A per-shard row of a BatchReport
+  // instead carries the host ms spent replaying that shard (its main walk
+  // plus its p=1 baseline walk); 0 under capacity sharing, where all
+  // shards replay as one unit.
+  double wall_ms = 0;
 
   // ---- recording stats (backends that trace the computation) ----
   bool has_graph = false;
@@ -151,7 +155,8 @@ struct BatchReport {
   double record_ms = 0;
   double replay_ms = 0;
 
-  std::vector<RunReport> runs;  // one per shard, in shard order
+  std::vector<RunReport> runs;  // one per shard, in shard order (wall_ms:
+                                // that shard's replay time, see RunReport)
   RunReport aggregate;          // shard-order merge (deterministic)
 
   /// Nested JSON: batch scalars + "aggregate" object + "runs" array.

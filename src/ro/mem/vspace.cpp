@@ -4,7 +4,8 @@ namespace ro {
 
 VSpace::VSpace(uint64_t alignment_words, vaddr_t base)
     : alignment_(alignment_words), base_(base), top_(base) {
-  RO_CHECK_MSG(is_pow2(alignment_words), "alignment must be a power of two");
+  const char* bad = alignment_error(alignment_words);
+  RO_CHECK_MSG(bad == nullptr, bad);
   RO_CHECK_MSG(base % alignment_words == 0,
                "space base must be alignment-aligned");
 }

@@ -73,6 +73,13 @@ constexpr vaddr_t shard_offset(vaddr_t a) {
 /// `a` must lie at or above `base`.
 constexpr vaddr_t span_rebase(vaddr_t a, vaddr_t base) { return a - base; }
 
+/// Why `alignment_words` cannot align a VSpace (null when it can: a power
+/// of two).  VSpace RO_CHECKs it; spec validation reports it as an error.
+constexpr const char* alignment_error(uint64_t alignment_words) {
+  return is_pow2(alignment_words) ? nullptr
+                                  : "align_words must be a power of two";
+}
+
 /// Bump allocator over one contiguous virtual range; also keeps a registry
 /// of named regions so probes and error messages can say what a block
 /// belongs to.  A default-constructed VSpace covers shard 0 (base 0) — the

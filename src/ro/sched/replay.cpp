@@ -50,44 +50,13 @@ uint64_t data_words(const ShardSpan& span, const SimConfig& cfg) {
   return end - span.base;
 }
 
-/// Access source over the resident TaskGraph::accesses vector — the
-/// degenerate store whose one "segment" is the whole array.
-struct VecSource {
-  const Access* base = nullptr;
-  struct Cursor {
-    const Access* base = nullptr;
-    Access at(uint64_t i) const { return base[i]; }
-  };
-  Cursor cursor() const { return Cursor{base}; }
-};
-
-/// Access source over one shard's chunked TraceStore (trace_store.h):
-/// global access index -> store record (minus the part's acc_base), and
-/// part-local activation ids -> graph-global ids (plus the span's
-/// first_act — streamed records are immutable, so merge_shards never
-/// rewrote them).  Each simulated core owns one Cursor, pinning one trace
-/// segment; crossing a seal boundary faults the next segment in (a disk
-/// reload when it was spilled), which is the entire difference between
-/// the streaming walk and the resident one — the scheduling decisions
-/// consume identical records, hence bit-identical Metrics.
-struct StreamSource {
-  TraceStore* store = nullptr;
-  uint64_t acc_base = 0;
-  uint32_t act_off = 0;
-  struct Cursor {
-    TraceStore::Cursor cur;
-    uint64_t acc_base = 0;
-    uint32_t act_off = 0;
-    Access at(uint64_t i) {
-      Access a = cur.at(i - acc_base);
-      if (a.act != kNoAct) a.act += act_off;
-      return a;
-    }
-  };
-  Cursor cursor() const {
-    return Cursor{TraceStore::Cursor(*store), acc_base, act_off};
-  }
-};
+/// The stream part of each shard span of `g`, in span order.
+std::vector<StreamPart> parts_of(const TaskGraph& g,
+                                 const std::vector<ShardSpan>& spans) {
+  RO_CHECK_MSG(g.streams.size() == spans.size(),
+               "a graph must carry one stream part per shard span");
+  return g.streams;
+}
 
 /// Sized data region of each span and its rebased offset in a replayer's
 /// address space.  Span s's recorded address a maps to
@@ -128,19 +97,23 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 /// the shared cores and whose misses/transfers can be attributed per span
 /// through `shares`.
 ///
-/// The access stream is consumed through per-core, per-span cursors of
-/// `Source` (VecSource / StreamSource above), never by walking a resident
-/// array directly, so the same scheduling loop serves both the in-memory
-/// and the bounded-memory streaming representations.
-template <class Source>
+/// The access stream is read through one TraceStore cursor per core and
+/// span, indexed in the graph's global access space (the part's
+/// acc_base).  Each cursor pins one trace segment; crossing a seal
+/// boundary faults the next one in (a disk reload when it was spilled),
+/// so the walk consumes identical records whatever the store's window —
+/// hence bit-identical Metrics.  Records keep part-local activation ids
+/// (merge_shards shares the immutable stores instead of rewriting them);
+/// replay_access adds the span's first_act on the frame-access path, the
+/// only one that reads them.
 class ShardReplayer {
  public:
   ShardReplayer(const TaskGraph& g, std::vector<ShardSpan> spans,
                 SchedKind kind, const SimConfig& cfg,
-                std::vector<Source> srcs,
+                std::vector<StreamPart> parts,
                 std::vector<TenantShare>* shares = nullptr)
       : g_(g), spans_(std::move(spans)), kind_(kind), cfg_(cfg),
-        srcs_(std::move(srcs)), shares_(shares),
+        parts_(std::move(parts)), shares_(shares),
         sp_(cfg.effective_steal_latency()),
         layout_(layout_spans(spans_, cfg,
                              g.align_words ? g.align_words : 4096)),
@@ -149,8 +122,8 @@ class ShardReplayer {
         rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
-    RO_CHECK_MSG(!spans_.empty() && spans_.size() == srcs_.size(),
-                 "one access source per span");
+    RO_CHECK_MSG(!spans_.empty() && spans_.size() == parts_.size(),
+                 "one stream part per span");
     if (kind_ == SchedKind::kSeq) {
       RO_CHECK_MSG(cfg_.p == 1, "sequential schedule needs p == 1");
     }
@@ -170,8 +143,8 @@ class ShardReplayer {
     cores_.reserve(cfg_.p);
     for (uint32_t i = 0; i < cfg_.p; ++i) {
       cores_.emplace_back(i, lines, l2_lines);
-      for (const Source& src : srcs_) {
-        cores_.back().curs.push_back(src.cursor());
+      for (const StreamPart& part : parts_) {
+        cores_.back().curs.emplace_back(*part.store, part.acc_base);
       }
     }
     astate_.resize(acts);
@@ -213,7 +186,7 @@ class ShardReplayer {
   struct Frame {
     uint32_t act = 0;
     uint32_t seg = 0;    // local segment index
-    uint64_t acc = 0;    // absolute cursor into g_.accesses
+    uint64_t acc = 0;    // absolute index into the graph's access stream
     uint32_t span = 0;   // owning span (= tenant) of `act`
   };
 
@@ -228,7 +201,11 @@ class ShardReplayer {
     uint32_t cur_arena = kNoCore;  // stack the core pushes frames on
     // This core's window into each span's trace (one cursor per span; a
     // classic single-span unit has exactly one).
-    std::vector<typename Source::Cursor> curs;
+    std::vector<TraceStore::Cursor> curs;
+    // Hot-path views of fr.span, set when a frame starts: its cursor, and
+    // the astate_ index of its part-local activation id 0.
+    TraceStore::Cursor* cur = nullptr;
+    uint32_t act_index_off = 0;
     std::deque<uint32_t> dq;  // stealable right children; back = bottom
     FlatLru cache;               // private L1
     FlatLru l2;                  // L2 partition (§5.2)
@@ -291,7 +268,7 @@ class ShardReplayer {
     const Activation& a = g_.acts[c.fr.act];
     const Segment& seg = g_.segments[a.first_seg + c.fr.seg];
     if (c.fr.acc < seg.acc_end) {
-      const Access acc = c.curs[c.fr.span].at(c.fr.acc);
+      const Access& acc = c.cur->at(c.fr.acc);
       if (replay_access(c, acc)) ++c.fr.acc;  // else: waiting on a hold
       c.last_productive = c.time;
       return;
@@ -391,6 +368,8 @@ class ShardReplayer {
     c.busy = true;
     c.fr = Frame{act, 0, g_.segments[a.first_seg].acc_begin,
                  span_of_act(act)};
+    c.cur = &c.curs[c.fr.span];
+    c.act_index_off = spans_[c.fr.span].first_act - spans_[0].first_act;
   }
 
   void do_fork(Core& c, const Activation& /*parent*/, const Segment& seg) {
@@ -463,9 +442,11 @@ class ShardReplayer {
     vaddr_t addr;
     bool stack = false;
     if (acc.act != kNoAct) {
-      RO_CHECK_MSG(ast(acc.act).frame_base != kUnresolved,
+      // A frame access: the record's id is part-local (see the class note).
+      const ActState& st = astate_[acc.act + c.act_index_off];
+      RO_CHECK_MSG(st.frame_base != kUnresolved,
                    "frame access before frame allocation");
-      addr = acc.addr + ast(acc.act).frame_base;
+      addr = acc.addr + st.frame_base;
       stack = true;
     } else {
       // A task only ever touches its own shard's data (shards share no
@@ -517,8 +498,12 @@ class ShardReplayer {
     return until;
   }
 
-  void touch(Core& c, vaddr_t addr, uint16_t len, bool write, bool stack,
-             uint32_t act = kNoAct) {
+  // Frame traffic calls this five times per fork/join.  GCC's heuristics
+  // call it out of line from run(), which makes a p=1 walk of a
+  // fork-heavy trace (prefix sums) ~8% slower than inlining it.
+  [[gnu::always_inline]] void touch(Core& c, vaddr_t addr, uint16_t len,
+                                    bool write, bool stack,
+                                    uint32_t act = kNoAct) {
     const uint64_t b0 = addr / cfg_.B;
     const uint64_t b1 = (addr + len - 1) / cfg_.B;
     touch_span(c, dir_.span(b0, b1), addr, b0, b1, len, write, stack, act);
@@ -684,7 +669,7 @@ class ShardReplayer {
   std::vector<ShardSpan> spans_;
   SchedKind kind_;
   SimConfig cfg_;
-  std::vector<Source> srcs_;
+  std::vector<StreamPart> parts_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
   SpanLayout layout_;
@@ -699,14 +684,15 @@ class ShardReplayer {
   bool done_ = false;
 };
 
-/// One shard replay unit: (graph, span, scheduler, machine) -> Metrics.
+/// One shard replay unit: (graph, span, stream part, scheduler, machine)
+/// -> Metrics.
 struct Unit {
   const TaskGraph* g = nullptr;
   ShardSpan span;
+  StreamPart stream;
   SchedKind kind = SchedKind::kSeq;
   SimConfig cfg;
-  uint32_t job = 0;   // owning ReplayJob (simulate_all)
-  int32_t part = -1;  // StreamPart index when the graph is streamed
+  uint32_t job = 0;  // owning ReplayJob (simulate_all)
 };
 
 SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
@@ -715,14 +701,7 @@ SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
 }
 
 Metrics run_unit(const Unit& u) {
-  if (u.part >= 0) {
-    const StreamPart& part = u.g->streams[static_cast<size_t>(u.part)];
-    StreamSource src{part.store.get(), part.acc_base, u.span.first_act};
-    return ShardReplayer<StreamSource>(*u.g, {u.span}, u.kind, u.cfg, {src})
-        .run();
-  }
-  VecSource src{u.g->accesses.data()};
-  return ShardReplayer<VecSource>(*u.g, {u.span}, u.kind, u.cfg, {src}).run();
+  return ShardReplayer(*u.g, {u.span}, u.kind, u.cfg, {u.stream}).run();
 }
 
 /// Host pool for the parallel replay phase.  A flat random-stealing pool
@@ -799,13 +778,9 @@ std::vector<Unit> units_of(const TaskGraph& g, SchedKind kind,
   std::vector<Unit> units;
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-  }
+  const std::vector<StreamPart> parts = parts_of(g, spans);
   for (size_t k = 0; k < spans.size(); ++k) {
-    units.push_back(Unit{&g, spans[k], kind, ecfg, job,
-                         g.streaming() ? static_cast<int32_t>(k) : -1});
+    units.push_back(Unit{&g, spans[k], parts[k], kind, ecfg, job});
   }
   return units;
 }
@@ -837,22 +812,7 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         std::vector<TenantShare>* shares) {
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-    std::vector<StreamSource> srcs;
-    srcs.reserve(spans.size());
-    for (size_t k = 0; k < spans.size(); ++k) {
-      srcs.push_back(StreamSource{g.streams[k].store.get(),
-                                  g.streams[k].acc_base,
-                                  spans[k].first_act});
-    }
-    return ShardReplayer<StreamSource>(g, spans, kind, ecfg, std::move(srcs),
-                                       shares)
-        .run();
-  }
-  std::vector<VecSource> srcs(spans.size(), VecSource{g.accesses.data()});
-  return ShardReplayer<VecSource>(g, spans, kind, ecfg, std::move(srcs), shares)
+  return ShardReplayer(g, spans, kind, ecfg, parts_of(g, spans), shares)
       .run();
 }
 

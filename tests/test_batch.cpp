@@ -81,7 +81,7 @@ SimConfig small_machine(uint32_t threads = 1) {
 void expect_same_trace(const TaskGraph& a, const TaskGraph& b) {
   EXPECT_EQ(a.acts, b.acts);
   EXPECT_EQ(a.segments, b.segments);
-  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(testing::accesses_of(a), testing::accesses_of(b));
   EXPECT_EQ(a.root, b.root);
   EXPECT_EQ(a.data_base, b.data_base);
   EXPECT_EQ(a.data_top, b.data_top);
@@ -113,13 +113,15 @@ TEST(ShardCtx, ShardChoiceOnlyOffsetsAddresses) {
   Engine& eng = testing::engine();
   const Recording r0 = eng.record(prog);
   const Recording r5 = eng.record(prog, false, 4096, /*shard=*/5);
-  ASSERT_EQ(r0.graph.accesses.size(), r5.graph.accesses.size());
+  const std::vector<Access> acc0 = testing::accesses_of(r0.graph);
+  const std::vector<Access> acc5 = testing::accesses_of(r5.graph);
+  ASSERT_EQ(acc0.size(), acc5.size());
   EXPECT_EQ(r0.graph.acts, r5.graph.acts);
   const vaddr_t base5 = shard_base(5);
   EXPECT_EQ(r5.graph.data_base, base5);
-  for (size_t i = 0; i < r0.graph.accesses.size(); ++i) {
-    const Access& a0 = r0.graph.accesses[i];
-    const Access& a5 = r5.graph.accesses[i];
+  for (size_t i = 0; i < acc0.size(); ++i) {
+    const Access& a0 = acc0[i];
+    const Access& a5 = acc5[i];
     if (a0.act == kNoAct) {
       EXPECT_EQ(a5.addr, a0.addr + base5);
     } else {
@@ -172,7 +174,7 @@ TEST(Batch, MergeShardsRemapsIndices) {
   parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
   const size_t acts0 = parts[0].acts.size();
   const size_t segs0 = parts[0].segments.size();
-  const size_t accs0 = parts[0].accesses.size();
+  const size_t accs0 = parts[0].acc_count();
   const TaskGraph snd = parts[1];  // copy for comparison after the move
   TaskGraph m = merge_shards(std::move(parts));
 
@@ -197,9 +199,15 @@ TEST(Batch, MergeShardsRemapsIndices) {
     EXPECT_EQ(got.depth, want.depth);
     EXPECT_EQ(got.frame_words, want.frame_words);
   }
-  for (size_t i = 0; i < snd.accesses.size(); ++i) {
-    const Access& got = m.accesses[accs0 + i];
-    const Access& want = snd.accesses[i];
+  // Read through the merged graph's reader: the second part's records keep
+  // part-local activation ids in their shared store, and the reader must
+  // translate them into the merged id space.
+  const std::vector<Access> merged = testing::accesses_of(m);
+  const std::vector<Access> second = testing::accesses_of(snd);
+  ASSERT_EQ(merged.size(), accs0 + second.size());
+  for (size_t i = 0; i < second.size(); ++i) {
+    const Access& got = merged[accs0 + i];
+    const Access& want = second[i];
     EXPECT_EQ(got.addr, want.addr);  // addresses survive the merge verbatim
     if (want.act == kNoAct) {
       EXPECT_EQ(got.act, kNoAct);

@@ -51,11 +51,12 @@ TEST(TraceCtx, AccessesCarryVirtualAddresses) {
     cx.set(s, 5, i64{42});
     (void)cx.get(s, 5);
   });
-  ASSERT_EQ(g.accesses.size(), 2u);
-  EXPECT_EQ(g.accesses[0].addr, a.vbase() + 5);
-  EXPECT_TRUE(g.accesses[0].is_write());
-  EXPECT_FALSE(g.accesses[1].is_write());
-  EXPECT_EQ(g.accesses[0].act, kNoAct);
+  ASSERT_EQ(g.acc_count(), 2u);
+  AccessReader rd(g);
+  EXPECT_EQ(rd.at(0).addr, a.vbase() + 5);
+  EXPECT_TRUE(rd.at(0).is_write());
+  EXPECT_FALSE(rd.at(1).is_write());
+  EXPECT_EQ(rd.at(0).act, kNoAct);
 }
 
 TEST(TraceCtx, LocalArraysAreFrameRelative) {
@@ -65,9 +66,10 @@ TEST(TraceCtx, LocalArraysAreFrameRelative) {
     auto s = tmp.slice();
     cx.set(s, 2, i64{7});
   });
-  ASSERT_EQ(g.accesses.size(), 1u);
-  EXPECT_EQ(g.accesses[0].act, g.root);
-  EXPECT_EQ(g.accesses[0].addr, 2u);  // offset within the frame
+  ASSERT_EQ(g.acc_count(), 1u);
+  AccessReader rd(g);
+  EXPECT_EQ(rd.at(0).act, g.root);
+  EXPECT_EQ(rd.at(0).addr, 2u);  // offset within the frame
   // Frame holds the 4 local words plus >= 2 fork slots.
   EXPECT_GE(g.acts[g.root].frame_words, 6u);
   EXPECT_EQ(g.acts[g.root].fork_slot_base, 4u);

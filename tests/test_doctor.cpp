@@ -98,7 +98,7 @@ TEST(AddressRemap, RoundTripOverRecordedAddresses) {
   ASSERT_FALSE(d.plan.remap.empty());
   const AddressRemap& rm = d.plan.remap;
   size_t data = 0, moved = 0;
-  for (const Access& a : rec.graph.accesses) {
+  for (const Access& a : testing::accesses_of(rec.graph)) {
     if (a.act != kNoAct) continue;  // frame slots are never remapped
     ++data;
     const vaddr_t to = rm.apply(a.addr);

@@ -444,6 +444,56 @@ TEST(Engine, SubmitRejectsBadSpecsInsteadOfAborting) {
   EXPECT_EQ(eng.submit(spec).status, JobStatus::kError);
 }
 
+TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
+  Engine eng;
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 10;
+  spec.opt.backend = Backend::kSimPws;
+  const JobResult resident = eng.submit(spec);
+  ASSERT_TRUE(resident.ok()) << resident.error;
+
+  // A 2^40-record segment with no window never seals: the store must grow
+  // its open segment like a vector, not reserve 2^40 records up front.
+  JobSpec huge = spec;
+  huge.opt.trace.segment_tasks = uint64_t{1} << 40;
+  huge.opt.trace.max_resident_segments = 0;
+  const JobResult hr = eng.submit(huge);
+  ASSERT_TRUE(hr.ok()) << hr.error;
+  EXPECT_EQ(hr.report.sim, resident.report.sim);
+  EXPECT_EQ(hr.report.q_seq, resident.report.q_seq);
+  EXPECT_EQ(hr.report.trace_segments, 1u);
+  EXPECT_EQ(hr.report.trace_spilled_bytes, 0u);
+
+  // VSpace needs a power-of-two alignment; run and batch jobs alike get a
+  // status naming the field instead of an RO_CHECK abort.
+  for (const JobKind kind : {JobKind::kRun, JobKind::kBatch}) {
+    for (const uint64_t align : {uint64_t{0}, uint64_t{3}}) {
+      JobSpec bad = spec;
+      bad.kind = kind;
+      bad.opt.align_words = align;
+      const JobResult jr = eng.submit(bad);
+      EXPECT_EQ(jr.status, JobStatus::kError) << align;
+      EXPECT_NE(jr.error.find("align_words"), std::string::npos) << jr.error;
+    }
+  }
+}
+
+TEST(Engine, ResidentRunReportHasNoTraceKeys) {
+  // Every recording goes through a TraceStore, but only a caller that
+  // asked for chunking gets the store's statistics in its report.
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 10;
+  spec.opt.backend = Backend::kSimPws;
+  spec.opt.pipeline = true;  // a pipelined resident run never spills
+  const JobResult jr = testing::engine().submit(spec);
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_FALSE(jr.report.has_stream);
+  EXPECT_EQ(jr.report.to_json().find("trace_"), std::string::npos)
+      << jr.report.to_json();
+}
+
 TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {
   // The redesigned API's core claim: many threads may call submit() on one
   // Engine at once.  Sequential same-config callers must still reuse one

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
@@ -50,6 +52,16 @@ inline void check_schedulers(const TaskGraph& g, uint32_t p = 4,
   // Note: makespan <= seq and the per-priority steal bound (Obs 4.3) are
   // asserted in test_sched on single-BP graphs with n >> overheads; they do
   // not hold for arbitrary tiny or heavily-sequenced computations.
+}
+
+/// Every access record of `g` in stream order, read through AccessReader
+/// (activation ids translated into the graph's global id space).
+inline std::vector<Access> accesses_of(const TaskGraph& g) {
+  std::vector<Access> out;
+  out.reserve(g.acc_count());
+  AccessReader rd(g);
+  for (uint64_t i = 0; i < g.acc_count(); ++i) out.push_back(rd.at(i));
+  return out;
 }
 
 /// Limited-access assertion with an explicit bound (Def 2.4).

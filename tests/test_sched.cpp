@@ -37,7 +37,8 @@ TEST(Sched, SeqReplaysEveryAccess) {
   cfg.inject_frame_traffic = false;
   const Metrics m = simulate(g, SchedKind::kSeq, cfg);
   uint64_t trace_words = 0;
-  for (const auto& a : g.accesses) trace_words += a.len;
+  AccessReader rd(g);
+  for (uint64_t i = 0; i < g.acc_count(); ++i) trace_words += rd.at(i).len;
   EXPECT_EQ(m.compute(), trace_words);
   EXPECT_EQ(m.steals(), 0u);
   EXPECT_EQ(m.block_misses(), 0u);

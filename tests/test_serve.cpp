@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ro/serve/client.h"
@@ -300,6 +301,36 @@ TEST_F(ServeSocketTest, GarbageLinesGetErrorResultsAndTheConnectionLives) {
   ASSERT_TRUE(c.submit(spec, jr));
   EXPECT_TRUE(jr.ok()) << jr.error;
   EXPECT_TRUE(jr.report.has_sim);
+}
+
+TEST_F(ServeSocketTest, DaemonServesOnAfterHostileStoreAndAlignmentSpecs) {
+  // Specs that used to abort the whole daemon: a 2^40-record unwindowed
+  // trace segment (an up-front reserve threw bad_alloc) and alignments
+  // VSpace cannot use (an RO_CHECK).  Each gets its status, and the next
+  // job on the same connection is still answered.
+  JobSpec ok;
+  ok.workload = "msum";
+  ok.n = 1 << 10;
+  ok.opt.backend = Backend::kSimPws;
+  JobSpec huge = ok;
+  huge.opt.trace.segment_tasks = uint64_t{1} << 40;
+  huge.opt.trace.max_resident_segments = 0;
+  JobSpec align0 = ok;
+  align0.opt.align_words = 0;
+  JobSpec align3 = ok;
+  align3.opt.align_words = 3;
+  serve::Client c;
+  ASSERT_TRUE(c.connect(server_->socket_path()));
+  const std::pair<JobSpec, bool> cases[] = {
+      {huge, true}, {align0, false}, {align3, false}};
+  for (const auto& [hostile, served] : cases) {
+    JobResult jr;
+    ASSERT_TRUE(c.submit(hostile, jr));
+    EXPECT_EQ(jr.ok(), served) << jr.error;
+    JobResult next;
+    ASSERT_TRUE(c.submit(ok, next));
+    EXPECT_TRUE(next.ok()) << next.error;
+  }
 }
 
 TEST_F(ServeSocketTest, OversizedLineEndsOnlyThatConnection) {
