@@ -107,18 +107,27 @@ void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
   const SchedKind kind = sched_kind_of(backend);
   if (seq_baseline && kind != SchedKind::kSeq) {
     // The main replay and its p=1 baseline are independent walks of the
-    // same trace: with replay_threads > 1 they (and their shard units)
-    // overlap on pool threads, metrics unchanged.
-    std::vector<ReplayJob> jobs(2);
-    jobs[0] = ReplayJob{&g, kind, sim};
-    jobs[1] = ReplayJob{&g, SchedKind::kSeq, sim};
-    // The baseline walk must not record into the caller's profile: it is
-    // a different machine (p=1 has no coherence traffic to attribute),
-    // and the two jobs run concurrently.  The remap, if any, stays — the
-    // baseline then measures the repaired layout's Q(n,M,B).
-    jobs[1].cfg.profile = nullptr;
-    const std::vector<Metrics> res = simulate_all(jobs, sim.replay_threads);
-    set_replay(r, kind, sim, res[0], &res[1]);
+    // same trace: with replay_threads > 1 the baseline runs on one extra
+    // thread, metrics unchanged.  It must not record into the caller's
+    // profile: it is a different machine (p=1 has no coherence traffic to
+    // attribute), and the two walks may run concurrently.  The remap, if
+    // any, stays — the baseline then measures the repaired layout's
+    // Q(n,M,B).
+    SimConfig bcfg = sim;
+    bcfg.profile = nullptr;
+    Metrics base;
+    auto walk_base = [&] { base = simulate(g, SchedKind::kSeq, bcfg); };
+    std::thread overlap;
+    if (replay_host_threads(sim.replay_threads, 2) > 1) {
+      overlap = std::thread(walk_base);
+    }
+    const Metrics main = simulate(g, kind, sim);
+    if (overlap.joinable()) {
+      overlap.join();
+    } else {
+      walk_base();
+    }
+    set_replay(r, kind, sim, main, &base);
     return;
   }
   // kSeq is its own baseline.
@@ -153,8 +162,8 @@ struct ShardResult {
   Metrics base;             // p=1 baseline (when the batch has one)
   TenantShare share;        // capacity-shared attribution ...
   TenantShare base_share;   // ... and its share of the p=1 baseline
-  double record_ms = 0;     // pipelined: host time recording this shard
-  double replay_ms = 0;     // host time replaying it (main + baseline)
+  double record_ms = 0;     // chains: host time recording this shard
+  double replay_ms = 0;     // chains: host time replaying it (+ baseline)
 };
 
 /// The one per-shard batch row.  On independent machines it carries the
@@ -255,22 +264,26 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
   return br;
 }
 
-/// Pipelined batch: one independent record -> analyze -> replay chain per
-/// shard on a host pool, no phase barriers — shard i replays while shard j
-/// still records, and each shard's store compresses and spills behind its
-/// recorder (async_spill).  Replaying each shard's own single-shard graph
-/// is bit-identical to replaying its span of the merged graph (the PR3
-/// per-shard determinism guarantee), which is what makes skipping
-/// merge_shards sound.  The phase timings are cumulative busy times.
-BatchReport run_batch_pipelined(const std::vector<AnyProg>& progs,
-                                const RunOptions& opt) {
+/// The batch path on independent machines: one record -> analyze ->
+/// replay chain per shard on a host pool, no phase barriers — shard i
+/// replays while shard j still records.  Replaying each shard's own
+/// single-shard graph is bit-identical to replaying its span of a merged
+/// graph (shards share no addresses or activations), so no merge_shards is
+/// needed.  With opt.pipeline each store also compresses and spills behind
+/// its recorder (async_spill).  The phase timings are cumulative busy
+/// times.
+BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
+                             const RunOptions& opt) {
   const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
   const SchedKind kind = sched_kind_of(opt.backend);
   const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   StreamOptions stream = opt.trace;
-  stream.async_spill = true;  // spill/compress behind each recorder
+  if (opt.pipeline) stream.async_spill = true;  // spill behind each recorder
+  // A profile is written without a lock, so every chain records into its
+  // own; they merge into the caller's in shard order after the barrier.
+  std::vector<ContentionProfile> profiles(opt.sim.profile != nullptr ? n : 0);
   std::vector<ShardResult> sh(n);
   for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
     const auto c0 = std::chrono::steady_clock::now();
@@ -282,11 +295,15 @@ BatchReport run_batch_pipelined(const std::vector<AnyProg>& progs,
     sh[i].store = g.streams[0].store;
     const auto c2 = std::chrono::steady_clock::now();
     SimConfig scfg = opt.sim;
-    scfg.replay_threads = 1;  // the chain is the unit of parallelism
+    if (scfg.profile != nullptr) scfg.profile = &profiles[i];
     sh[i].main = simulate(g, kind, scfg);
-    if (with_baseline) sh[i].base = simulate(g, SchedKind::kSeq, scfg);
+    if (with_baseline) {
+      scfg.profile = nullptr;  // p=1: no coherence traffic to attribute
+      sh[i].base = simulate(g, SchedKind::kSeq, scfg);
+    }
     sh[i].replay_ms = ms_since(c2);
   });
+  for (const ContentionProfile& p : profiles) opt.sim.profile->merge(p);
   double record_ms = 0, replay_ms = 0;
   for (const ShardResult& s : sh) {
     record_ms += s.record_ms;
@@ -490,17 +507,15 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
 
 BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
                                   const RunOptions& opt) {
-  // Capacity sharing needs the merged co-scheduled trace, so it takes the
-  // serial record path even when pipelining is requested.
-  if (opt.pipeline && !opt.capacity_shared) {
-    return run_batch_pipelined(progs, opt);
-  }
+  if (!opt.capacity_shared) return run_batch_chains(progs, opt);
+  // Capacity sharing replays every shard on ONE simulated machine — shared
+  // cores, caches, coherence directory — with each miss/transfer charged
+  // to the span (tenant) whose task performed it (docs/serve.md).  That
+  // walk needs the merged co-scheduled trace, so every shard records
+  // first.
   const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
-  // One store per shard: shards spill and stream independently, so the
-  // batch's resident bound scales with the window x live recorders, not
-  // with the trace.
   std::vector<TaskGraph> graphs(n);
   for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
     graphs[i] =
@@ -518,40 +533,17 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   const SchedKind kind = sched_kind_of(opt.backend);
   const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   const auto tr0 = std::chrono::steady_clock::now();
-  if (opt.capacity_shared) {
-    // Every shard replays on ONE simulated machine — shared cores, caches,
-    // coherence directory — with each miss/transfer charged to the span
-    // (tenant) whose task performed it (docs/serve.md).
-    std::vector<TenantShare> shares, base_shares;
-    const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
-    Metrics base;
-    if (with_baseline) {
-      base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      sh[i].share = shares[i];
-      if (with_baseline) sh[i].base_share = base_shares[i];
-    }
-    return finish_batch(sh, opt, record_ms, ms_since(tr0), t0, main, base);
-  }
-  // One combined unit set so the main pass and the p=1 baselines overlap
-  // on the pool (2 * shards units when the baseline is on).
-  std::vector<ReplayJob> jobs{ReplayJob{&merged, kind, opt.sim}};
+  std::vector<TenantShare> shares, base_shares;
+  const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
+  Metrics base;
   if (with_baseline) {
-    jobs.push_back(ReplayJob{&merged, SchedKind::kSeq, opt.sim});
+    base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
   }
-  std::vector<std::vector<double>> unit_wall;
-  std::vector<std::vector<Metrics>> res =
-      simulate_shards_all(jobs, opt.sim.replay_threads, &unit_wall);
   for (uint32_t i = 0; i < n; ++i) {
-    sh[i].main = std::move(res[0][i]);
-    sh[i].replay_ms = unit_wall[0][i];
-    if (with_baseline) {
-      sh[i].base = std::move(res[1][i]);
-      sh[i].replay_ms += unit_wall[1][i];
-    }
+    sh[i].share = shares[i];
+    if (with_baseline) sh[i].base_share = base_shares[i];
   }
-  return finish_batch(sh, opt, record_ms, ms_since(tr0), t0);
+  return finish_batch(sh, opt, record_ms, ms_since(tr0), t0, main, base);
 }
 
 JobResult Engine::submit(const JobSpec& spec) {

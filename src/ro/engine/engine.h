@@ -118,15 +118,16 @@ class Engine {
     return std::move(jr.report);
   }
 
-  /// Batch pipeline: records `progs[i]` into shard i of one ShardedVSpace —
-  /// on concurrent host threads when opt.sim.replay_threads allows — fuses
-  /// the per-shard graphs with merge_shards, and replays every shard (plus
-  /// its p=1 baseline unless opt.seq_baseline is off) in parallel against
-  /// the machine opt.sim describes.  opt.backend must be kSeq / kSimPws /
-  /// kSimRws.  The BatchReport carries one RunReport per shard (labelled
-  /// "label#i") and the shard-order aggregate; both are bit-identical for
-  /// every replay_threads value.  With opt.capacity_shared the shards
-  /// replay on ONE shared machine with per-tenant attribution instead
+  /// Batch pipeline: one record -> analyze -> replay chain per shard.
+  /// Chain i records `progs[i]` into shard i of one ShardedVSpace, then
+  /// replays it (plus its p=1 baseline unless opt.seq_baseline is off) on
+  /// its own machine as opt.sim describes; opt.sim.replay_threads chains
+  /// run at once.  opt.backend must be kSeq / kSimPws / kSimRws.  The
+  /// BatchReport carries one RunReport per shard (labelled "label#i") and
+  /// the shard-order aggregate; both are bit-identical for every
+  /// replay_threads value and either opt.pipeline.  With
+  /// opt.capacity_shared the shards are recorded, merged (merge_shards) and
+  /// replayed on ONE shared machine with per-tenant attribution instead
   /// (docs/serve.md).  Equivalent to submit() with a kBatch spec.
   template <class Prog>
   BatchReport run_batch(const std::vector<Prog>& progs,
@@ -228,7 +229,8 @@ class Engine {
   /// backend, drives record/replay or a leased pool, fills the report.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt);
 
-  /// kBatch execution core: serial, pipelined, or capacity-shared path.
+  /// kBatch execution core: per-shard chains on independent machines, or
+  /// one capacity-shared machine.
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 

@@ -61,12 +61,12 @@ struct RunOptions {
   // analysis pass with the replay walks and spills/compresses trace
   // segments behind the recorder (TraceStore async_spill), so the wall
   // clock approaches record + max(analyze, replay) instead of their sum.
-  // Batch submissions turn each shard into an independent
-  // record -> analyze -> replay chain with no phase barriers: shard 0
-  // replays while shard 1 is still recording.  Metrics stay bit-identical
-  // to the serial pipeline (asserted in tests/test_stream.cpp); only
-  // trace_peak_resident_bytes becomes timing-dependent, since spilling
-  // and replay reloads now overlap.
+  // Batches always run one record -> analyze -> replay chain per shard;
+  // pipelining adds the same write-behind spilling to every chain.
+  // Metrics stay bit-identical either way (asserted in
+  // tests/test_stream.cpp); the spill byte counts then cover every sealed
+  // segment, and trace_peak_resident_bytes becomes timing-dependent,
+  // since spilling and replay reloads now overlap.
   bool pipeline = false;
 
   // ---- batch submissions only ----
@@ -75,7 +75,8 @@ struct RunOptions {
   // machine — shared cores, caches and coherence directory — with
   // per-tenant miss/transfer attribution in the per-shard reports.  The
   // interesting service scenario: co-admitted tenants contending for one
-  // cache.  Implies the serial (non-pipelined) batch path.
+  // cache.  Records every shard before the one shared replay, so
+  // `pipeline` does not apply.
   bool capacity_shared = false;
 
   // ---- parallel backends ----

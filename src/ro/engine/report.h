@@ -147,11 +147,12 @@ struct BatchReport {
   bool pipelined = false;       // RunOptions::pipeline was on
   bool capacity_shared = false; // one shared simulated machine for all
                                 // shards (RunOptions::capacity_shared)
-  double wall_ms = 0;           // record + merge + replay, end to end
-  // Phase timings.  Serial batches: wall clock of the record / replay
-  // phases.  Pipelined batches have no phase barriers, so these are the
-  // cumulative per-shard busy times instead (their sum can exceed
-  // wall_ms — that overlap is the point).
+  double wall_ms = 0;           // record + replay, end to end
+  // Phase timings.  The per-shard chains have no phase barriers, so these
+  // are cumulative per-shard busy times (their sum can exceed wall_ms —
+  // that overlap is the point).  Capacity-shared batches record every
+  // shard before the one shared replay: there they are the wall clock of
+  // the two phases.
   double record_ms = 0;
   double replay_ms = 0;
 

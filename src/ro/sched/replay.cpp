@@ -1,12 +1,10 @@
 #include "ro/sched/replay.h"
 
-#include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
 
 #include "ro/core/remap.h"
-#include "ro/rt/pool.h"
 #include "ro/sched/arena.h"
 #include "ro/sim/cache.h"
 #include "ro/sim/contention.h"
@@ -88,14 +86,14 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 /// arenas).  Addresses are rebased per span (SpanLayout), so the dense
 /// directory and ever-loaded bitsets stay as small as the spans' combined
 /// data regardless of which shards the data was recorded in.  One instance
-/// never touches state outside its spans — the invariant that makes units
-/// safe to run on concurrent host threads.
+/// never touches state outside its spans — the invariant that makes
+/// independent walks of one store safe on concurrent host threads.
 ///
-/// The classic sharded replay constructs one single-span instance per
-/// shard (independent machines); capacity-shared replay (simulate_shared)
-/// constructs one instance over ALL spans, whose roots are co-scheduled on
-/// the shared cores and whose misses/transfers can be attributed per span
-/// through `shares`.
+/// simulate() constructs one single-span instance per shard (independent
+/// machines); capacity-shared replay (simulate_shared) constructs one
+/// instance over ALL spans, whose roots are co-scheduled on the shared
+/// cores and whose misses/transfers can be attributed per span through
+/// `shares`.
 ///
 /// The access stream is read through one TraceStore cursor per core and
 /// span, indexed in the graph's global access space (the part's
@@ -684,105 +682,9 @@ class ShardReplayer {
   bool done_ = false;
 };
 
-/// One shard replay unit: (graph, span, stream part, scheduler, machine)
-/// -> Metrics.
-struct Unit {
-  const TaskGraph* g = nullptr;
-  ShardSpan span;
-  StreamPart stream;
-  SchedKind kind = SchedKind::kSeq;
-  SimConfig cfg;
-  uint32_t job = 0;  // owning ReplayJob (simulate_all)
-};
-
 SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
   if (kind == SchedKind::kSeq) cfg.p = 1;
   return cfg;
-}
-
-Metrics run_unit(const Unit& u) {
-  return ShardReplayer(*u.g, {u.span}, u.kind, u.cfg, {u.stream}).run();
-}
-
-/// Host pool for the parallel replay phase.  A flat random-stealing pool
-/// by default; when the caller's SimConfig carries a replay_layout the
-/// workers are group-partitioned like the par-numa backends (a layout
-/// sized for a different thread count falls back to a contiguous split
-/// with the same group count — the clamp to the unit count must not
-/// invalidate it).  A host knob only: unit metrics never depend on it.
-rt::Pool make_replay_pool(uint32_t threads, const SimConfig& cfg) {
-  rt::PoolOptions popt;
-  popt.policy = rt::StealPolicy::kRandom;
-  if (cfg.replay_layout.groups() > 0) {
-    popt.layout = cfg.replay_layout.valid(threads)
-                      ? cfg.replay_layout
-                      : rt::GroupLayout::contiguous(threads,
-                                                    cfg.replay_layout.groups());
-    popt.pin = cfg.replay_pin;
-  }
-  return rt::Pool(threads, popt);
-}
-
-/// Runs every unit (results indexed like `units`), on `threads` host
-/// workers when that buys anything.  Each unit is a fully sequential
-/// ShardReplayer walk, so the assignment of units to threads cannot change
-/// any unit's Metrics — only the wall clock.  `wall_ms`, when non-null, is
-/// resized and filled with each unit's host replay time.
-///
-/// The pool is created per call on purpose: Pool::run is not reentrant, so
-/// a cached shared pool would break under concurrent simulate() callers,
-/// and the spawn cost (~tens of µs) is noise next to any replay worth
-/// parallelizing.
-std::vector<Metrics> run_units(std::vector<Unit> units,
-                               uint32_t replay_threads,
-                               std::vector<double>* wall_ms) {
-  // Concurrent units must not share a caller-provided ContentionProfile:
-  // each profiled unit records into its own local, merged back below in
-  // unit (= job, then shard) order after the barrier.  The merge itself is
-  // order-insensitive (pure sums), so profiled replay is bit-identical for
-  // every replay_threads value — the same guarantee Metrics carry.
-  std::vector<ContentionProfile> local(units.size());
-  std::vector<ContentionProfile*> sink(units.size(), nullptr);
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (units[i].cfg.profile != nullptr) {
-      sink[i] = units[i].cfg.profile;
-      units[i].cfg.profile = &local[i];
-    }
-  }
-  std::vector<Metrics> out(units.size());
-  if (wall_ms) wall_ms->assign(units.size(), 0.0);
-  auto run_one = [&](size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    out[i] = run_unit(units[i]);
-    if (wall_ms) {
-      (*wall_ms)[i] = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    }
-  };
-  const uint32_t t = replay_host_threads(replay_threads, units.size());
-  if (t <= 1 || units.size() <= 1) {
-    for (size_t i = 0; i < units.size(); ++i) run_one(i);
-  } else {
-    rt::Pool pool = make_replay_pool(t, units[0].cfg);
-    rt::parallel_index(pool, units.size(), run_one);
-  }
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (sink[i] != nullptr) sink[i]->merge(local[i]);
-  }
-  return out;
-}
-
-std::vector<Unit> units_of(const TaskGraph& g, SchedKind kind,
-                           const SimConfig& cfg, uint32_t job) {
-  std::vector<Unit> units;
-  const SimConfig ecfg = effective_cfg(kind, cfg);
-  const std::vector<ShardSpan> spans = g.shard_spans();
-  const std::vector<StreamPart> parts = parts_of(g, spans);
-  for (size_t k = 0; k < spans.size(); ++k) {
-    units.push_back(Unit{&g, spans[k], parts[k], kind, ecfg, job});
-  }
-  return units;
 }
 
 }  // namespace
@@ -796,15 +698,19 @@ uint32_t replay_host_threads(uint32_t requested, size_t units) {
   return static_cast<uint32_t>(std::min<size_t>(t, units));
 }
 
-std::vector<Metrics> simulate_shards(const TaskGraph& g, SchedKind kind,
-                                     const SimConfig& cfg) {
-  return run_units(units_of(g, kind, cfg, 0), cfg.replay_threads, nullptr);
-}
-
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
-  std::vector<Metrics> parts = simulate_shards(g, kind, cfg);
-  if (parts.size() == 1) return std::move(parts[0]);
-  return merge_shard_metrics(parts);
+  const SimConfig ecfg = effective_cfg(kind, cfg);
+  const std::vector<ShardSpan> spans = g.shard_spans();
+  const std::vector<StreamPart> parts = parts_of(g, spans);
+  // One machine per shard, walked in shard order: shards share no
+  // addresses, so each span's walk is exactly its standalone replay.
+  std::vector<Metrics> per;
+  per.reserve(spans.size());
+  for (size_t s = 0; s < spans.size(); ++s) {
+    per.push_back(ShardReplayer(g, {spans[s]}, kind, ecfg, {parts[s]}).run());
+  }
+  if (per.size() == 1) return std::move(per[0]);
+  return merge_shard_metrics(per);
 }
 
 Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
@@ -814,40 +720,6 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
   const std::vector<ShardSpan> spans = g.shard_spans();
   return ShardReplayer(g, spans, kind, ecfg, parts_of(g, spans), shares)
       .run();
-}
-
-std::vector<std::vector<Metrics>> simulate_shards_all(
-    const std::vector<ReplayJob>& jobs, uint32_t threads,
-    std::vector<std::vector<double>>* wall_ms) {
-  std::vector<Unit> units;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    auto ju = units_of(*jobs[j].g, jobs[j].kind, jobs[j].cfg,
-                       static_cast<uint32_t>(j));
-    units.insert(units.end(), ju.begin(), ju.end());
-  }
-  std::vector<double> unit_wall;
-  std::vector<Metrics> per_unit =
-      run_units(units, threads, wall_ms ? &unit_wall : nullptr);
-  std::vector<std::vector<Metrics>> grouped(jobs.size());
-  if (wall_ms) wall_ms->assign(jobs.size(), {});
-  for (size_t i = 0; i < units.size(); ++i) {
-    grouped[units[i].job].push_back(
-        std::move(per_unit[i]));  // unit order == shard order
-    if (wall_ms) (*wall_ms)[units[i].job].push_back(unit_wall[i]);
-  }
-  return grouped;
-}
-
-std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
-                                  uint32_t threads) {
-  std::vector<std::vector<Metrics>> grouped =
-      simulate_shards_all(jobs, threads);
-  std::vector<Metrics> out(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    out[j] = grouped[j].size() == 1 ? std::move(grouped[j][0])
-                                    : merge_shard_metrics(grouped[j]);
-  }
-  return out;
 }
 
 }  // namespace ro

@@ -23,22 +23,23 @@
 // completion, two reads at the join) is injected here because its addresses
 // depend on which arena the activation's frame landed on.
 //
-// ## Parallel replay (sharded)
+// ## Host parallelism
 //
-// The *unit* of host parallelism is one shard's full priority-round
-// sequence on its own simulated machine (own cores, caches, Directory,
-// arenas).  Within a unit the walk is inherently sequential: every access
-// consults the coherence directory, and any finer-grained interleaving
-// would change miss classification and transfer counts — exactly the
-// false-sharing effects the simulator exists to count.  Shards, however,
-// share no addresses (vspace.h bit split) and no activations, so their
-// round sequences commute: with `SimConfig::replay_threads > 1` the shard
-// units of a merged batch graph — and independent jobs such as the main
-// replay and its p = 1 baseline — run on real rt::Pool threads, and the
-// per-core Cache/Directory observables of each unit are merged into one
-// Metrics at the final round barrier *in shard order*.  That canonical
-// merge order is the determinism guarantee: any replay_threads value
-// (including 1, the plain sequential walk) yields bit-identical Metrics.
+// One walk is a shard's full priority-round sequence on its own simulated
+// machine (own cores, caches, Directory, arenas), and it is inherently
+// sequential: every access consults the coherence directory, and any
+// finer-grained interleaving would change miss classification and
+// transfer counts — exactly the false-sharing effects the simulator exists
+// to count.  simulate() is therefore one sequential walk; a merged batch
+// graph is walked span by span in shard order and merged with
+// merge_shard_metrics.  Host parallelism sits one level up, across
+// independent walks, and `SimConfig::replay_threads` sizes it: shards
+// share no addresses (vspace.h bit split) and no activations, so
+// Engine::run_batch runs one record -> analyze -> replay chain per shard
+// on that many host threads, and Engine::run / replay overlap a walk with
+// its p = 1 baseline.  No walk's Metrics depend on the thread that ran it
+// and the batch merge is in shard order, so every replay_threads value
+// (including 1, all walks on the caller) yields bit-identical Metrics.
 //
 // ## Record-while-replay pipelining
 //
@@ -49,17 +50,16 @@
 // for recording to finish — start_act charges the activation's
 // frame_words, which the recorder only knows at the activation's end —
 // so Engine-level pipelining (RunOptions::pipeline) overlaps at coarser
-// grain instead: per-shard record -> analyze -> replay chains in
-// run_batch (shard i replays while shard j records) and an
-// analyze-vs-replay overlap plus write-behind segment spilling in run.
-// Metrics are unaffected: every walk consumes the same sealed records.
+// grain instead: write-behind segment spilling in every chain of
+// run_batch (whose shards already replay while others record), plus an
+// analyze-vs-replay overlap in run.  Metrics are unaffected: every walk
+// consumes the same sealed records.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ro/core/graph.h"
-#include "ro/rt/numa.h"
 #include "ro/sim/metrics.h"
 
 namespace ro {
@@ -94,30 +94,23 @@ struct SimConfig {
   // of ping-ponging per word.  0 = plain invalidation protocol.
   uint32_t write_hold = 0;
 
-  // Host threads replaying shard units (see header comment).  1 = the
-  // sequential walk (default), 0 = hardware concurrency.  A host knob, not
-  // a machine parameter: it never appears in Metrics, and every value
+  // Host threads for independent walks: a batch's shard chains, or a
+  // run's main replay and its p = 1 baseline (see header comment).  1 = all
+  // walks on the caller (default), 0 = hardware concurrency.  A host knob,
+  // not a machine parameter: it never appears in Metrics, and every value
   // produces bit-identical results.
   uint32_t replay_threads = 1;
-
-  // NUMA-aware host replay pool: when the layout is non-empty, the
-  // replay_threads workers are partitioned into its groups exactly like
-  // the par-numa backends (rt::numa_group_layout derives one from the
-  // host topology, GroupLayout::contiguous forces a count).  A layout
-  // sized for a different worker count than the effective (unit-clamped)
-  // one falls back to a contiguous split with the same group count.
-  // `replay_pin` additionally pins replay workers to their group's node
-  // cpus.  Host knobs like replay_threads: never visible in Metrics.
-  rt::GroupLayout replay_layout;
-  bool replay_pin = false;
 
   // Optional per-line coherence attribution (sim/contention.h): when
   // non-null, replay additionally records every invalidation, coherence
   // miss and block transfer on *data* addresses per (line, word, task)
-  // into this profile (accumulated, never cleared).  Parallel shard units
-  // record into per-unit locals merged back in shard order, so the
-  // profile — like Metrics — is bit-identical for every replay_threads
-  // value.  A host-side observer: it never changes Metrics.
+  // into this profile (accumulated, never cleared).  A walk writes it
+  // without a lock, so concurrent walks each need their own; Engine's
+  // batch chains record into per-shard locals merged back in shard order
+  // (task ids are then shard-local; lines stay apart by their
+  // shard-tagged addresses), and the p = 1 baseline never records.  The profile — like Metrics —
+  // is bit-identical for every replay_threads value.  A host-side
+  // observer: it never changes Metrics.
   ContentionProfile* profile = nullptr;
 
   // Optional trace transformation (core/remap.h): when non-null, every
@@ -132,9 +125,9 @@ struct SimConfig {
 };
 
 /// Replays `g` under the given scheduler; deterministic for kSeq/kPws and
-/// for kRws at fixed seed, for every replay_threads value.  A merged batch
-/// graph replays its shards in parallel and returns the shard-order merge
-/// (merge_shard_metrics).
+/// for kRws at fixed seed.  One sequential walk on the calling thread: a
+/// merged batch graph walks each shard span on its own machine, in shard
+/// order, and returns their merge_shard_metrics.
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg);
 
 /// Per-tenant share of a capacity-shared replay (simulate_shared): every
@@ -164,40 +157,8 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares = nullptr);
 
-/// Per-shard metrics of `g`'s components, in shard order (one entry for a
-/// classic single-shard graph).  `merge_shard_metrics` of the result equals
-/// simulate()'s return.
-std::vector<Metrics> simulate_shards(const TaskGraph& g, SchedKind kind,
-                                     const SimConfig& cfg);
-
-/// One independent replay request (used to overlap e.g. a PWS replay with
-/// its p = 1 baseline walk on the same trace).
-struct ReplayJob {
-  const TaskGraph* g = nullptr;
-  SchedKind kind = SchedKind::kSeq;
-  SimConfig cfg;
-};
-
-/// Replays all jobs — each expanded into its shard units — on up to
-/// `threads` pool workers; results in job order, each bit-identical to a
-/// sequential simulate() of that job.  threads semantics match
-/// SimConfig::replay_threads.
-std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
-                                  uint32_t threads);
-
-/// Like simulate_all but without the per-job merge: result[j][s] is the
-/// Metrics of job j's s-th shard span.  All units of all jobs share one
-/// pool (configured from the first job's replay_layout/replay_pin), so
-/// e.g. a batch's main replay and its p=1 baselines overlap.
-/// When `wall_ms` is non-null it receives the host time each unit spent
-/// replaying (same indexing), for per-shard reporting.
-std::vector<std::vector<Metrics>> simulate_shards_all(
-    const std::vector<ReplayJob>& jobs, uint32_t threads,
-    std::vector<std::vector<double>>* wall_ms = nullptr);
-
-/// Resolves a replay_threads request against a unit count: 0 = hardware
-/// concurrency, then clamped to `units` (shared by the parallel record and
-/// replay phases so both scale the same way).
+/// Resolves a replay_threads request against a number of independent
+/// walks: 0 = hardware concurrency, then clamped to `units`.
 uint32_t replay_host_threads(uint32_t requested, size_t units);
 
 const char* sched_name(SchedKind k);

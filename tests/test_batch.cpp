@@ -233,12 +233,23 @@ TEST(Batch, MergedReplayEqualsStandaloneReplays) {
     lone.push_back(simulate(g, SchedKind::kPws, cfg));
   }
   const TaskGraph merged = merge_shards(std::move(parts));
-  const std::vector<Metrics> per =
-      simulate_shards(merged, SchedKind::kPws, cfg);
-  ASSERT_EQ(per.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(per[i], lone[i]) << "shard " << i;
   EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg),
-            merge_shard_metrics(per));
+            merge_shard_metrics(lone));
+
+  // The batch chains replay each shard on its own machine: every row is
+  // that shard's standalone replay.
+  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  progs.emplace_back(prog_route(n));
+  progs.emplace_back(prog_listrank(n));
+  progs.emplace_back(prog_spms(4 * n));
+  RunOptions opt;
+  opt.backend = Backend::kSimPws;
+  opt.sim = cfg;
+  const BatchReport br = testing::engine().run_batch(progs, opt);
+  ASSERT_EQ(br.runs.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(br.runs[i].sim, lone[i]) << "shard " << i;
+  }
 }
 
 TEST(Batch, ReplayThreadsAreMetricsDeterministic) {

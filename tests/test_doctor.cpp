@@ -6,6 +6,7 @@
 // forward-compat contract (unknown / missing fields default, never fail).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -127,29 +128,40 @@ TEST(ContentionProfile, PackedCountersAttribution) {
 }
 
 TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
-  // A two-shard merged batch exercises the per-unit profile merge path:
-  // the host walks shards (and their cores) on 1 / 2 / 8 threads, and the
-  // merged attribution must be bit-identical every time.
-  std::vector<TaskGraph> parts;
-  parts.push_back(engine().record(prog_counters(8, 16, 1), false, 4096, 0)
-                      .graph);
-  parts.push_back(engine().record(prog_msum(512), false, 4096, 1).graph);
-  const TaskGraph merged = merge_shards(std::move(parts));
-
-  ContentionProfile base;
-  {
-    SimConfig cfg = doctor_cfg(1);
-    cfg.profile = &base;
-    engine().replay(merged, Backend::kSimPws, cfg, false);
-  }
+  // A profiled two-shard batch runs its per-shard chains on 1 / 2 / 8 host
+  // threads.  Both shards false-share heavily, so chains writing one
+  // profile at once would race; each records into its own, merged into
+  // the caller's in shard order after the barrier, so the attribution is
+  // bit-identical every time — and equals the shard-order merge of each
+  // recording's own profiled replay (the p=1 baselines record nothing).
+  using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
+  const std::vector<Prog> progs{prog_counters(8, 512, 1),
+                                prog_counters(8, 512, 2)};
+  auto batch_profile = [&](uint32_t rt) {
+    ContentionProfile prof;
+    RunOptions opt;
+    opt.backend = Backend::kSimPws;
+    opt.sim = doctor_cfg(rt);
+    opt.sim.profile = &prof;
+    engine().run_batch(progs, opt);
+    return prof;
+  };
+  const ContentionProfile base = batch_profile(1);
   ASSERT_FALSE(base.empty());
   for (const uint32_t rt : {2u, 8u}) {
-    ContentionProfile prof;
-    SimConfig cfg = doctor_cfg(rt);
-    cfg.profile = &prof;
-    engine().replay(merged, Backend::kSimPws, cfg, false);
-    EXPECT_EQ(prof, base) << "replay_threads=" << rt;
+    EXPECT_EQ(batch_profile(rt), base) << "replay_threads=" << rt;
   }
+
+  ContentionProfile lone;
+  for (uint32_t i = 0; i < progs.size(); ++i) {
+    ContentionProfile prof;
+    SimConfig cfg = doctor_cfg();
+    cfg.profile = &prof;
+    engine().replay(engine().record(progs[i], false, 4096, i),
+                    Backend::kSimPws, cfg, false);
+    lone.merge(prof);
+  }
+  EXPECT_EQ(lone, base);
 }
 
 TEST(ContentionProfile, PackedCountersMatchCommittedGolden) {

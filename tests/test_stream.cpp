@@ -615,9 +615,9 @@ TEST(Pipeline, BatchBitIdenticalAcrossKindsAndThreads) {
       EXPECT_LE(2 * piped.aggregate.trace_compressed_bytes,
                 piped.aggregate.trace_spilled_bytes)
           << what;
-      // One report builder serves both paths: every row's JSON is equal
-      // once the host time and the byte counts that async write-behind
-      // changes (every sealed segment spills) are masked.
+      // Both settings run the same chains and report builder: every row's
+      // JSON is equal once the host time and the byte counts that async
+      // write-behind changes (every sealed segment spills) are masked.
       auto masked = [](RunReport r) {
         r.wall_ms = 0;
         r.trace_spilled_bytes = 0;
@@ -660,6 +660,67 @@ TEST(Pipeline, BatchWithoutTraceStoreStillMatches) {
   EXPECT_FALSE(piped.aggregate.has_stream);
 }
 
+/// A batch row's store counters (segments, spilled, compressed and peak
+/// resident bytes), with its p=1 baseline's q_seq in the digest slot.
+testing::Golden store_golden_of(const std::string& name, const RunReport& r) {
+  return testing::Golden{name, r.trace_segments, r.trace_spilled_bytes,
+                         r.trace_compressed_bytes, r.trace_peak_resident_bytes,
+                         r.q_seq};
+}
+
+TEST(Pipeline, UnpipelinedBatchRowsMatchCommittedGoldens) {
+  // A pipeline=false batch runs the per-shard chains with the caller's
+  // StreamOptions (synchronous LRU spilling, no write-behind).  Every
+  // row's and the aggregate's Metrics, q_seq and store byte counts are
+  // committed goldens, captured at replay_threads=1 when such batches
+  // still recorded every shard, merged the graphs and then replayed them:
+  // the chains reproduce that schedule exactly, on any thread count.
+  const size_t n = 128;
+  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  progs.emplace_back(prog_route(n));
+  progs.emplace_back(prog_listrank(n));
+  progs.emplace_back(prog_spms(2 * n));
+  const std::vector<testing::Golden> rows{
+      {"pws/shard0", 10577, 386, 104, 79, 0x1c8e37af99b9be6dull},
+      {"pws/shard0/store", 86, 87200, 17841, 6144, 0x0000000000000051ull},
+      {"pws/shard1", 323949, 11307, 5310, 2671, 0xd60663fbd309f59aull},
+      {"pws/shard1/store", 1729, 1770128, 418491, 6144, 0x000000000000074bull},
+      {"pws/shard2", 4414, 183, 22, 24, 0x81dddbb24a4291cbull},
+      {"pws/shard2/store", 58, 58688, 13479, 5120, 0x0000000000000046ull},
+      {"pws/aggregate", 323949, 11876, 5436, 2774, 0x4dd7f40e7d38299cull},
+      {"pws/aggregate/store", 1873, 1916016, 449811, 17408, 0x00000000000007e2ull},
+      {"rws/shard0", 12273, 397, 62, 80, 0x0b924f09616144acull},
+      {"rws/shard0/store", 86, 87200, 17841, 5120, 0x0000000000000051ull},
+      {"rws/shard1", 318323, 9673, 3090, 2001, 0xd4383a7fcd44cac0ull},
+      {"rws/shard1/store", 1729, 1770128, 418491, 6144, 0x000000000000074bull},
+      {"rws/shard2", 4851, 192, 18, 23, 0x0b1bcac1a127892bull},
+      {"rws/shard2/store", 58, 58688, 13479, 5120, 0x0000000000000046ull},
+      {"rws/aggregate", 318323, 10262, 3170, 2104, 0x2fc0a07595068f23ull},
+      {"rws/aggregate/store", 1873, 1916016, 449811, 16384, 0x00000000000007e2ull},
+  };
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("replay_threads=" + std::to_string(threads));
+    testing::GoldenTable golden(rows);
+    for (const Backend backend : {Backend::kSimPws, Backend::kSimRws}) {
+      RunOptions opt;
+      opt.backend = backend;
+      opt.label = "batch";
+      opt.sim = stream_machine(threads);
+      opt.trace = tiny_stream(2);
+      const BatchReport br = testing::engine().run_batch(progs, opt);
+      ASSERT_FALSE(br.pipelined);
+      const std::string b = backend == Backend::kSimPws ? "pws" : "rws";
+      for (size_t i = 0; i < br.runs.size(); ++i) {
+        const std::string row = b + "/shard" + std::to_string(i);
+        golden.check(testing::golden_of(row, br.runs[i].sim));
+        golden.check(store_golden_of(row + "/store", br.runs[i]));
+      }
+      golden.check(testing::golden_of(b + "/aggregate", br.aggregate.sim));
+      golden.check(store_golden_of(b + "/aggregate/store", br.aggregate));
+    }
+  }
+}
+
 // ---- report plumbing ----
 
 TEST(StreamReport, EngineRunReportsStoreStats) {
@@ -695,31 +756,6 @@ TEST(StreamReport, EngineRunReportsStoreStats) {
   EXPECT_EQ(back.trace_compressed_bytes, r.trace_compressed_bytes);
   EXPECT_EQ(back.trace_peak_resident_bytes, r.trace_peak_resident_bytes);
   EXPECT_EQ(back.trace_compression_ratio(), r.trace_compression_ratio());
-}
-
-// ---- NUMA-aware replay host pool (SimConfig::replay_layout) ----
-
-TEST(StreamReplay, GroupedReplayPoolIsMetricsDeterministic) {
-  const size_t n = 192;
-  Engine& eng = testing::engine();
-  std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  parts.push_back(eng.record(prog_spms(2 * n), false, 4096, 2).graph);
-  const TaskGraph merged = merge_shards(std::move(parts));
-
-  const Metrics base = simulate(merged, SchedKind::kPws, stream_machine(1));
-  for (const uint32_t groups : {1u, 2u, 4u}) {
-    SimConfig cfg = stream_machine(4);
-    cfg.replay_layout = rt::GroupLayout::contiguous(4, groups);
-    EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg), base)
-        << "groups=" << groups;
-  }
-  // A layout sized for a different thread count than the effective one
-  // falls back to a contiguous split with the same group count.
-  SimConfig cfg = stream_machine(8);
-  cfg.replay_layout = rt::GroupLayout::contiguous(16, 2);
-  EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg), base);
 }
 
 }  // namespace
