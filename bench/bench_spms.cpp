@@ -87,7 +87,10 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  if (cli.has("csv")) t.write_csv("spms.csv");
+  if (cli.has("csv") && !t.write_csv("spms.csv")) {
+    std::fprintf(stderr, "bench_spms: cannot write spms.csv\n");
+    return 1;
+  }
 
   // ---- span trend over doubling n ----
   // Gate constants sit well clear of the measured values (band max/min

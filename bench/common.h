@@ -1,13 +1,12 @@
-// Shared infrastructure for the experiment binaries (E1–E15, DESIGN.md §4).
+// Shared infrastructure for the bench binaries.
 //
 // Workloads are *programs*: generic callables over any execution context,
 // runnable unchanged on every ro::Engine backend (seq, sim-PWS, sim-RWS,
 // par-random, par-priority).  `prog_*` builds deterministic inputs (per
 // size) and runs one Table-1 algorithm; `rec_*` records a program once
-// through the shared Engine for the trace-replay benches; `measure` replays
-// a recorded graph on one simulated machine and returns the unified
-// RunReport.  Every binary prints paper-style tables via ro::Table and also
-// drops a CSV next to the binary when --csv is passed.
+// through the shared Engine for the trace-replay benches.  Binaries print
+// their tables via ro::Table; bench_claims gates the paper's claims
+// (docs/claims.md).
 #pragma once
 
 #include <algorithm>
@@ -30,8 +29,6 @@
 #include "ro/alg/sort.h"
 #include "ro/alg/spms.h"
 #include "ro/alg/strassen.h"
-#include "ro/core/probes.h"
-#include "ro/core/validate.h"
 #include "ro/engine/engine.h"
 #include "ro/util/cli.h"
 #include "ro/util/rng.h"
@@ -42,16 +39,6 @@ namespace ro::bench {
 using alg::cplx;
 using alg::i64;
 using alg::SortKind;
-
-/// The bench-wide `--sort=` flag: "msort" (default) or "spms".  RO_CHECK
-/// fails on unknown names so a typo cannot silently bench the wrong sort.
-inline SortKind sort_from_cli(const Cli& cli) {
-  const std::string name = cli.get_str("sort", "msort");
-  SortKind kind = SortKind::kMsort;
-  RO_CHECK_MSG(alg::parse_sort_kind(name, kind),
-               "--sort must be 'msort' or 'spms'");
-  return kind;
-}
 
 /// Splits a comma-separated flag value into its entries.  Empty entries
 /// ("1,,2", trailing comma) are RO_CHECK failures — a typo must fail
@@ -356,8 +343,7 @@ inline auto prog_sort(size_t n, size_t grain = 1,
   };
 }
 
-inline auto prog_lr(size_t n, bool gapping = true, size_t grain = 1,
-                    SortKind kind = SortKind::kMsort) {
+inline auto prog_lr(size_t n, bool gapping = true) {
   const auto succ = alg::random_list(n, n * 7 + 3);
   return [=](auto& cx) {
     auto s = cx.template alloc<i64>(n, "succ");
@@ -365,14 +351,11 @@ inline auto prog_lr(size_t n, bool gapping = true, size_t grain = 1,
     auto r = cx.template alloc<i64>(n, "rank");
     alg::ListRankOptions opt;
     opt.gapping = gapping;
-    opt.grain = grain;
-    opt.sort = kind;
     cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice(), opt); });
   };
 }
 
-inline auto prog_cc(size_t n, size_t extra, size_t groups, size_t grain = 1,
-                    SortKind kind = SortKind::kMsort) {
+inline auto prog_cc(size_t n, size_t extra, size_t groups) {
   const auto e = alg::random_graph(n, extra, groups, n * 13 + 7);
   return [=](auto& cx) {
     const size_t m = e.u.size();
@@ -381,12 +364,9 @@ inline auto prog_cc(size_t n, size_t extra, size_t groups, size_t grain = 1,
     std::copy(e.u.begin(), e.u.end(), eu.raw());
     std::copy(e.v.begin(), e.v.end(), ev.raw());
     auto label = cx.template alloc<i64>(n, "label");
-    alg::CcOptions opt;
-    opt.grain = grain;
-    opt.sort = kind;
     cx.run(2 * (n + m), [&] {
       alg::connected_components(cx, n, eu.slice().first(m),
-                                ev.slice().first(m), label.slice(), opt);
+                                ev.slice().first(m), label.slice());
     });
   };
 }
@@ -408,64 +388,8 @@ inline auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
 
 // ---- recorded-graph factories (record a program once, replay many) ----
 
-inline TaskGraph rec_msum(size_t n, size_t grain = 1, bool padded = false) {
-  return engine().record(prog_msum(n, grain), padded).graph;
-}
-
-inline TaskGraph rec_ps(size_t n, size_t grain = 1, bool padded = false) {
-  return engine().record(prog_ps(n, grain), padded).graph;
-}
-
-inline TaskGraph rec_ma(size_t n, size_t grain = 1) {
-  return engine().record(prog_ma(n, grain)).graph;
-}
-
-inline TaskGraph rec_mt(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_mt(n, grain)).graph;
-}
-
-inline TaskGraph rec_rm2bi(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_rm2bi(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_direct(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_direct(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_gap(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_gap(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_fft(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_fft(n, grain)).graph;
-}
-
-inline TaskGraph rec_strassen(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_strassen(n, grain)).graph;
-}
-
-inline TaskGraph rec_mm(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_mm(n, grain)).graph;
-}
-
-inline TaskGraph rec_fft(size_t n, bool bi_transpose = false,
-                         size_t grain = 1) {
-  return engine().record(prog_fft(n, bi_transpose, grain)).graph;
-}
-
-inline TaskGraph rec_sort(size_t n, size_t grain = 1,
-                          SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_sort(n, grain, kind)).graph;
-}
-
-inline TaskGraph rec_lr(size_t n, bool gapping = true, size_t grain = 1,
-                        SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_lr(n, gapping, grain, kind)).graph;
-}
-
-inline TaskGraph rec_cc(size_t n, size_t extra, size_t groups,
-                        size_t grain = 1, SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_cc(n, extra, groups, grain, kind)).graph;
+inline TaskGraph rec_msum(size_t n) {
+  return engine().record(prog_msum(n)).graph;
 }
 
 inline TaskGraph rec_counters(uint32_t k, uint64_t iters, uint64_t stride) {
@@ -480,20 +404,6 @@ inline SimConfig cfg(uint32_t p, uint64_t M, uint32_t B) {
   c.M = M;
   c.B = B;
   return c;
-}
-
-/// Replays `g` under `backend` on machine `c`; with `seq_baseline` the
-/// report also carries Q(n,M,B), the cache excess and the sim speedup.
-inline RunReport measure(const TaskGraph& g, Backend backend,
-                         const SimConfig& c, bool seq_baseline = true) {
-  return engine().replay(g, backend, c, seq_baseline);
-}
-
-inline std::string fmt_speedup(uint64_t seq, uint64_t par) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2fx",
-                par ? static_cast<double>(seq) / par : 0.0);
-  return buf;
 }
 
 }  // namespace ro::bench

@@ -2,7 +2,7 @@
 //
 // The paper uses the CC algorithm of [11], whose dominant cost is ~log n
 // stages of list-ranking-flavoured work.  We implement the same substrate
-// shape (DESIGN.md substitution #4): O(log n) rounds of
+// shape (see the substitution notes in docs/claims.md): O(log n) rounds of
 //   1. min-label hooking       (sort endpoints, group minima)
 //   2. star contraction        (pointer-jump parents to roots via gathers)
 //   3. edge relabel + cleanup  (gathers, self-edge pack, sort-dedupe)

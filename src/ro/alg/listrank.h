@@ -11,9 +11,8 @@
 // m ≤ n/B² no two list elements share a block and contraction incurs no
 // further block misses.  Disable via options.gapping to ablate (E12).
 //
-// Substitution note (DESIGN.md #3): the independent set comes from hashed
-// random mating (deterministic given the seed) instead of MO-IS coloring;
-// both remove a constant fraction per phase with O(1) sort passes.
+// The independent set differs from the paper's; see the substitution notes
+// in docs/claims.md.
 #pragma once
 
 #include <vector>

@@ -25,8 +25,7 @@ namespace ro::alg {
 
 /// Runtime choice of sorting primitive for the sort-consuming algorithms
 /// (route, list ranking, CC, Euler tours): the HBP merge sort below or the
-/// paper's SPMS (spms.h).  Threaded through the options structs and the
-/// bench `--sort=` flag.
+/// paper's SPMS (spms.h).  Threaded through the options structs.
 enum class SortKind : uint8_t { kMsort, kSpms };
 
 namespace detail {

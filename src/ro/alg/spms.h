@@ -66,8 +66,8 @@
 
 namespace ro::alg {
 
-/// "msort" / "spms" <-> SortKind (the bench `--sort=` flag).  Returns false
-/// and leaves `out` untouched on unknown names.
+/// "msort" / "spms" <-> SortKind.  Returns false and leaves `out`
+/// untouched on unknown names.
 bool parse_sort_kind(const std::string& name, SortKind& out);
 const char* sort_kind_name(SortKind k);
 

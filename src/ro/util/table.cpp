@@ -1,6 +1,7 @@
 #include "ro/util/table.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -20,7 +21,8 @@ Table& Table::row(std::vector<std::string> cells) {
 
 std::string Table::num(double v) {
   char buf[64];
-  if (v == static_cast<int64_t>(v) && v > -1e15 && v < 1e15) {
+  // Range first: casting NaN, an infinity or |v| >= 2^63 is undefined.
+  if (v > -1e15 && v < 1e15 && v == std::trunc(v)) {
     std::snprintf(buf, sizeof buf, "%" PRId64, static_cast<int64_t>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%.4g", v);
@@ -79,19 +81,35 @@ void Table::print() const {
   std::fflush(stdout);
 }
 
-void Table::write_csv(const std::string& path) const {
+namespace {
+
+// One CSV field: `cell` as is, or quoted with its quotes doubled.
+std::string csv_field(const std::string& cell) {
+  if (cell.find_first_of(",\"\r\n") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (const char ch : cell) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  return out + '"';
+}
+
+}  // namespace
+
+bool Table::write_csv(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return;
+  if (!f) return false;
   auto emit = [&](const std::vector<std::string>& r) {
     for (size_t i = 0; i < r.size(); ++i) {
-      std::fputs(r[i].c_str(), f);
+      std::fputs(csv_field(r[i]).c_str(), f);
       if (i + 1 < r.size()) std::fputc(',', f);
     }
     std::fputc('\n', f);
   };
   if (!header_.empty()) emit(header_);
   for (const auto& r : rows_) emit(r);
-  std::fclose(f);
+  const bool ok = !std::ferror(f);
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace ro

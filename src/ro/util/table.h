@@ -21,7 +21,8 @@ class Table {
   /// convenience overloads below.
   Table& row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with %.4g, integers as-is.
+  /// Convenience: formats doubles with %.4g (integral values below 1e15 as
+  /// integers; NaN and infinities as "nan" / "inf"), integers as-is.
   static std::string num(double v);
   static std::string num(uint64_t v);
   static std::string num(int64_t v);
@@ -34,8 +35,10 @@ class Table {
   /// Prints to stdout.
   void print() const;
 
-  /// Writes the table as CSV to `path` (best-effort; ignores IO errors).
-  void write_csv(const std::string& path) const;
+  /// Writes the table as CSV to `path`, quoting fields that hold a comma,
+  /// a double quote or a line break (RFC 4180).  Returns false when the
+  /// file cannot be written.
+  [[nodiscard]] bool write_csv(const std::string& path) const;
 
  private:
   std::string title_;

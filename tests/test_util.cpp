@@ -1,7 +1,11 @@
 // Unit tests: bit utilities, RNG, table printer, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "ro/util/bits.h"
 #include "ro/util/cli.h"
@@ -127,6 +131,42 @@ TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(uint64_t{42}), "42");
   EXPECT_EQ(Table::num(3.0), "3");
   EXPECT_EQ(Table::num(int64_t{-7}), "-7");
+}
+
+TEST(Table, NumNonFiniteAndHugeDoubles) {
+  // A ratio over a zero bound is inf or NaN; neither may reach the
+  // int64_t cast (undefined behaviour, caught by UBSan).
+  EXPECT_EQ(Table::num(std::numeric_limits<double>::quiet_NaN()), "nan");
+  EXPECT_EQ(Table::num(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(Table::num(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(Table::num(1e300), "1e+300");
+  EXPECT_EQ(Table::num(-1e300), "-1e+300");
+  EXPECT_EQ(Table::num(0.5), "0.5");
+}
+
+TEST(Table, CsvQuotesFieldsPerRfc4180) {
+  // Fields holding a comma, a quote or a line break are quoted, with the
+  // quotes doubled; the rest are written as they are.
+  const std::string path = ::testing::TempDir() + "table_quoting.csv";
+  Table t;
+  t.header({"name", "n"});
+  t.row({"Depth-n-MM (c=2, s=n/4)", "3072"});
+  t.row({"say \"hi\"", "two\nlines"});
+  ASSERT_TRUE(t.write_csv(path));
+  std::ifstream in(path);
+  std::stringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(),
+            "name,n\n"
+            "\"Depth-n-MM (c=2, s=n/4)\",3072\n"
+            "\"say \"\"hi\"\"\",\"two\nlines\"\n");
+  std::remove(path.c_str());
+}
+
+TEST(Table, CsvReportsUnwritablePath) {
+  Table t;
+  t.header({"a"});
+  EXPECT_FALSE(t.write_csv(::testing::TempDir() + "no-such-dir/out.csv"));
 }
 
 TEST(Cli, NonNumericValueFallsBackToDefault) {
