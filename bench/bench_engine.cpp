@@ -5,7 +5,6 @@
 //
 //   $ ./bench_engine [--n=16384] [--p=8] [--M=4096] [--B=32]
 //                    [--replay-threads=1] [--backends=all]
-//                    [--numa-groups=0] [--numa-escape=0.0625] [--numa-pin]
 //                    [--out=BENCH_engine.json]
 #include <cstdio>
 #include <fstream>
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
   // metrics are bit-identical for every value — see docs/sharding.md.
   opt.sim.replay_threads =
       static_cast<uint32_t>(cli.get_int("replay-threads", 1));
-  numa_from_cli(cli, opt);
   const alg::SpmsTuning spms = spms_from_cli(cli);
   const std::vector<Backend> backends = backends_from_cli(cli);
 

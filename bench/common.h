@@ -77,7 +77,7 @@ inline std::vector<uint32_t> u32_list_from_cli(const Cli& cli,
 
 /// The bench-wide `--backends=` flag: a comma list of backend names (see
 /// parse_backend; short aliases allowed) or one of the sets "all", "sim"
-/// (seq + the two trace replays) and "par" (the four real-thread
+/// (seq + the two trace replays) and "par" (the two real-thread
 /// backends).  RO_CHECK fails on unknown names so a typo cannot silently
 /// bench the wrong backend.
 inline std::vector<Backend> backends_from_cli(const Cli& cli,
@@ -88,8 +88,7 @@ inline std::vector<Backend> backends_from_cli(const Cli& cli,
   if (spec == "sim")
     return {Backend::kSeq, Backend::kSimPws, Backend::kSimRws};
   if (spec == "par")
-    return {Backend::kParRandom, Backend::kParPriority,
-            Backend::kParNumaRandom, Backend::kParNumaPriority};
+    return {Backend::kParRandom, Backend::kParPriority};
   std::vector<Backend> out;
   for (const std::string& name : split_csv(spec)) {
     Backend b;
@@ -98,16 +97,6 @@ inline std::vector<Backend> backends_from_cli(const Cli& cli,
     out.push_back(b);
   }
   return out;
-}
-
-/// The shared NUMA flags of the bench binaries: `--numa-groups` (0 = one
-/// group per detected node — force a count for deterministic behavior on
-/// any machine), `--numa-escape` (random flavor cross-group steal
-/// probability) and `--numa-pin` (pin workers to their node's cpus).
-inline void numa_from_cli(const Cli& cli, RunOptions& opt) {
-  opt.numa_groups = static_cast<uint32_t>(cli.get_int("numa-groups", 0));
-  opt.numa_escape = cli.get_double("numa-escape", opt.numa_escape);
-  opt.numa_pin = cli.get_int("numa-pin", 0) != 0;
 }
 
 /// The shared SPMS tuning flags (`--spms-*`): every knob of

@@ -53,7 +53,6 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "ro/alg/kernels.h"
@@ -66,9 +65,7 @@
 
 namespace ro::alg {
 
-/// "msort" / "spms" <-> SortKind.  Returns false and leaves `out`
-/// untouched on unknown names.
-bool parse_sort_kind(const std::string& name, SortKind& out);
+/// SortKind -> "msort" / "spms".
 const char* sort_kind_name(SortKind k);
 
 /// Runtime tuning of the SPMS recursion — the constants that used to be

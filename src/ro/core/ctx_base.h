@@ -4,8 +4,8 @@
 // Context concept in context.h); what differs is only the *accounting*:
 // SeqCtx and rt::ParCtx execute directly, TraceCtx additionally records
 // accesses against the virtual address space.  CtxBase funnels the shared
-// data movement through three customization points so a new backend (a
-// sharded vspace, a NUMA pool, ...) is one small subclass:
+// data movement through three customization points so a new backend is
+// one small subclass:
 //
 //   on_access(slice, i, write) — called before every accounted element
 //                                access; default: no-op.

@@ -2,8 +2,9 @@
 //
 // Every Engine backend executes a user program through exactly one of
 // three context instantiations: EngineCtx<SeqCtx> (seq), EngineCtx<TraceCtx>
-// (the sim/record backends — ShardCtx derives from TraceCtx and passes by
-// reference), and EngineCtx<rt::ParCtx> (the real-thread backends).  A
+// (the sim/record backends, recording into any address shard through
+// TraceCtx's shard option or an external shard space), and
+// EngineCtx<rt::ParCtx> (the real-thread backends).  A
 // generic prog lambda therefore erases to three std::functions, one per
 // instantiation — which is what lets Engine::submit and the whole
 // record/replay/report pipeline live in engine.cpp as ordinary

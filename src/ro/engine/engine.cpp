@@ -1,11 +1,11 @@
 #include "ro/engine/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 #include "ro/engine/workloads.h"
-#include "ro/rt/numa.h"
 #include "ro/sched/run.h"
 #include "ro/sim/contention.h"
 
@@ -65,8 +65,8 @@ doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
 namespace {
 
 unsigned hw_threads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 2 : hw;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min(hw == 0 ? 2 : hw, rt::kMaxPoolThreads);
 }
 
 /// Adds one store's statistics (segments, spilled bytes, resident
@@ -145,7 +145,8 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// (SimConfig semantics) allows more than one worker.
 template <class F>
 void for_each_shard(uint32_t n, uint32_t replay_threads, F&& fn) {
-  const uint32_t threads = replay_host_threads(replay_threads, n);
+  const uint32_t threads =
+      std::min(replay_host_threads(replay_threads, n), rt::kMaxPoolThreads);
   if (threads <= 1) {
     for (uint32_t i = 0; i < n; ++i) fn(i);
   } else {
@@ -346,6 +347,16 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
       return false;
     }
   }
+  if (spec.opt.threads > rt::kMaxPoolThreads ||
+      spec.opt.sim.replay_threads > rt::kMaxPoolThreads) {
+    fail(jr, "threads and replay_threads must be at most " +
+                 std::to_string(rt::kMaxPoolThreads));
+    return false;
+  }
+  if (spec.shards > kMaxShards) {
+    fail(jr, "shards must be at most 2^24");
+    return false;
+  }
   if (spec.opt.sim.p < 1 || spec.opt.sim.p > 64) {
     fail(jr, "sim p must be in [1, 64]");
     return false;
@@ -385,15 +396,6 @@ PoolKey pool_key_of(const RunOptions& opt) {
   PoolKey key;
   key.policy = Engine::steal_policy_of(opt.backend);
   key.threads = opt.threads != 0 ? opt.threads : hw_threads();
-  if (backend_is_numa(opt.backend)) {
-    key.numa = true;
-    // Canonical group count: 0 resolves to one group per detected node, so
-    // "auto" and the explicit detected count share one cache entry (the
-    // layouts are identical — rt::numa_group_layout).
-    key.groups = rt::numa_group_layout(key.threads, opt.numa_groups).groups();
-    key.escape = opt.numa_escape;
-    key.pin = opt.numa_pin;
-  }
   return key;
 }
 
@@ -408,6 +410,18 @@ bool refuse_spms_override(const JobSpec& spec, JobResult& jr) {
 }
 
 }  // namespace
+
+void set_pool(RunReport& r, const rt::Pool& pool, const rt::PoolStats& d) {
+  r.has_pool = true;
+  r.threads = pool.threads();
+  r.pool_steals = d.steals;
+  r.pool_failed_steals = d.failed_steals;
+  r.pool_groups = pool.groups();
+  r.pool_local_steals = d.local_steals;
+  r.pool_remote_steals = d.remote_steals;
+  r.pool_group_local_steals = d.group_local;
+  r.pool_group_remote_steals = d.group_remote;
+}
 
 TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
                                bool padded, uint64_t align_words,
@@ -470,9 +484,7 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
       break;
     }
     case Backend::kParRandom:
-    case Backend::kParPriority:
-    case Backend::kParNumaRandom:
-    case Backend::kParNumaPriority: {
+    case Backend::kParPriority: {
       // Exclusive lease: concurrent submits wanting the same configuration
       // get sibling pools instead of racing on one (Pool::run is not
       // reentrant).
@@ -482,22 +494,7 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
       rt::ParCtx cx(pool, opt.serial_below);
       detail::EngineCtx<rt::ParCtx> ec(cx);
       prog(ec);
-      const rt::PoolStats after = pool.stats();
-      r.has_pool = true;
-      r.threads = pool.threads();
-      r.pool_steals = after.steals - before.steals;
-      r.pool_failed_steals = after.failed_steals - before.failed_steals;
-      r.pool_groups = pool.groups();
-      r.pool_local_steals = after.local_steals - before.local_steals;
-      r.pool_remote_steals = after.remote_steals - before.remote_steals;
-      r.pool_group_local_steals.resize(after.group_local.size());
-      r.pool_group_remote_steals.resize(after.group_remote.size());
-      for (size_t g = 0; g < after.group_local.size(); ++g) {
-        r.pool_group_local_steals[g] =
-            after.group_local[g] - before.group_local[g];
-        r.pool_group_remote_steals[g] =
-            after.group_remote[g] - before.group_remote[g];
-      }
+      set_pool(r, pool, pool.stats().since(before));
       break;
     }
   }
@@ -547,6 +544,9 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
+  JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+  // Validate first: a batch builds one program per shard.
+  if (!check_spec(spec, jr)) return jr;
   const alg::SpmsTuning spms = spec.opt.spms.value_or(alg::SpmsTuning{});
   if (spec.kind == JobKind::kBatch) {
     const uint32_t shards = spec.shards == 0 ? 1 : spec.shards;
@@ -559,38 +559,30 @@ JobResult Engine::submit(const JobSpec& spec) {
           make_workload(spec.workload, spec.n, spec.seed + i, spms));
     }
     if (!progs[0]) {
-      JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-      fail(jr, "unknown workload \"" + spec.workload + "\"");
-      return jr;
+      return fail(jr, "unknown workload \"" + spec.workload + "\"");
     }
-    return execute(start_result(next_job_id_.fetch_add(1), spec), spec,
-                   progs);
+    return execute(std::move(jr), spec, progs);
   }
   const AnyProg prog = make_workload(spec.workload, spec.n, spec.seed, spms);
-  if (!prog) {
-    JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-    fail(jr, "unknown workload \"" + spec.workload + "\"");
-    return jr;
-  }
-  return execute(start_result(next_job_id_.fetch_add(1), spec), spec, prog);
+  if (!prog) return fail(jr, "unknown workload \"" + spec.workload + "\"");
+  return execute(std::move(jr), spec, prog);
 }
 
 JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
   JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-  if (refuse_spms_override(spec, jr)) return jr;
+  if (refuse_spms_override(spec, jr) || !check_spec(spec, jr)) return jr;
   return execute(std::move(jr), spec, prog);
 }
 
 JobResult Engine::submit(const JobSpec& spec,
                          const std::vector<AnyProg>& progs) {
   JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-  if (refuse_spms_override(spec, jr)) return jr;
+  if (refuse_spms_override(spec, jr) || !check_spec(spec, jr)) return jr;
   return execute(std::move(jr), spec, progs);
 }
 
 JobResult Engine::execute(JobResult jr, const JobSpec& spec,
                           const AnyProg& prog) {
-  if (!check_spec(spec, jr)) return jr;
   if (spec.kind == JobKind::kBatch) {
     fail(jr, "batch jobs take one program per shard");
     return jr;
@@ -621,7 +613,6 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
 
 JobResult Engine::execute(JobResult jr, const JobSpec& spec,
                           const std::vector<AnyProg>& progs) {
-  if (!check_spec(spec, jr)) return jr;
   if (spec.kind != JobKind::kBatch) {
     fail(jr, "a program vector makes a batch job; set kind to \"batch\"");
     return jr;

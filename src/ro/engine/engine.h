@@ -42,7 +42,6 @@
 
 #include "ro/alg/spms.h"
 #include "ro/core/seq_ctx.h"
-#include "ro/core/shard_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/doctor/doctor.h"
 #include "ro/engine/any_prog.h"
@@ -50,6 +49,7 @@
 #include "ro/engine/options.h"
 #include "ro/engine/pool_cache.h"
 #include "ro/engine/report.h"
+#include "ro/mem/vspace.h"
 #include "ro/rt/par_ctx.h"
 #include "ro/rt/pool.h"
 #include "ro/sched/replay.h"
@@ -219,9 +219,8 @@ class Engine {
 
   /// The steal policy a parallel backend selects.
   static rt::StealPolicy steal_policy_of(Backend b) {
-    return (b == Backend::kParRandom || b == Backend::kParNumaRandom)
-               ? rt::StealPolicy::kRandom
-               : rt::StealPolicy::kPriority;
+    return b == Backend::kParRandom ? rt::StealPolicy::kRandom
+                                    : rt::StealPolicy::kPriority;
   }
 
  private:
@@ -234,8 +233,8 @@ class Engine {
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 
-  /// submit's job core once the programs are built: validates the spec,
-  /// then fills `jr` (already carrying the job id) with the kRun /
+  /// submit's job core once the spec is validated and the programs are
+  /// built: fills `jr` (already carrying the job id) with the kRun /
   /// kDiagnose or kBatch execution.
   JobResult execute(JobResult jr, const JobSpec& spec, const AnyProg& prog);
   JobResult execute(JobResult jr, const JobSpec& spec,
@@ -244,5 +243,10 @@ class Engine {
   PoolCache pool_cache_;
   std::atomic<uint64_t> next_job_id_{1};
 };
+
+/// Fills the pool section of `r` for one run on `pool`; `d` is that run's
+/// counts (PoolStats::since).  The par backends and benches that drive an
+/// rt::Pool directly report through it.
+void set_pool(RunReport& r, const rt::Pool& pool, const rt::PoolStats& d);
 
 }  // namespace ro

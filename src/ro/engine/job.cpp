@@ -143,9 +143,6 @@ std::string JobSpec::to_json() const {
   kv(s, "compress", static_cast<uint64_t>(opt.trace.compress ? 1 : 0));
   kv(s, "threads", static_cast<uint64_t>(opt.threads));
   kv(s, "serial_below", opt.serial_below);
-  kv(s, "numa_groups", static_cast<uint64_t>(opt.numa_groups));
-  kv(s, "numa_escape", opt.numa_escape);
-  kv(s, "numa_pin", static_cast<uint64_t>(opt.numa_pin ? 1 : 0));
   kv(s, "doc_max_lines", static_cast<uint64_t>(doc.max_lines));
   kv(s, "doc_min_false_events", doc.min_false_events);
   if (opt.spms.has_value()) kv_raw(s, "spms", spms_to_json(*opt.spms));
@@ -222,10 +219,6 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
     else if (k == "threads")
       spec.opt.threads = static_cast<unsigned>(as_u64(v));
     else if (k == "serial_below") spec.opt.serial_below = as_u64(v);
-    else if (k == "numa_groups")
-      spec.opt.numa_groups = static_cast<uint32_t>(as_u64(v));
-    else if (k == "numa_escape") spec.opt.numa_escape = as_double(v);
-    else if (k == "numa_pin") spec.opt.numa_pin = as_u64(v) != 0;
     else if (k == "doc_max_lines")
       spec.doc.max_lines = static_cast<uint32_t>(as_u64(v));
     else if (k == "doc_min_false_events") spec.doc.min_false_events = as_u64(v);

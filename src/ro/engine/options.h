@@ -84,11 +84,6 @@ struct RunOptions {
   unsigned threads = 0;
   uint64_t serial_below = 1 << 12;  // ParCtx serial cutoff, words
 
-  // ---- NUMA backends (par-numa-random / par-numa-priority) ----
-  uint32_t numa_groups = 0;       // worker groups; 0 = one per detected node
-  double numa_escape = 1.0 / 16;  // random flavor cross-group steal prob
-  bool numa_pin = false;          // pin workers to their node's cpus (Linux)
-
   // ---- algorithm tuning ----
   // SPMS tuning (alg/spms.h SpmsTuning) for named workloads: submit builds
   // the sort-spms program under it, so jobs with different tunings run

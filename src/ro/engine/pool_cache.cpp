@@ -26,11 +26,7 @@ PoolCache::Lease PoolCache::acquire(const PoolKey& key) {
   // microseconds and only ever paid on a concurrency high-water mark.
   rt::PoolOptions popt;
   popt.policy = key.policy;
-  if (key.numa) {
-    popt.layout = rt::numa_group_layout(key.threads, key.groups);
-    popt.escape_prob = key.escape;
-    popt.pin = key.pin;
-  }
+  popt.layout = rt::numa_group_layout(key.threads);
   entries.push_back(Entry{std::make_unique<rt::Pool>(key.threads, popt), true});
   ++created_;
   return Lease(this, entries.back().pool.get());

@@ -1,5 +1,6 @@
-// Thread-safe cache of real-thread pools, keyed by the full pool
-// configuration (policy, threads, NUMA grouping, escape probability, pin).
+// Thread-safe cache of real-thread pools, keyed by (policy, threads).  The
+// worker grouping is not part of the key: every pool takes it from the host
+// topology (rt::numa_group_layout), which is fixed for the process.
 //
 // This replaces Engine's old lazily-mutated pool slots, whose
 // lookup-or-create raced under concurrent callers.  Two properties:
@@ -32,14 +33,9 @@ namespace ro {
 struct PoolKey {
   rt::StealPolicy policy = rt::StealPolicy::kRandom;
   unsigned threads = 0;   // resolved worker count (never 0 in the cache)
-  bool numa = false;      // NUMA-aware grouping requested
-  uint32_t groups = 0;    // resolved group count (numa only)
-  double escape = 0;      // cross-group steal probability (numa only)
-  bool pin = false;       // pin workers to node cpus (numa only)
 
   friend bool operator<(const PoolKey& a, const PoolKey& b) {
-    return std::tie(a.policy, a.threads, a.numa, a.groups, a.escape, a.pin) <
-           std::tie(b.policy, b.threads, b.numa, b.groups, b.escape, b.pin);
+    return std::tie(a.policy, a.threads) < std::tie(b.policy, b.threads);
   }
   friend bool operator==(const PoolKey& a, const PoolKey& b) {
     return !(a < b) && !(b < a);

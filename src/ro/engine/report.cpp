@@ -15,8 +15,6 @@ const char* backend_name(Backend b) {
     case Backend::kSimRws: return "sim-rws";
     case Backend::kParRandom: return "par-random";
     case Backend::kParPriority: return "par-priority";
-    case Backend::kParNumaRandom: return "par-numa-random";
-    case Backend::kParNumaPriority: return "par-numa-priority";
   }
   return "?";
 }
@@ -26,25 +24,19 @@ bool backend_is_sim(Backend b) {
 }
 
 bool backend_is_parallel(Backend b) {
-  return b == Backend::kParRandom || b == Backend::kParPriority ||
-         backend_is_numa(b);
-}
-
-bool backend_is_numa(Backend b) {
-  return b == Backend::kParNumaRandom || b == Backend::kParNumaPriority;
+  return b == Backend::kParRandom || b == Backend::kParPriority;
 }
 
 bool parse_backend(const std::string& name, Backend& out) {
   if (name == "seq") out = Backend::kSeq;
   else if (name == "sim-pws" || name == "pws") out = Backend::kSimPws;
   else if (name == "sim-rws" || name == "rws") out = Backend::kSimRws;
-  else if (name == "par-random" || name == "random") out = Backend::kParRandom;
-  else if (name == "par-priority" || name == "priority")
+  else if (name == "par-random" || name == "random" ||
+           name == "par-numa-random" || name == "numa-random")
+    out = Backend::kParRandom;
+  else if (name == "par-priority" || name == "priority" ||
+           name == "par-numa-priority" || name == "numa-priority")
     out = Backend::kParPriority;
-  else if (name == "par-numa-random" || name == "numa-random")
-    out = Backend::kParNumaRandom;
-  else if (name == "par-numa-priority" || name == "numa-priority")
-    out = Backend::kParNumaPriority;
   else return false;
   return true;
 }

@@ -25,24 +25,21 @@ enum class Backend : uint8_t {
   kSimRws = 2,      // record once, replay under Randomized Work Stealing
   kParRandom = 3,   // real threads, random-victim stealing
   kParPriority = 4, // real threads, priority (smallest fork depth) stealing
-  kParNumaRandom = 5,   // per-socket worker groups, random victim with a
-                        // cross-group escape probability
-  kParNumaPriority = 6, // per-socket worker groups, priority scan that
-                        // exhausts the local group first
 };
 
-inline constexpr Backend kAllBackends[] = {
-    Backend::kSeq,       Backend::kSimPws,        Backend::kSimRws,
-    Backend::kParRandom, Backend::kParPriority,   Backend::kParNumaRandom,
-    Backend::kParNumaPriority};
+inline constexpr Backend kAllBackends[] = {Backend::kSeq, Backend::kSimPws,
+                                           Backend::kSimRws,
+                                           Backend::kParRandom,
+                                           Backend::kParPriority};
 
 const char* backend_name(Backend b);
 bool backend_is_sim(Backend b);       // replays a recorded trace
 bool backend_is_parallel(Backend b);  // runs on real threads
-bool backend_is_numa(Backend b);      // parallel with worker groups
-/// Parses "seq" / "sim-pws" / "sim-rws" / "par-random" / "par-priority" /
-/// "par-numa-random" / "par-numa-priority" (also accepts the short aliases
-/// "pws", "rws", "random", "priority", "numa-random", "numa-priority").
+/// Parses "seq" / "sim-pws" / "sim-rws" / "par-random" / "par-priority"
+/// (also accepts the short aliases "pws", "rws", "random", "priority").
+/// The retired "par-numa-random" / "par-numa-priority" (and "numa-random" /
+/// "numa-priority") still parse, as par-random / par-priority: every pool
+/// now groups its workers by the host topology, so old specs keep running.
 /// Returns false and leaves `out` untouched on unknown names.
 bool parse_backend(const std::string& name, Backend& out);
 

@@ -105,13 +105,10 @@ NumaTopology detect_topology(const std::string& root) {
   return topo;
 }
 
-GroupLayout numa_group_layout(unsigned threads, uint32_t groups) {
-  if (groups == 0) {
-    // Topology is fixed for the process lifetime; scan sysfs once.
-    static const uint32_t detected = detect_topology().nodes();
-    groups = detected;
-  }
-  return GroupLayout::contiguous(threads, groups);
+GroupLayout numa_group_layout(unsigned threads) {
+  // Topology is fixed for the process lifetime; scan sysfs once.
+  static const uint32_t detected = detect_topology().nodes();
+  return GroupLayout::contiguous(threads, detected);
 }
 
 }  // namespace ro::rt

@@ -3,15 +3,16 @@
 // 2012) assume steals are rare *and* cheap; on a multi-socket machine a
 // random steal that crosses sockets pays the worst-case transfer cost the
 // bounds are trying to contain.  The pool therefore partitions its workers
-// into per-socket groups and prefers same-group victims; this header owns
+// into per-node groups and prefers same-group victims; this header owns
 // the two inputs of that partition:
 //
 //   * NumaTopology — what the host actually looks like, read from
 //     /sys/devices/system/node (one node holding every cpu when the sysfs
 //     tree is absent: non-Linux hosts, containers, CI sandboxes);
-//   * GroupLayout  — which worker belongs to which group, either derived
-//     from the topology or forced (`--numa-groups=4`) so tests and benches
-//     behave identically on any machine.
+//   * GroupLayout  — which worker belongs to which group: one group per
+//     detected node for the engine's pools (numa_group_layout), or a
+//     forced contiguous split so tests and benches behave identically on
+//     any machine.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +57,9 @@ bool parse_cpulist(const std::string& s, std::vector<int>& out);
 NumaTopology detect_topology(
     const std::string& root = "/sys/devices/system/node");
 
-/// Group layout for `threads` pool workers: `groups` forced groups, or one
-/// group per detected NUMA node when groups == 0.  Always valid(threads).
-GroupLayout numa_group_layout(unsigned threads, uint32_t groups = 0);
+/// Group layout for `threads` pool workers: one group per detected NUMA
+/// node (sysfs is read once per process), clamped to `threads`.  A
+/// single-node host gets the flat one-group layout.  Always valid(threads).
+GroupLayout numa_group_layout(unsigned threads);
 
 }  // namespace ro::rt

@@ -2,11 +2,6 @@
 
 #include "ro/util/check.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ro::rt {
 
 namespace {
@@ -27,8 +22,8 @@ Pool::Pool(unsigned threads, StealPolicy policy, uint64_t seed)
       }()) {}
 
 Pool::Pool(unsigned threads, const PoolOptions& opt)
-    : policy_(opt.policy), escape_prob_(opt.escape_prob), pin_(opt.pin) {
-  RO_CHECK(threads >= 1 && threads <= 256);
+    : policy_(opt.policy), escape_prob_(opt.escape_prob) {
+  RO_CHECK(threads >= 1 && threads <= kMaxPoolThreads);
   RO_CHECK_MSG(escape_prob_ >= 0.0 && escape_prob_ <= 1.0,
                "escape_prob must be a probability");
   GroupLayout layout = opt.layout;
@@ -48,18 +43,6 @@ Pool::Pool(unsigned threads, const PoolOptions& opt)
   for (uint32_t grp = 0; grp < g; ++grp) {
     for (unsigned i = 0; i < threads; ++i) {
       if (workers_[i]->group != grp) remotes_[grp].push_back(i);
-    }
-  }
-  if (pin_) {
-    // Pinning only makes sense when groups mirror real sockets: group i ->
-    // the cpus of node i.  A forced group count that disagrees with the
-    // host topology silently disables it (tests force 2/4 groups on
-    // single-node machines).
-    const NumaTopology topo = detect_topology();
-    if (topo.nodes() == g) {
-      pin_cpus_ = topo.node_cpus;
-    } else {
-      pin_ = false;
     }
   }
   for (unsigned i = 1; i < threads; ++i) {
@@ -189,30 +172,28 @@ bool Pool::try_execute_stolen() {
   return true;
 }
 
-void Pool::pin_current_thread(uint32_t group) const {
-#ifdef __linux__
-  if (group >= pin_cpus_.size() || pin_cpus_[group].empty()) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu : pin_cpus_[group]) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);  // best effort
-#else
-  (void)group;
-#endif
-}
-
 void Pool::worker_loop(unsigned id) {
   t_worker_id = id;
   t_pool = this;
-  if (pin_) pin_current_thread(workers_[id]->group);
   while (!shutdown_.load(std::memory_order_acquire)) {
     if (!active_.load(std::memory_order_acquire) || !try_execute_stolen()) {
       std::this_thread::yield();
     }
   }
   t_pool = nullptr;
+}
+
+PoolStats PoolStats::since(const PoolStats& before) const {
+  PoolStats d = *this;
+  d.steals -= before.steals;
+  d.failed_steals -= before.failed_steals;
+  d.local_steals -= before.local_steals;
+  d.remote_steals -= before.remote_steals;
+  for (size_t g = 0; g < d.group_local.size(); ++g) {
+    d.group_local[g] -= before.group_local[g];
+    d.group_remote[g] -= before.group_remote[g];
+  }
+  return d;
 }
 
 PoolStats Pool::stats() const {

@@ -8,13 +8,12 @@
 //               distributed round protocol of §4.7 is simulated, not run, on
 //               real threads).
 //
-// Either policy can additionally run NUMA-aware: workers are partitioned
-// into per-socket groups (GroupLayout, numa.h) with their own deque set,
-// and victim selection prefers the thief's own group — the random flavor
-// crosses groups only with a tunable escape probability, the priority
-// flavor exhausts the local group before scanning remote ones.  Steals are
-// counted per locality (local_steals / remote_steals) so benches can
-// verify that the preference actually holds.
+// Either policy can additionally run grouped: workers are partitioned into
+// per-node groups (GroupLayout, numa.h), and victim selection prefers the
+// thief's own group — the random flavor crosses groups only with the
+// escape probability, the priority flavor exhausts the local group before
+// scanning remote ones.  Steals are counted per locality (local_steals /
+// remote_steals) so benches can verify that the preference actually holds.
 #pragma once
 
 #include <atomic>
@@ -54,22 +53,26 @@ struct PoolStats {
   // local_steals / remote_steals.
   std::vector<uint64_t> group_local;
   std::vector<uint64_t> group_remote;
+
+  /// The counts accumulated since `before` (an earlier stats() snapshot of
+  /// the same pool): what one run on a reused pool did.
+  PoolStats since(const PoolStats& before) const;
 };
+
+/// Largest pool a caller may ask for; Pool's constructor RO_CHECKs it, so
+/// wire-facing callers (Engine::submit) reject larger requests first.
+inline constexpr unsigned kMaxPoolThreads = 256;
 
 struct PoolOptions {
   StealPolicy policy = StealPolicy::kRandom;
   uint64_t seed = 0xF00D;
   /// Worker-group partition.  Empty = flat pool (one group, every steal
-  /// local).  Use numa_group_layout() to derive it from the host topology
-  /// or force a group count.
+  /// local).  numa_group_layout() derives it from the host topology; tests
+  /// and benches force a layout (GroupLayout::contiguous).
   GroupLayout layout;
   /// Random flavor only: probability that a steal attempt targets a remote
   /// group although local candidates exist.
   double escape_prob = 1.0 / 16;
-  /// Pin spawned workers to the cpus of their group's NUMA node (Linux
-  /// only; ignored when the group count differs from the detected node
-  /// count).  Worker 0 is the caller's thread and is never pinned.
-  bool pin = false;
 };
 
 class Pool {
@@ -89,7 +92,6 @@ class Pool {
   uint32_t groups() const { return static_cast<uint32_t>(members_.size()); }
   uint32_t group_of(unsigned worker) const { return workers_[worker]->group; }
   double escape_prob() const { return escape_prob_; }
-  bool pinned() const { return pin_; }
 
   /// Runs `root` on worker 0 to completion (other workers help via steals).
   void run(const std::function<void()>& root);
@@ -131,17 +133,14 @@ class Pool {
   bool try_execute_stolen();
   unsigned pick_random_victim(Worker& me);
   unsigned pick_priority_victim();
-  void pin_current_thread(uint32_t group) const;
   void worker_loop(unsigned id);
   void run_job(Job* j);
 
   StealPolicy policy_;
   double escape_prob_ = 1.0 / 16;
-  bool pin_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::vector<unsigned>> members_;  // workers per group
   std::vector<std::vector<unsigned>> remotes_;  // workers outside each group
-  std::vector<std::vector<int>> pin_cpus_;      // cpus per group when pinning
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> active_{false};

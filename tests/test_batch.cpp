@@ -14,7 +14,6 @@
 #include "ro/alg/route.h"
 #include "ro/alg/scan.h"
 #include "ro/alg/spms.h"
-#include "ro/core/shard_ctx.h"
 #include "ro/engine/engine.h"
 #include "ro/rt/pool.h"
 #include "ro/util/rng.h"
@@ -87,10 +86,10 @@ void expect_same_trace(const TaskGraph& a, const TaskGraph& b) {
   EXPECT_EQ(a.data_top, b.data_top);
 }
 
-TEST(ShardCtx, RecordsIntoItsOwnShard) {
+TEST(ShardRecording, RecordsIntoItsOwnShard) {
   ShardedVSpace ssp(3);
   for (uint32_t s = 0; s < 3; ++s) {
-    ShardCtx cx(ssp, s);
+    TraceCtx cx({}, ssp.shard(s));
     EXPECT_EQ(cx.shard(), s);
     auto a = cx.alloc<i64>(64, "a");
     EXPECT_EQ(shard_of(a.vbase()), s);
@@ -98,13 +97,15 @@ TEST(ShardCtx, RecordsIntoItsOwnShard) {
     EXPECT_EQ(ssp.region_of(a.vbase()), "a");
   }
   // Standalone flavour: same addresses as the shared-space flavour.
-  ShardCtx lone(2u);
+  TraceCtx::Options opt;
+  opt.shard = 2;
+  TraceCtx lone(opt);
   auto b = lone.alloc<i64>(8, "b");
   EXPECT_EQ(shard_of(b.vbase()), 2u);
   EXPECT_EQ(b.vbase(), shard_base(2));
 }
 
-TEST(ShardCtx, ShardChoiceOnlyOffsetsAddresses) {
+TEST(ShardRecording, ShardChoiceOnlyOffsetsAddresses) {
   // The same program recorded in shard 0 and shard 5 must differ *only* by
   // the shard base in global addresses — structure, frame offsets, and
   // (rebased) replay metrics all identical.
@@ -142,7 +143,7 @@ TEST(Batch, ConcurrentRecordingMatchesSequential) {
     ShardedVSpace ssp(kShards);
     std::vector<TaskGraph> graphs(kShards);
     auto rec_one = [&](size_t i) {
-      ShardCtx cx(ssp, static_cast<uint32_t>(i));
+      TraceCtx cx({}, ssp.shard(static_cast<uint32_t>(i)));
       auto a = cx.alloc<i64>(n, "a");
       for (size_t j = 0; j < n; ++j)
         a.raw()[j] = static_cast<i64>((j * (i + 3)) % 97);

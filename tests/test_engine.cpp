@@ -13,12 +13,12 @@
 #include "ro/alg/graphgen.h"
 #include "ro/alg/listrank.h"
 #include "ro/alg/mt.h"
-#include "ro/alg/route.h"
 #include "ro/alg/scan.h"
 #include "ro/alg/sort.h"
 #include "ro/alg/spms.h"
 #include "ro/engine/engine.h"
 #include "ro/engine/workloads.h"
+#include "ro/rt/numa.h"
 #include "ro/util/rng.h"
 #include "test_helpers.h"
 
@@ -27,10 +27,9 @@ namespace {
 
 using alg::i64;
 
-constexpr Backend kNonSeqBackends[] = {
-    Backend::kSimPws,         Backend::kSimRws,    Backend::kParRandom,
-    Backend::kParPriority,    Backend::kParNumaRandom,
-    Backend::kParNumaPriority};
+constexpr Backend kNonSeqBackends[] = {Backend::kSimPws, Backend::kSimRws,
+                                       Backend::kParRandom,
+                                       Backend::kParPriority};
 
 /// Runs `make(out)`'s program on kSeq for the golden output, then on every
 /// other backend, asserting identical results.
@@ -45,14 +44,12 @@ void expect_parity(const char* label, MakeProg make) {
     std::vector<i64> out;
     RunOptions o;
     o.backend = b;
-    o.threads = backend_is_numa(b) ? 4 : 2;
-    o.numa_groups = 2;    // forced topology: deterministic on any machine
+    o.threads = 2;
     o.serial_below = 64;  // force real forking on the parallel backends
     const RunReport r = testing::engine().run(make(out), o);
     EXPECT_EQ(out, golden) << label << " under " << backend_name(b);
     EXPECT_EQ(r.has_sim, backend_is_sim(b));
     EXPECT_EQ(r.has_pool, backend_is_parallel(b));
-    if (backend_is_numa(b)) EXPECT_EQ(r.pool_groups, 2u);
   }
 }
 
@@ -317,6 +314,31 @@ TEST(Engine, BackendNamesRoundTrip) {
   EXPECT_FALSE(parse_backend("warp-drive", out));
 }
 
+TEST(Engine, RetiredNumaBackendNamesParseAsParBackends) {
+  // The par-numa-* backends folded into par-*: 1.x specs naming them must
+  // keep parsing, as the par backend with the same steal policy.
+  Backend out;
+  for (const char* name : {"par-numa-random", "numa-random"}) {
+    ASSERT_TRUE(parse_backend(name, out)) << name;
+    EXPECT_EQ(out, Backend::kParRandom) << name;
+  }
+  for (const char* name : {"par-numa-priority", "numa-priority"}) {
+    ASSERT_TRUE(parse_backend(name, out)) << name;
+    EXPECT_EQ(out, Backend::kParPriority) << name;
+  }
+  JobSpec spec;
+  ASSERT_TRUE(jobspec_from_json(
+      "{\"workload\":\"msum\",\"n\":256,\"backend\":\"par-numa-random\","
+      "\"threads\":2,\"numa_groups\":2,\"numa_escape\":1.5,"
+      "\"numa_pin\":1}",
+      spec));
+  const JobResult jr = testing::engine().submit(spec);
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  EXPECT_EQ(jr.report.backend, Backend::kParRandom);
+  EXPECT_TRUE(jr.report.has_pool);
+  EXPECT_EQ(jr.report.threads, 2u);
+}
+
 /// A par-backend msum job (the pool tests only look at the pool).
 JobSpec par_spec(Backend backend, unsigned threads) {
   JobSpec spec;
@@ -345,26 +367,6 @@ TEST(Engine, PoolIsCachedPerPolicy) {
   EXPECT_EQ(eng.pools_created(), 2u);  // other policy: its own pool
   submit_ok(eng, spec);
   EXPECT_EQ(eng.pools_created(), 2u);
-}
-
-TEST(Engine, NumaPoolIsCachedPerConfig) {
-  Engine eng;
-  JobSpec spec = par_spec(Backend::kParNumaRandom, 4);
-  spec.opt.numa_groups = 2;
-  RunReport r = submit_ok(eng, spec);
-  EXPECT_EQ(r.threads, 4u);
-  EXPECT_EQ(r.pool_groups, 2u);
-  submit_ok(eng, spec);
-  EXPECT_EQ(eng.pools_created(), 1u);  // same config: cached
-  spec.opt.numa_groups = 4;
-  EXPECT_EQ(submit_ok(eng, spec).pool_groups, 4u);
-  EXPECT_EQ(eng.pools_created(), 2u);  // group count change: new pool
-  spec.opt.numa_escape = 0.5;
-  submit_ok(eng, spec);
-  EXPECT_EQ(eng.pools_created(), 3u);  // escape change: new pool
-  // NUMA pools are keyed apart from the flat ones.
-  EXPECT_EQ(submit_ok(eng, par_spec(Backend::kParRandom, 4)).pool_groups, 1u);
-  EXPECT_EQ(eng.pools_created(), 4u);
 }
 
 TEST(Engine, ZeroThreadsMeansHardwareConcurrencyWhateverRanBefore) {
@@ -442,6 +444,49 @@ TEST(Engine, SubmitRejectsBadSpecsInsteadOfAborting) {
   spec.kind = JobKind::kDiagnose;
   spec.opt.backend = Backend::kParRandom;  // diagnose needs a sim backend
   EXPECT_EQ(eng.submit(spec).status, JobStatus::kError);
+}
+
+TEST(Engine, SubmitRejectsHostCountsAboveTheCaps) {
+  // Pool sizes and shard counts come off the wire: above the caps they
+  // must come back as statuses, not abort in rt::Pool or ShardedVSpace.
+  // Each is rejected before any pool or program exists.
+  Engine eng;
+  for (const unsigned threads : {257u, 300u}) {
+    JobSpec spec = par_spec(Backend::kParRandom, threads);
+    const JobResult jr = eng.submit(spec);
+    EXPECT_EQ(jr.status, JobStatus::kError) << threads;
+    EXPECT_NE(jr.error.find("threads"), std::string::npos) << jr.error;
+
+    JobSpec batch;
+    batch.kind = JobKind::kBatch;
+    batch.workload = "msum";
+    batch.n = 16;
+    batch.shards = 300;
+    batch.opt.backend = Backend::kSimPws;
+    batch.opt.sim.replay_threads = threads;
+    const JobResult bj = eng.submit(batch);
+    EXPECT_EQ(bj.status, JobStatus::kError) << threads;
+    EXPECT_NE(bj.error.find("replay_threads"), std::string::npos) << bj.error;
+  }
+  EXPECT_EQ(eng.pools_created(), 0u);
+
+  JobSpec wide;
+  wide.kind = JobKind::kBatch;
+  wide.workload = "msum";
+  wide.n = 16;
+  wide.shards = kMaxShards + 1;
+  wide.opt.backend = Backend::kSimPws;
+  const JobResult wj = eng.submit(wide);
+  EXPECT_EQ(wj.status, JobStatus::kError);
+  EXPECT_NE(wj.error.find("shards"), std::string::npos) << wj.error;
+
+  // At the caps themselves the checks pass (only the validation is run
+  // here: a 256-thread pool is not started).
+  JobSpec at_cap = par_spec(Backend::kParRandom, rt::kMaxPoolThreads);
+  at_cap.kind = JobKind::kDiagnose;  // fails later, on the backend check
+  const JobResult cj = eng.submit(at_cap);
+  EXPECT_EQ(cj.status, JobStatus::kError);
+  EXPECT_EQ(cj.error.find("threads"), std::string::npos) << cj.error;
 }
 
 TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
@@ -651,7 +696,7 @@ TEST(Engine, CapacitySharedBatchAttributesEveryMissAndTransfer) {
             without_host_times(again.batch.to_json()));
 }
 
-TEST(Engine, NumaReportCarriesLocalityCounters) {
+TEST(Engine, ParReportCarriesLocalityCounters) {
   const size_t n = 4096;
   auto prog = [n](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
@@ -660,34 +705,37 @@ TEST(Engine, NumaReportCarriesLocalityCounters) {
     cx.run(n, [&] { alg::msum(cx, a.slice(), o.slice()); });
   };
   RunOptions opt;
-  opt.backend = Backend::kParNumaPriority;
+  opt.backend = Backend::kParPriority;
   opt.threads = 4;
-  opt.numa_groups = 2;
   opt.serial_below = 64;
   const RunReport r = testing::engine().run(prog, opt);
   EXPECT_TRUE(r.has_pool);
-  EXPECT_EQ(r.pool_groups, 2u);
+  // The engine's pools group their workers by the host's NUMA nodes.
+  const uint32_t groups = rt::numa_group_layout(4).groups();
+  EXPECT_EQ(r.pool_groups, groups);
   EXPECT_EQ(r.pool_local_steals + r.pool_remote_steals, r.pool_steals);
   // Per-group histogram: one bucket per group, sums matching the totals.
-  ASSERT_EQ(r.pool_group_local_steals.size(), 2u);
-  ASSERT_EQ(r.pool_group_remote_steals.size(), 2u);
+  ASSERT_EQ(r.pool_group_local_steals.size(), groups);
+  ASSERT_EQ(r.pool_group_remote_steals.size(), groups);
   uint64_t loc = 0, rem = 0;
-  for (uint32_t g = 0; g < 2; ++g) {
+  for (uint32_t g = 0; g < groups; ++g) {
     loc += r.pool_group_local_steals[g];
     rem += r.pool_group_remote_steals[g];
   }
   EXPECT_EQ(loc, r.pool_local_steals);
   EXPECT_EQ(rem, r.pool_remote_steals);
   const std::string j = r.to_json();
-  EXPECT_NE(j.find("\"backend\":\"par-numa-priority\""), std::string::npos);
-  EXPECT_NE(j.find("\"pool_groups\":2"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"backend\":\"par-priority\""), std::string::npos);
+  EXPECT_NE(j.find("\"pool_groups\":" + std::to_string(groups)),
+            std::string::npos)
+      << j;
   EXPECT_NE(j.find("\"pool_local_steals\":"), std::string::npos) << j;
   EXPECT_NE(j.find("\"pool_remote_steals\":"), std::string::npos) << j;
   EXPECT_NE(j.find("\"pool_group_local_steals\":["), std::string::npos) << j;
   EXPECT_NE(j.find("\"pool_group_remote_steals\":["), std::string::npos) << j;
   RunReport back;
   ASSERT_TRUE(report_from_json(j, back)) << j;
-  EXPECT_EQ(back.to_json(), j);  // numa pool fields survive the round trip
+  EXPECT_EQ(back.to_json(), j);  // pool fields survive the round trip
   EXPECT_EQ(back.pool_groups, r.pool_groups);
   EXPECT_EQ(back.pool_local_steals, r.pool_local_steals);
   EXPECT_EQ(back.pool_group_local_steals, r.pool_group_local_steals);
@@ -704,79 +752,6 @@ TEST(Engine, MalformedHistogramArrayParsesWithoutSpinning) {
   ASSERT_TRUE(report_from_json(j, out));
   EXPECT_TRUE(out.pool_group_local_steals.empty());
   EXPECT_EQ(out.pool_steals, 7u);  // fields after the array still parse
-}
-
-/// The satellite workloads of the NUMA backends: sort-routed gather
-/// (route), list ranking, and SPMS, swept over forced group counts 1/2/4.
-/// Outputs must be bit-identical to the seq golden run for every count —
-/// the pool only reschedules race-free work.
-TEST(EngineNuma, GroupCountParityOnRouteListrankSpms) {
-  const size_t n = 512;
-  const auto succ = alg::random_list(n, 1234);
-
-  auto make_route = [n](std::vector<i64>& out) {
-    return [n, &out](auto& cx) {
-      auto idx = cx.template alloc<i64>(n, "idx");
-      auto vals = cx.template alloc<i64>(n, "vals");
-      for (size_t i = 0; i < n; ++i) {
-        idx.raw()[i] = static_cast<i64>((i * 7 + 3) % n);
-        vals.raw()[i] = static_cast<i64>(i * i % 101);
-      }
-      auto o = cx.template alloc<i64>(n, "o");
-      cx.run(2 * n, [&] {
-        alg::gather(cx, alg::StridedView{idx.slice(), 1},
-                    alg::StridedView{vals.slice(), 1},
-                    alg::StridedView{o.slice(), 1}, n);
-      });
-      out.assign(o.raw(), o.raw() + n);
-    };
-  };
-  auto make_lr = [n, &succ](std::vector<i64>& out) {
-    return [n, &succ, &out](auto& cx) {
-      auto s = cx.template alloc<i64>(n, "s");
-      std::copy(succ.begin(), succ.end(), s.raw());
-      auto r = cx.template alloc<i64>(n, "r");
-      cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
-      out.assign(r.raw(), r.raw() + n);
-    };
-  };
-  auto make_spms = [n](std::vector<i64>& out) {
-    return [n, &out](auto& cx) {
-      auto a = cx.template alloc<i64>(n, "a");
-      Rng rng(321);
-      for (size_t i = 0; i < n; ++i)
-        a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-      auto o = cx.template alloc<i64>(n, "o");
-      cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
-      out.assign(o.raw(), o.raw() + n);
-    };
-  };
-
-  auto sweep = [&](const char* label, auto make) {
-    std::vector<i64> golden;
-    RunOptions seq;
-    seq.backend = Backend::kSeq;
-    testing::engine().run(make(golden), seq);
-    ASSERT_FALSE(golden.empty()) << label;
-    for (Backend b : {Backend::kParNumaRandom, Backend::kParNumaPriority}) {
-      for (uint32_t groups : {1u, 2u, 4u}) {
-        std::vector<i64> out;
-        RunOptions o;
-        o.backend = b;
-        o.threads = 4;
-        o.numa_groups = groups;
-        o.serial_below = 64;
-        const RunReport r = testing::engine().run(make(out), o);
-        EXPECT_EQ(out, golden)
-            << label << " under " << backend_name(b) << " groups=" << groups;
-        EXPECT_EQ(r.pool_groups, groups);
-        EXPECT_EQ(r.pool_local_steals + r.pool_remote_steals, r.pool_steals);
-      }
-    }
-  };
-  sweep("route", make_route);
-  sweep("listrank", make_lr);
-  sweep("spms", make_spms);
 }
 
 }  // namespace

@@ -1,22 +1,30 @@
 // NUMA runtime tests: cpulist parsing, topology detection (live sysfs and
 // a synthetic tree), group layouts, and the group-aware pool — fork-join
-// correctness for every group count plus the steal-locality invariants the
-// escape probability pins down exactly (escape 0 = never remote, escape 1
-// = never local while local candidates exist).
+// correctness and seq-golden parity for every group count plus the
+// steal-locality invariants the escape probability pins down exactly
+// (escape 0 = never remote, escape 1 = never local while local candidates
+// exist).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 
+#include "ro/alg/graphgen.h"
+#include "ro/alg/listrank.h"
+#include "ro/alg/route.h"
 #include "ro/alg/scan.h"
+#include "ro/alg/spms.h"
+#include "ro/core/seq_ctx.h"
 #include "ro/rt/numa.h"
 #include "ro/rt/par_ctx.h"
 #include "ro/rt/pool.h"
+#include "ro/util/rng.h"
 
 namespace ro {
 namespace {
@@ -105,8 +113,9 @@ TEST(Topology, LiveDetectionAlwaysYieldsANode) {
   const NumaTopology t = rt::detect_topology();
   EXPECT_GE(t.nodes(), 1u);
   for (const auto& cpus : t.node_cpus) EXPECT_FALSE(cpus.empty());
-  const GroupLayout l = rt::numa_group_layout(8, 0);
+  const GroupLayout l = rt::numa_group_layout(8);
   EXPECT_TRUE(l.valid(8));
+  EXPECT_EQ(l.groups(), std::min<uint32_t>(t.nodes(), 8));
 }
 
 /// msum through ParCtx on a pool built from `opt`; checks the result.
@@ -204,24 +213,78 @@ TEST(NumaPool, RejectsBadLayouts) {
   EXPECT_DEATH({ Pool pool(2, prob); }, "probability");
 }
 
-TEST(NumaPool, PinFallsBackWhenGroupsMismatchTopology) {
-  // Forcing more groups than the host has nodes must silently disable
-  // pinning instead of pinning workers to nonexistent nodes.
-  const uint32_t nodes = rt::detect_topology().nodes();
-  PoolOptions opt;
-  opt.layout = GroupLayout::contiguous(8, nodes + 1);
-  opt.pin = true;
-  Pool pool(8, opt);
-  EXPECT_FALSE(pool.pinned());
-  expect_pool_computes(pool);
+/// Sort-routed gather (route), list ranking and SPMS through ParCtx on
+/// pools with forced group counts 1/2/4 under both policies.  Outputs must
+/// be bit-identical to the seq golden run for every layout: the pool only
+/// reschedules race-free work.
+TEST(NumaPool, GroupCountParityOnRouteListrankSpms) {
+  const size_t n = 512;
+  const auto succ = alg::random_list(n, 1234);
 
-  // Matching group count keeps the request (and still computes correctly).
-  PoolOptions match;
-  match.layout = GroupLayout::contiguous(4, nodes);
-  match.pin = true;
-  Pool pinned(4, match);
-  EXPECT_TRUE(pinned.pinned());
-  expect_pool_computes(pinned);
+  auto make_route = [n](std::vector<i64>& out) {
+    return [n, &out](auto& cx) {
+      auto idx = cx.template alloc<i64>(n, "idx");
+      auto vals = cx.template alloc<i64>(n, "vals");
+      for (size_t i = 0; i < n; ++i) {
+        idx.raw()[i] = static_cast<i64>((i * 7 + 3) % n);
+        vals.raw()[i] = static_cast<i64>(i * i % 101);
+      }
+      auto o = cx.template alloc<i64>(n, "o");
+      cx.run(2 * n, [&] {
+        alg::gather(cx, alg::StridedView{idx.slice(), 1},
+                    alg::StridedView{vals.slice(), 1},
+                    alg::StridedView{o.slice(), 1}, n);
+      });
+      out.assign(o.raw(), o.raw() + n);
+    };
+  };
+  auto make_lr = [n, &succ](std::vector<i64>& out) {
+    return [n, &succ, &out](auto& cx) {
+      auto s = cx.template alloc<i64>(n, "s");
+      std::copy(succ.begin(), succ.end(), s.raw());
+      auto r = cx.template alloc<i64>(n, "r");
+      cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
+      out.assign(r.raw(), r.raw() + n);
+    };
+  };
+  auto make_spms = [n](std::vector<i64>& out) {
+    return [n, &out](auto& cx) {
+      auto a = cx.template alloc<i64>(n, "a");
+      Rng rng(321);
+      for (size_t i = 0; i < n; ++i)
+        a.raw()[i] = static_cast<i64>(rng.next() >> 1);
+      auto o = cx.template alloc<i64>(n, "o");
+      cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
+      out.assign(o.raw(), o.raw() + n);
+    };
+  };
+
+  auto sweep = [&](const char* label, auto make) {
+    std::vector<i64> golden;
+    SeqCtx seq;
+    make(golden)(seq);
+    ASSERT_FALSE(golden.empty()) << label;
+    for (const auto policy : {StealPolicy::kRandom, StealPolicy::kPriority}) {
+      for (uint32_t groups : {1u, 2u, 4u}) {
+        PoolOptions opt;
+        opt.policy = policy;
+        opt.layout = GroupLayout::contiguous(4, groups);
+        Pool pool(4, opt);
+        ParCtx cx(pool, /*serial_below=*/64);
+        std::vector<i64> out;
+        make(out)(cx);
+        EXPECT_EQ(out, golden) << label << " policy="
+                               << static_cast<int>(policy)
+                               << " groups=" << groups;
+        EXPECT_EQ(pool.groups(), groups);
+        const rt::PoolStats s = pool.stats();
+        EXPECT_EQ(s.local_steals + s.remote_steals, s.steals);
+      }
+    }
+  };
+  sweep("route", make_route);
+  sweep("listrank", make_lr);
+  sweep("spms", make_spms);
 }
 
 }  // namespace
