@@ -4,8 +4,14 @@
 #include <unordered_set>
 
 #include "ro/util/check.h"
+#include "ro/util/vec_pool.h"
 
 namespace ro {
+
+TaskGraph::~TaskGraph() {
+  VecPool<Activation>::give(std::move(acts));
+  VecPool<Segment>::give(std::move(segments));
+}
 
 void AccessReader::seek(uint64_t i) {
   RO_CHECK_MSG(i < g_->acc_count(), "access index out of range");

@@ -109,6 +109,15 @@ class AccessReader;  // declared below (needs TaskGraph)
 /// The full recorded computation.
 class TaskGraph {
  public:
+  TaskGraph() = default;
+  /// Gives `acts` and `segments` back to their VecPool (util/vec_pool.h),
+  /// so the next recording starts from already-mapped capacity.
+  ~TaskGraph();
+  TaskGraph(const TaskGraph&) = default;
+  TaskGraph(TaskGraph&&) = default;
+  TaskGraph& operator=(const TaskGraph&) = default;
+  TaskGraph& operator=(TaskGraph&&) = default;
+
   std::vector<Activation> acts;
   std::vector<Segment> segments;
   // The access stream: one part per shard component, in the same order as

@@ -45,7 +45,7 @@ class TraceCtx : public CtxBase<TraceCtx> {
   explicit TraceCtx(Options opt);
   /// Records into an externally owned space (one shard of a ShardedVSpace);
   /// `vs` must outlive the context.  opt.shard/align_words are taken from
-  /// the space itself.
+  /// the space itself, and checking vs.overflowed() is left to its owner.
   TraceCtx(Options opt, VSpace& vs);
 
   // ---- CtxBase customization points: record every access, place global
@@ -73,18 +73,16 @@ class TraceCtx : public CtxBase<TraceCtx> {
   template <class F, class G>
   void fork2(uint64_t size_left, F&& f, uint64_t size_right, G&& g) {
     RO_CHECK_MSG(!stack_.empty(), "fork2() outside run()");
-    const uint32_t parent = stack_.back().act;
+    const Builder& b = stack_.back();
+    const uint32_t parent = b.act;
     const uint32_t local_seg =
-        static_cast<uint32_t>(stack_.back().segs.size());
+        static_cast<uint32_t>(open_segs_.size() - b.seg_begin);
     const uint16_t depth = static_cast<uint16_t>(g_.acts[parent].depth + 1);
     const uint32_t left = new_act(parent, local_seg, 0, depth, size_left);
     const uint32_t right = new_act(parent, local_seg, 1, depth, size_right);
-    {
-      Builder& b = stack_.back();
-      b.segs.push_back(Segment{b.acc_begin, acc_count(),
-                               static_cast<int32_t>(left),
-                               static_cast<int32_t>(right)});
-    }
+    open_segs_.push_back(Segment{b.acc_begin, acc_count(),
+                                 static_cast<int32_t>(left),
+                                 static_cast<int32_t>(right)});
     begin_act(left);
     f();
     end_act();
@@ -104,6 +102,10 @@ class TraceCtx : public CtxBase<TraceCtx> {
     begin_act(root);
     f();
     end_act();
+    // An external space's owner checks it (the Engine turns an overflow
+    // into a job status).
+    RO_CHECK_MSG(!owned_ || !owned_->overflowed(),
+                 "allocation overflows the shard's 2^40-word address range");
     g_.data_base = vs_->base();
     g_.data_top = vs_->top();
     g_.align_words = vs_->alignment();
@@ -118,11 +120,14 @@ class TraceCtx : public CtxBase<TraceCtx> {
   uint32_t shard() const { return vs_->shard(); }
 
  private:
+  /// An open activation.  Its closed segments so far are
+  /// open_segs_[seg_begin, end): activations nest, so every open
+  /// activation's segments form one contiguous run of the shared stack.
   struct Builder {
     uint32_t act = 0;
     uint64_t acc_begin = 0;
     uint32_t locals_words = 0;
-    std::vector<Segment> segs;
+    size_t seg_begin = 0;
   };
 
   /// Access records appended so far.
@@ -134,6 +139,9 @@ class TraceCtx : public CtxBase<TraceCtx> {
                               static_cast<uint16_t>(write ? 1 : 0)});
   }
 
+  /// Starts the graph's activation and segment tables from pooled
+  /// capacity (util/vec_pool.h).
+  void take_tables();
   uint32_t new_act(uint32_t parent, uint32_t parent_seg, uint8_t slot,
                    uint16_t depth, uint64_t size);
   void begin_act(uint32_t id);
@@ -144,6 +152,7 @@ class TraceCtx : public CtxBase<TraceCtx> {
   VSpace* vs_;
   TaskGraph g_;
   std::vector<Builder> stack_;
+  std::vector<Segment> open_segs_;  // segments of the open activations
 };
 
 static_assert(Context<TraceCtx>);

@@ -8,11 +8,10 @@
 #include <cstring>
 
 #include "ro/core/trace_codec.h"
+#include "ro/util/vec_pool.h"
 
 namespace ro {
 namespace {
-
-constexpr size_t kSlabPoolCap = 8;  // pooled decode buffers per store
 
 [[noreturn]] void io_fail(const char* what) {
   char buf[160];
@@ -56,7 +55,8 @@ void pread_full(int fd, void* buf, uint64_t n, uint64_t off) {
 }  // namespace
 
 TraceStore::TraceStore(Options opt)
-    : opt_(opt), open_limit_(opt.segment_tasks) {
+    : opt_(opt), open_(VecPool<Access>::take()),
+      open_limit_(opt.segment_tasks) {
   RO_CHECK_MSG(opt_.segment_tasks >= 1, "segment capacity must be >= 1");
 }
 
@@ -68,6 +68,7 @@ TraceStore::~TraceStore() {
   }
   if (spill_worker_.joinable()) spill_worker_.join();
   if (fd_ >= 0) ::close(fd_);
+  VecPool<Access>::give(std::move(open_));
 }
 
 TraceStore::SlabPtr TraceStore::make_slab(std::vector<Access> recs) const {
@@ -82,34 +83,16 @@ TraceStore::SlabPtr TraceStore::make_slab(std::vector<Access> recs) const {
   return SlabPtr(v, [sh, bytes](const std::vector<Access>* p) {
     sh->resident_bytes.fetch_sub(bytes);
     auto* buf = const_cast<std::vector<Access>*>(p);
-    {
-      std::lock_guard<std::mutex> lk(sh->pool_mu);
-      if (sh->pool.size() < kSlabPoolCap) {
-        buf->clear();  // keeps capacity for the next reload
-        sh->pool.push_back(std::move(*buf));
-      }
-    }
+    VecPool<Access>::give(std::move(*buf));
     delete buf;
   });
-}
-
-std::vector<Access> TraceStore::take_buffer(uint64_t n) const {
-  std::vector<Access> buf;
-  {
-    std::lock_guard<std::mutex> lk(shared_->pool_mu);
-    if (!shared_->pool.empty()) {
-      buf = std::move(shared_->pool.back());
-      shared_->pool.pop_back();
-    }
-  }
-  buf.resize(n);
-  return buf;
 }
 
 void TraceStore::append_slow(const Access& a) {
   RO_CHECK_MSG(!sealed_.load(std::memory_order_relaxed),
                "TraceStore::append after seal()");
   if (open_limit_ == 0) {  // first record after a segment seal
+    open_ = VecPool<Access>::take();
     open_.reserve(opt_.segment_tasks);
     open_limit_ = opt_.segment_tasks;
   }
@@ -269,7 +252,8 @@ void TraceStore::spill_worker_main() {
 TraceStore::SlabPtr TraceStore::load_segment_locked(uint64_t seg) {
   Entry& e = entries_[seg];
   RO_CHECK_MSG(e.spilled && fd_ >= 0, "evicted trace segment was not spilled");
-  std::vector<Access> recs = take_buffer(e.count);
+  std::vector<Access> recs = VecPool<Access>::take();
+  recs.resize(e.count);
   if (opt_.compress) {
     std::vector<uint8_t> enc(e.file_bytes);
     pread_full(fd_, enc.data(), e.file_bytes, e.file_off);

@@ -71,7 +71,7 @@ class TraceStore {
     std::string spill_dir;
     /// Delta/varint-compress segments on spill (trace_codec.h).  Raw
     /// records are kept only while resident; reload decompresses into a
-    /// pooled slab.  Off = the raw 16-byte on-disk layout.
+    /// slab from the shared VecPool.  Off = the raw 16-byte on-disk layout.
     bool compress = true;
     /// Background spill: a worker thread compresses and writes every
     /// sealed segment behind the recorder (write-behind) and evicts the
@@ -166,16 +166,14 @@ class TraceStore {
   };
 
  private:
-  /// State shared by the store and every live segment buffer: resident
-  /// accounting (buffers released by cursors after eviction still
-  /// decrement the count — their deleter holds a reference) plus a small
-  /// free list of record buffers so reload decompression reuses slabs
-  /// instead of reallocating per fault.
+  /// Resident accounting shared by the store and every live segment
+  /// buffer: buffers released by cursors after eviction still decrement
+  /// the count (their deleter holds a reference).  Released buffers go
+  /// back to VecPool<Access> (util/vec_pool.h), which the open segment and
+  /// reloads take from.
   struct Shared {
     std::atomic<uint64_t> resident_bytes{0};
     std::atomic<uint64_t> peak_resident_bytes{0};
-    std::mutex pool_mu;
-    std::vector<std::vector<Access>> pool;
   };
 
   using SlabPtr = std::shared_ptr<const std::vector<Access>>;
@@ -191,7 +189,6 @@ class TraceStore {
 
   void append_slow(const Access& a);
   SlabPtr make_slab(std::vector<Access> recs) const;
-  std::vector<Access> take_buffer(uint64_t n) const;  // pooled, sized to n
   void seal_open_locked();
   void evict_excess_locked();
   void spill_locked(uint64_t seg);

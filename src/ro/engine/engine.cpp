@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #include "ro/engine/workloads.h"
@@ -63,6 +64,11 @@ doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
 }
 
 namespace {
+
+/// The status of a job whose recording overflowed its shard's range.
+constexpr const char* kOverflowError =
+    "align_words is too large: the program's allocations overflow the "
+    "shard's 2^40-word address range";
 
 unsigned hw_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -274,7 +280,7 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
 /// its recorder (async_spill).  The phase timings are cumulative busy
 /// times.
 BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
-                             const RunOptions& opt) {
+                             const RunOptions& opt, std::string& error) {
   const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
@@ -288,10 +294,11 @@ BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
   std::vector<ShardResult> sh(n);
   for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
     const auto c0 = std::chrono::steady_clock::now();
-    const TaskGraph g =
-        detail::record_graph(progs[i], stream, opt.padded, opt.align_words,
-                             0, &ssp.shard(static_cast<uint32_t>(i)));
+    VSpace& vs = ssp.shard(static_cast<uint32_t>(i));
+    const TaskGraph g = detail::record_graph(progs[i], stream, opt.padded,
+                                             opt.align_words, 0, &vs);
     sh[i].record_ms = ms_since(c0);
+    if (vs.overflowed()) return;  // the batch fails below
     sh[i].stats = g.analyze();
     sh[i].store = g.streams[0].store;
     const auto c2 = std::chrono::steady_clock::now();
@@ -304,6 +311,10 @@ BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
     }
     sh[i].replay_ms = ms_since(c2);
   });
+  if (ssp.overflowed()) {
+    error = kOverflowError;
+    return {};
+  }
   for (const ContentionProfile& p : profiles) opt.sim.profile->merge(p);
   double record_ms = 0, replay_ms = 0;
   for (const ShardResult& s : sh) {
@@ -425,7 +436,7 @@ void set_pool(RunReport& r, const rt::Pool& pool, const rt::PoolStats& d) {
 
 TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
                                bool padded, uint64_t align_words,
-                               uint32_t shard, VSpace* vs) {
+                               uint32_t shard, VSpace* vs, bool* overflowed) {
   TraceCtx::Options topt;
   topt.padded = padded;
   topt.align_words = align_words;
@@ -433,20 +444,24 @@ TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
   if (stream.segment_tasks > 0) {
     topt.store = std::make_shared<TraceStore>(stream.store_options());
   }
-  auto record = [&](TraceCtx& cx) {
-    detail::EngineCtx<TraceCtx> ec(cx);
-    prog(ec);
-    return std::move(ec.graph());
-  };
-  if (vs != nullptr) {
-    TraceCtx cx(topt, *vs);
-    return record(cx);
+  std::optional<VSpace> own;
+  if (vs == nullptr) {
+    RO_CHECK_MSG(shard < kMaxShards, "shard id out of range");
+    vs = &own.emplace(align_words, shard_base(shard));
   }
-  TraceCtx cx(topt);
-  return record(cx);
+  TraceCtx cx(topt, *vs);
+  detail::EngineCtx<TraceCtx> ec(cx);
+  prog(ec);
+  // An external space's owner checks it; a private one is checked here.
+  if (own.has_value() && own->overflowed()) {
+    RO_CHECK_MSG(overflowed != nullptr, kOverflowError);
+    *overflowed = true;
+  }
+  return std::move(ec.graph());
 }
 
-RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
+RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt,
+                          std::string& error) {
   RunReport r;
   r.label = opt.label;
   r.backend = opt.backend;
@@ -462,8 +477,13 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
     case Backend::kSimRws: {
       StreamOptions st = opt.trace;
       if (opt.pipeline) st.async_spill = true;  // spill behind recording
-      const TaskGraph g = detail::record_graph(prog, st, opt.padded,
-                                               opt.align_words, opt.shard);
+      bool over = false;
+      const TaskGraph g = detail::record_graph(
+          prog, st, opt.padded, opt.align_words, opt.shard, nullptr, &over);
+      if (over) {
+        error = kOverflowError;
+        return r;
+      }
       GraphStats gs;
       if (opt.pipeline) {
         // The analysis pass is a full walk of the stream; overlap it
@@ -503,8 +523,8 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
 }
 
 BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
-                                  const RunOptions& opt) {
-  if (!opt.capacity_shared) return run_batch_chains(progs, opt);
+                                  const RunOptions& opt, std::string& error) {
+  if (!opt.capacity_shared) return run_batch_chains(progs, opt, error);
   // Capacity sharing replays every shard on ONE simulated machine — shared
   // cores, caches, coherence directory — with each miss/transfer charged
   // to the span (tenant) whose task performed it (docs/serve.md).  That
@@ -520,6 +540,10 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
                              0, &ssp.shard(static_cast<uint32_t>(i)));
   });
   const double record_ms = ms_since(t0);
+  if (ssp.overflowed()) {
+    error = kOverflowError;
+    return {};
+  }
 
   std::vector<ShardResult> sh(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -597,16 +621,23 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
     return jr;
   }
   const auto t0 = std::chrono::steady_clock::now();
+  std::string error;
   if (spec.kind == JobKind::kRun) {
-    jr.report = run_one(prog, spec.opt);
+    jr.report = run_one(prog, spec.opt, error);
   } else {  // kDiagnose: record here, then run the doctor loop
-    const TaskGraph g =
-        detail::record_graph(prog, spec.opt.trace, spec.opt.padded,
-                             spec.opt.align_words, spec.opt.shard);
-    jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
-                         spec.opt.label);
-    jr.has_doctor = true;
+    bool over = false;
+    const TaskGraph g = detail::record_graph(
+        prog, spec.opt.trace, spec.opt.padded, spec.opt.align_words,
+        spec.opt.shard, nullptr, &over);
+    if (over) {
+      error = kOverflowError;
+    } else {
+      jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
+                           spec.opt.label);
+      jr.has_doctor = true;
+    }
   }
+  if (!error.empty()) return fail(jr, error);
   jr.exec_ms = ms_since(t0);
   return jr;
 }
@@ -628,7 +659,9 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
-  jr.batch = run_batch_any(progs, spec.opt);
+  std::string error;
+  jr.batch = run_batch_any(progs, spec.opt, error);
+  if (!error.empty()) return fail(jr, error);
   jr.has_batch = true;
   jr.exec_ms = ms_since(t0);
   return jr;

@@ -70,10 +70,13 @@ void require_ok(const JobResult& jr, const char* what);
 /// of a batch's ShardedVSpace), else into a private space at `shard` with
 /// `align_words`.  stream.segment_tasks > 0 selects a chunked TraceStore
 /// with `stream`'s options; 0 keeps TraceCtx's default store, which has no
-/// window and never spills.
+/// window and never spills.  An allocation that overflows the shard's
+/// address range (a huge `align_words`) makes the graph unusable: the
+/// owner of `vs` checks vs->overflowed(); a private space that overflows
+/// sets `*overflowed` to true when given, and aborts otherwise.
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions& stream,
                        bool padded, uint64_t align_words, uint32_t shard,
-                       VSpace* vs = nullptr);
+                       VSpace* vs = nullptr, bool* overflowed = nullptr);
 
 }  // namespace detail
 
@@ -226,12 +229,14 @@ class Engine {
  private:
   /// kRun execution core (the old templated run()): dispatches on the
   /// backend, drives record/replay or a leased pool, fills the report.
-  RunReport run_one(const AnyProg& prog, const RunOptions& opt);
+  /// A recording that cannot be replayed sets `error` instead.
+  RunReport run_one(const AnyProg& prog, const RunOptions& opt,
+                    std::string& error);
 
   /// kBatch execution core: per-shard chains on independent machines, or
-  /// one capacity-shared machine.
+  /// one capacity-shared machine.  Sets `error` as run_one does.
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
-                            const RunOptions& opt);
+                            const RunOptions& opt, std::string& error);
 
   /// submit's job core once the spec is validated and the programs are
   /// built: fills `jr` (already carrying the job id) with the kRun /

@@ -11,10 +11,14 @@ VSpace::VSpace(uint64_t alignment_words, vaddr_t base)
 }
 
 vaddr_t VSpace::allocate(uint64_t words, std::string name) {
-  vaddr_t base = round_up_pow2(top_, alignment_);
+  // Offsets within the shard: a 2^40 alignment cannot wrap them.
+  const uint64_t off = round_up_pow2(top_ - base_, alignment_);
+  if (overflowed_ || off > kShardSpanWords || words > kShardSpanWords - off) {
+    overflowed_ = true;
+    return base_;
+  }
+  const vaddr_t base = base_ + off;
   top_ = base + words;
-  RO_CHECK_MSG(top_ - base_ <= kShardSpanWords,
-               "allocation overflows the shard's 2^40-word address range");
   regions_.push_back(Region{base, words, std::move(name)});
   return base;
 }
@@ -50,6 +54,13 @@ std::string ShardedVSpace::region_of(vaddr_t a) const {
   const uint32_t s = shard_of(a);
   if (s >= spaces_.size()) return "?";
   return spaces_[s].region_of(a);
+}
+
+bool ShardedVSpace::overflowed() const {
+  for (const auto& vs : spaces_) {
+    if (vs.overflowed()) return true;
+  }
+  return false;
 }
 
 uint64_t ShardedVSpace::allocated_words() const {

@@ -74,10 +74,13 @@ constexpr vaddr_t shard_offset(vaddr_t a) {
 constexpr vaddr_t span_rebase(vaddr_t a, vaddr_t base) { return a - base; }
 
 /// Why `alignment_words` cannot align a VSpace (null when it can: a power
-/// of two).  VSpace RO_CHECKs it; spec validation reports it as an error.
+/// of two no larger than a shard, so every shard base is aligned).  VSpace
+/// RO_CHECKs it; spec validation reports it as an error.
 constexpr const char* alignment_error(uint64_t alignment_words) {
-  return is_pow2(alignment_words) ? nullptr
-                                  : "align_words must be a power of two";
+  if (!is_pow2(alignment_words)) return "align_words must be a power of two";
+  return alignment_words <= kShardSpanWords
+             ? nullptr
+             : "align_words must be at most 2^40 (one shard)";
 }
 
 /// Bump allocator over one contiguous virtual range; also keeps a registry
@@ -93,8 +96,14 @@ class VSpace {
   /// ShardedVSpace); it must itself be alignment-aligned.
   explicit VSpace(uint64_t alignment_words = 4096, vaddr_t base = 0);
 
-  /// Reserves `words` words; returns the (aligned) base address.
+  /// Reserves `words` words; returns the (aligned) base address.  An
+  /// allocation that does not fit the shard's 2^40-word range returns
+  /// base() instead and marks the space overflowed(): its records alias,
+  /// so the space's owner must discard the recording.
   vaddr_t allocate(uint64_t words, std::string name = "");
+
+  /// Whether some allocation did not fit the shard's range.
+  bool overflowed() const { return overflowed_; }
 
   /// First address beyond any allocation (>= base()).
   vaddr_t top() const { return top_; }
@@ -121,6 +130,7 @@ class VSpace {
   uint64_t alignment_;
   vaddr_t base_ = 0;
   vaddr_t top_ = 0;
+  bool overflowed_ = false;
   std::vector<Region> regions_;
 };
 
@@ -148,6 +158,9 @@ class ShardedVSpace {
   /// Total words allocated across all shards (sum of per-shard tops minus
   /// bases; the address *range* is of course sparse).
   uint64_t allocated_words() const;
+
+  /// Whether any shard's space overflowed (VSpace::overflowed).
+  bool overflowed() const;
 
  private:
   uint64_t alignment_;

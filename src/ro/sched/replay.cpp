@@ -13,6 +13,7 @@
 #include "ro/util/bits.h"
 #include "ro/util/check.h"
 #include "ro/util/rng.h"
+#include "ro/util/vec_pool.h"
 
 namespace ro {
 
@@ -145,11 +146,20 @@ class ShardReplayer {
         cores_.back().curs.emplace_back(*part.store, part.acc_base);
       }
     }
+    astate_ = VecPool<ActState>::take();
     astate_.resize(acts);
+    sstate_ = VecPool<SegState>::take();
     sstate_.resize(segs);
     if (shares_) shares_->assign(spans_.size(), TenantShare{});
     update_dir_limit();
   }
+
+  ~ShardReplayer() {
+    VecPool<ActState>::give(std::move(astate_));
+    VecPool<SegState>::give(std::move(sstate_));
+  }
+  ShardReplayer(const ShardReplayer&) = delete;
+  ShardReplayer& operator=(const ShardReplayer&) = delete;
 
   Metrics run() {
     roots_left_ = static_cast<uint32_t>(spans_.size());

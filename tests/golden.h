@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "ro/core/graph.h"
 #include "ro/sim/contention.h"
 #include "ro/sim/metrics.h"
 
@@ -94,6 +95,45 @@ inline uint64_t digest(const ContentionProfile& p) {
   return f.value();
 }
 
+/// Every field of every activation and segment, every access record (read
+/// through AccessReader) and the graph's root and data range.
+inline uint64_t digest(const TaskGraph& g) {
+  Fnv1a f;
+  f.add(g.acts.size());
+  for (const Activation& a : g.acts) {
+    f.add(a.parent);
+    f.add(a.parent_seg);
+    f.add(a.child_slot);
+    f.add(a.depth);
+    f.add(a.size);
+    f.add(a.first_seg);
+    f.add(a.num_segs);
+    f.add(a.frame_words);
+    f.add(a.fork_slot_base);
+  }
+  f.add(g.segments.size());
+  for (const Segment& s : g.segments) {
+    f.add(s.acc_begin);
+    f.add(s.acc_end);
+    f.add(static_cast<uint64_t>(static_cast<int64_t>(s.left)));
+    f.add(static_cast<uint64_t>(static_cast<int64_t>(s.right)));
+  }
+  f.add(g.acc_count());
+  AccessReader rd(g);
+  for (uint64_t i = 0; i < g.acc_count(); ++i) {
+    const Access a = rd.at(i);
+    f.add(a.addr);
+    f.add(a.act);
+    f.add(a.len);
+    f.add(a.flags);
+  }
+  f.add(g.root);
+  f.add(g.data_base);
+  f.add(g.data_top);
+  f.add(g.align_words);
+  return f.value();
+}
+
 /// Four headline counters plus the digest of the whole result.
 struct Golden {
   std::string name;
@@ -139,6 +179,16 @@ class GoldenTable {
 inline Golden golden_of(const std::string& name, const Metrics& m) {
   return Golden{name,           m.makespan, m.cache_misses(),
                 m.block_misses(), m.steals(), digest(m)};
+}
+
+/// activations, segments, accesses, data words + digest.
+inline Golden golden_of(const std::string& name, const TaskGraph& g) {
+  return Golden{name,
+                g.acts.size(),
+                g.segments.size(),
+                g.acc_count(),
+                g.data_top - g.data_base,
+                digest(g)};
 }
 
 /// false / true sharing events, transfers, hot lines + digest.

@@ -2,12 +2,17 @@
 // (limited access, balance, head work), f/L probes.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "ro/alg/rm_bi.h"
 #include "ro/alg/scan.h"
 #include "ro/core/probes.h"
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
+#include "ro/engine/workloads.h"
+#include "golden.h"
+#include "test_helpers.h"
 
 namespace ro {
 namespace {
@@ -81,6 +86,47 @@ TEST(TraceCtx, PaddedFramesGrowBySqrtSize) {
   TraceCtx cx(opt);
   TaskGraph g = cx.run(1 << 10, [&] {});
   EXPECT_GE(g.acts[g.root].frame_words, 2u + 32u);  // 2 slots + √1024
+}
+
+// Recording goldens: the digest covers every activation and segment field
+// and every access record, so the recorder's bookkeeping must reproduce
+// these graphs byte for byte (the rows predate the one open-segment
+// stack).  Each workload is then recorded again after a larger graph was
+// released into the buffer pool (util/vec_pool.h), once on this thread
+// and once on another, so it starts from stale, larger capacity: a
+// missing clear() or a stale size would move the digest.
+TEST(TraceCtx, RecordingGoldensHoldOnPooledCapacity) {
+  const std::vector<std::pair<std::string, uint64_t>> small = {
+      {"ps", 1 << 8}, {"msum", 1 << 8}, {"sort-spms", 1 << 8}};
+  auto record = [](const std::string& w, uint64_t n) {
+    return testing::engine().record(make_workload(w, n, /*seed=*/0)).graph;
+  };
+  std::vector<testing::Golden> fresh;
+  {
+    testing::GoldenTable table({
+        {"ps", 1021, 1531, 1534, 8703, 0x396e62260ffb63bcull},
+        {"msum", 511, 766, 257, 4097, 0xc1ac8af46149dc4full},
+        {"sort-spms", 281, 421, 3669, 4352, 0xb7c97dd77e6cab79ull},
+    });
+    for (const auto& [w, n] : small) {
+      fresh.push_back(testing::golden_of(w, record(w, n)));
+      table.check(fresh.back());
+    }
+  }
+  for (const bool other_thread : {false, true}) {
+    TaskGraph big = record("sort-spms", 1 << 12);
+    const size_t big_acts = big.acts.size();
+    if (other_thread) {
+      std::thread([&big] { const TaskGraph spent = std::move(big); }).join();
+    } else {
+      const TaskGraph spent = std::move(big);
+    }
+    for (size_t i = 0; i < small.size(); ++i) {
+      const TaskGraph g = record(small[i].first, small[i].second);
+      EXPECT_GE(g.acts.capacity(), big_acts) << "pooled capacity not reused";
+      EXPECT_EQ(testing::golden_of(small[i].first, g), fresh[i]);
+    }
+  }
 }
 
 TEST(Graph, WorkAndSpanOnScan) {

@@ -510,10 +510,15 @@ TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
   EXPECT_EQ(hr.report.trace_segments, 1u);
   EXPECT_EQ(hr.report.trace_spilled_bytes, 0u);
 
-  // VSpace needs a power-of-two alignment; run and batch jobs alike get a
-  // status naming the field instead of an RO_CHECK abort.
-  for (const JobKind kind : {JobKind::kRun, JobKind::kBatch}) {
-    for (const uint64_t align : {uint64_t{0}, uint64_t{3}}) {
+  // VSpace needs a power-of-two alignment no larger than a shard, and
+  // every allocation must fit the shard's 2^40-word range: run and batch
+  // jobs alike get a status naming the field instead of an RO_CHECK abort.
+  // 2^40 passes validation and overflows at the program's second
+  // allocation; 2^63 is refused up front.
+  for (const JobKind kind :
+       {JobKind::kRun, JobKind::kBatch, JobKind::kDiagnose}) {
+    for (const uint64_t align : {uint64_t{0}, uint64_t{3}, uint64_t{1} << 40,
+                                 uint64_t{1} << 63}) {
       JobSpec bad = spec;
       bad.kind = kind;
       bad.opt.align_words = align;

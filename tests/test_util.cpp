@@ -11,6 +11,7 @@
 #include "ro/util/cli.h"
 #include "ro/util/rng.h"
 #include "ro/util/table.h"
+#include "ro/util/vec_pool.h"
 
 namespace ro {
 namespace {
@@ -114,6 +115,28 @@ TEST(Rng, BoundsRespected) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+// A test-only element type gets a pool no product code touches.
+struct PoolProbe {
+  uint64_t v = 0;
+};
+
+TEST(VecPool, KeepsTheLargestClearedBuffersUnderTheCaps) {
+  using Pool = VecPool<PoolProbe>;
+  using Vec = std::vector<PoolProbe>;
+  EXPECT_EQ(Pool::take().capacity(), 0u);  // empty pool: a fresh vector
+  Pool::give(Vec(10));
+  Pool::give(Vec(30));
+  Pool::give(Vec(20));  // full: the smallest of the three is freed
+  Pool::give(Vec(Pool::kMaxBytes / sizeof(PoolProbe) + 1));  // over cap
+  Vec a = Pool::take();
+  Vec b = Pool::take();
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(a.capacity(), 30u);  // largest first
+  EXPECT_EQ(b.capacity(), 20u);
+  EXPECT_EQ(Pool::take().capacity(), 0u);
 }
 
 TEST(Table, RendersAlignedColumns) {
