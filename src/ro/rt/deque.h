@@ -3,7 +3,10 @@
 // Owner pushes/pops at the bottom; thieves take from the top — the queue
 // discipline of §2: forked tasks go to the bottom, steals come from the top,
 // so the top holds the shallowest (highest-priority) task, which is what the
-// priority-steal policy exploits.
+// priority-steal policy exploits.  Each entry's fork depth is published
+// next to it, so a thief choosing a victim never dereferences a job it
+// has not stolen: that job lives in its owner's fork_join frame, which
+// the owner may already have popped and reused.
 #pragma once
 
 #include <atomic>
@@ -19,15 +22,19 @@ struct Job;
 class Deque {
  public:
   explicit Deque(size_t capacity_log2 = 13)
-      : buf_(size_t{1} << capacity_log2), mask_((size_t{1} << capacity_log2) - 1) {}
+      : buf_(size_t{1} << capacity_log2),
+        depth_(size_t{1} << capacity_log2),
+        mask_((size_t{1} << capacity_log2) - 1) {}
 
-  /// Owner only.
-  void push(Job* j) {
+  /// Owner only; `depth` is the job's fork depth (see peek_top_depth).
+  void push(Job* j, uint32_t depth) {
     const int64_t b = bottom_.load(std::memory_order_relaxed);
     const int64_t t = top_.load(std::memory_order_acquire);
     RO_CHECK_MSG(b - t < static_cast<int64_t>(buf_.size()),
                  "work deque overflow");
-    buf_[static_cast<size_t>(b) & mask_].store(j, std::memory_order_relaxed);
+    const size_t i = static_cast<size_t>(b) & mask_;
+    depth_[i].store(depth, std::memory_order_relaxed);
+    buf_[i].store(j, std::memory_order_relaxed);
     bottom_.store(b + 1, std::memory_order_release);
   }
 
@@ -74,12 +81,13 @@ class Deque {
            top_.load(std::memory_order_relaxed);
   }
 
-  /// Racy peek at the top job (priority-steal victim selection only).
-  Job* peek_top() const {
+  /// Racy fork depth of the top entry, UINT32_MAX when empty
+  /// (priority-steal victim selection only).
+  uint32_t peek_top_depth() const {
     const int64_t t = top_.load(std::memory_order_acquire);
     const int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return nullptr;
-    return buf_[static_cast<size_t>(t) & mask_].load(
+    if (t >= b) return UINT32_MAX;
+    return depth_[static_cast<size_t>(t) & mask_].load(
         std::memory_order_relaxed);
   }
 
@@ -87,6 +95,7 @@ class Deque {
   std::atomic<int64_t> top_{0};
   std::atomic<int64_t> bottom_{0};
   std::vector<std::atomic<Job*>> buf_;
+  std::vector<std::atomic<uint32_t>> depth_;  // fork depth per entry
   size_t mask_;
 };
 

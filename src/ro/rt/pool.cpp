@@ -72,7 +72,7 @@ void Pool::run(const std::function<void()>& root) {
 }
 
 void Pool::push_job(Job* j) {
-  workers_[t_worker_id]->dq.push(j);
+  workers_[t_worker_id]->dq.push(j, j->depth);
 }
 
 void Pool::run_job(Job* j) {
@@ -139,9 +139,9 @@ unsigned Pool::pick_priority_victim() {
     uint32_t best_depth = UINT32_MAX;
     for (unsigned v : *scan) {
       if (v == t_worker_id) continue;
-      Job* top = workers_[v]->dq.peek_top();
-      if (top != nullptr && top->depth < best_depth) {
-        best_depth = top->depth;
+      const uint32_t depth = workers_[v]->dq.peek_top_depth();
+      if (depth < best_depth) {
+        best_depth = depth;
         best = v;
       }
     }

@@ -38,8 +38,7 @@ constexpr vaddr_t kUnresolved = ~vaddr_t{0};
 
 /// Words of the shard's data region (one past the recorded top, rebased):
 /// a remap may relocate lines above the recorded data top, and the stack
-/// arenas — and the directory growth cap — must start above the remapped
-/// image, not just the recorded one.
+/// arenas must start above the remapped image, not just the recorded one.
 uint64_t data_words(const ShardSpan& span, const SimConfig& cfg) {
   vaddr_t end = span.data_top + 1;
   if (cfg.remap) {
@@ -84,9 +83,8 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 
 /// Replays one or more shard spans as a single unit: the priority-round
 /// sequence on one simulated machine (cores, caches, directory, stack
-/// arenas).  Addresses are rebased per span (SpanLayout), so the dense
-/// directory and ever-loaded bitsets stay as small as the spans' combined
-/// data regardless of which shards the data was recorded in.  One instance
+/// arenas).  Addresses are rebased per span (SpanLayout), so block ids
+/// start at 0 whichever shards the data was recorded in.  One instance
 /// never touches state outside its spans — the invariant that makes
 /// independent walks of one store safe on concurrent host threads.
 ///
@@ -116,8 +114,7 @@ class ShardReplayer {
         sp_(cfg.effective_steal_latency()),
         layout_(layout_spans(spans_, cfg,
                              g.align_words ? g.align_words : 4096)),
-        arenas_(layout_.data_top, g.align_words ? g.align_words : 4096,
-                cfg.chunk_words),
+        arenas_(layout_.data_top, g.align_words ? g.align_words : 4096),
         rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
@@ -151,7 +148,6 @@ class ShardReplayer {
     sstate_ = VecPool<SegState>::take();
     sstate_.resize(segs);
     if (shares_) shares_->assign(spans_.size(), TenantShare{});
-    update_dir_limit();
   }
 
   ~ShardReplayer() {
@@ -215,10 +211,8 @@ class ShardReplayer {
     TraceStore::Cursor* cur = nullptr;
     uint32_t act_index_off = 0;
     std::deque<uint32_t> dq;  // stealable right children; back = bottom
-    FlatLru cache;               // private L1
-    FlatLru l2;                  // L2 partition (§5.2)
-    FlatBlockSet invalidated;    // blocks lost to coherence
-    std::vector<uint64_t> ever;  // ever-loaded bitset
+    FlatLru cache;  // private L1
+    FlatLru l2;     // L2 partition (§5.2)
     CoreMetrics m;
     // Profiling only (SimConfig::profile): last (word, task) this core
     // touched per held data block — the victim side of an invalidation
@@ -371,7 +365,6 @@ class ShardReplayer {
     }
     RO_CHECK(c.cur_arena != kNoCore);
     st.token = arenas_.push(c.cur_arena, a.frame_words);
-    update_dir_limit();  // the frame may have raised the high-water mark
     st.frame_base = st.token.base;
     c.busy = true;
     c.fr = Frame{act, 0, g_.segments[a.first_seg].acc_begin,
@@ -467,34 +460,26 @@ class ShardReplayer {
       }
       addr = layout_.off[c.fr.span] + span_rebase(a, sp.base);
     }
-    // One directory probe (and at most one growth check) for the whole
-    // access: the hold barrier and the touch below index the same entry
-    // span instead of calling dir_.at() once each per block.
-    const uint64_t b0 = addr / cfg_.B;
-    const uint64_t b1 = (addr + acc.len - 1) / cfg_.B;
-    Directory::Entry* const ents = dir_.span(b0, b1);
     if (cfg_.write_hold != 0) {
-      const uint64_t until =
-          hold_barrier(c, ents, b0, b1, acc.is_write());
+      const uint64_t until = hold_barrier(c, addr, acc.len, acc.is_write());
       if (until > c.time) {
         c.m.hold_waits += until - c.time;
         c.time = until;
         return false;
       }
     }
-    touch_span(c, ents, addr, b0, b1, acc.len, acc.is_write(), stack,
-               c.fr.act);
+    touch(c, addr, acc.len, acc.is_write(), stack, c.fr.act);
     return true;
   }
 
   /// Latest active hold (by another core) over the blocks this access needs
-  /// to transfer or invalidate; 0 when the access may proceed.  `ents` is
-  /// the directory span for [b0, b1] (fetched once by replay_access).
-  uint64_t hold_barrier(const Core& c, const Directory::Entry* ents,
-                        uint64_t b0, uint64_t b1, bool write) {
+  /// to transfer or invalidate; 0 when the access may proceed.
+  uint64_t hold_barrier(const Core& c, vaddr_t addr, uint16_t len,
+                        bool write) {
     uint64_t until = 0;
-    for (uint64_t b = b0; b <= b1; ++b) {
-      const Directory::Entry& d = ents[b - b0];
+    const uint64_t b1 = (addr + len - 1) / cfg_.B;
+    for (uint64_t b = addr / cfg_.B; b <= b1; ++b) {
+      const Directory::Entry& d = dir_.at(b);
       if (d.hold_owner == 0xFF || d.hold_owner == c.id) continue;
       if (d.hold_until <= c.time) continue;
       // A hold only gates actions that would disturb the holder: taking a
@@ -512,26 +497,21 @@ class ShardReplayer {
   [[gnu::always_inline]] void touch(Core& c, vaddr_t addr, uint16_t len,
                                     bool write, bool stack,
                                     uint32_t act = kNoAct) {
-    const uint64_t b0 = addr / cfg_.B;
-    const uint64_t b1 = (addr + len - 1) / cfg_.B;
-    touch_span(c, dir_.span(b0, b1), addr, b0, b1, len, write, stack, act);
-  }
-
-  void touch_span(Core& c, Directory::Entry* ents, vaddr_t addr, uint64_t b0,
-                  uint64_t b1, uint16_t len, bool write, bool stack,
-                  uint32_t act) {
     c.time += len;
     c.m.compute += len;
     if (shares_) (*shares_)[c.fr.span].compute += len;
+    const uint64_t b0 = addr / cfg_.B;
+    const uint64_t b1 = (addr + len - 1) / cfg_.B;
     for (uint64_t b = b0; b <= b1; ++b) {
       const uint16_t word =
           b == b0 ? static_cast<uint16_t>(addr % cfg_.B) : uint16_t{0};
-      touch_block(c, b, word, write, stack, ents[b - b0], act);
+      touch_block(c, b, word, write, stack, act);
     }
   }
 
   void touch_block(Core& c, uint64_t block, uint16_t word, bool write,
-                   bool stack, Directory::Entry& d, uint32_t act) {
+                   bool stack, uint32_t act) {
+    Directory::Entry& d = dir_.at(block);
     // Attribution is for data lines only: stack frames are padded per
     // arena (Lemma 3.1), so their sharing is by design, not a bug to fix.
     const bool prof = cfg_.profile != nullptr && !stack;
@@ -543,7 +523,7 @@ class ShardReplayer {
       // Single-level machine (the default): the combined op resolves
       // hit / miss / eviction in one cache probe.  Performing the eviction
       // before the classification below is observationally identical —
-      // classification reads only `invalidated` and the ever-loaded bitset,
+      // classification reads only this block's `invalid` and `ever` bits,
       // and the victim's directory bit is cleared at the same point as the
       // discrete sequence would.
       const CacheAccess res = c.cache.access(block);
@@ -561,15 +541,16 @@ class ShardReplayer {
     if (!hit) {
       // Miss: classify.
       MissClass cls;
-      if (c.invalidated.erase(block)) {
+      if (d.invalid & me) {
+        d.invalid &= ~me;
         cls = MissClass::kCoherence;
         if (prof) cfg_.profile->record_coherence_miss(line_addr(block), word, act);
-      } else if (ever_loaded(c, block)) {
+      } else if (d.ever & me) {
         cls = MissClass::kCapacity;
       } else {
         cls = MissClass::kCold;
       }
-      mark_loaded(c, block);
+      d.ever |= me;
       ++c.m.miss[stack ? 1 : 0][static_cast<int>(cls)];
       if (shares_) {
         TenantShare& ts = (*shares_)[c.fr.span];
@@ -615,12 +596,12 @@ class ShardReplayer {
     }
     if (write) {
       uint64_t others = d.holders & ~me;
+      d.invalid |= others;
       while (others) {
         const uint32_t h = static_cast<uint32_t>(std::countr_zero(others));
         others &= others - 1;
         cores_[h].cache.invalidate(block);
         cores_[h].l2.invalidate(block);
-        cores_[h].invalidated.insert(block);
         if (prof) {
           // The victim's side of the event is its last touch of the line:
           // a different word makes this false sharing (a contention-graph
@@ -652,25 +633,6 @@ class ShardReplayer {
     size_t s = spans_.size() - 1;
     while (s > 0 && a < layout_.off[s]) --s;
     return spans_[s].base + (a - layout_.off[s]);
-  }
-
-  /// Every address this unit can ever touch (rebased data + stack frames)
-  /// lies below the arena bump pointer, so the directory may cap its
-  /// geometric growth at that high-water mark: a sparse far access then
-  /// sizes the table to the space that actually exists, not 1.5x beyond.
-  void update_dir_limit() {
-    dir_.set_limit((arenas_.bump() + cfg_.B - 1) / cfg_.B);
-  }
-
-  bool ever_loaded(const Core& c, uint64_t block) const {
-    const uint64_t w = block / 64;
-    return w < c.ever.size() && (c.ever[w] >> (block % 64)) & 1;
-  }
-
-  void mark_loaded(Core& c, uint64_t block) {
-    const uint64_t w = block / 64;
-    if (w >= c.ever.size()) c.ever.resize(w + 1 + w / 2, 0);
-    c.ever[w] |= uint64_t{1} << (block % 64);
   }
 
   const TaskGraph& g_;

@@ -79,7 +79,6 @@ struct SimConfig {
   uint32_t steal_latency = 0;
   bool inject_frame_traffic = true;  // fork/join stack bookkeeping
   uint64_t seed = 0x5EED;            // RWS victim RNG
-  uint64_t chunk_words = 1 << 14;    // arena chunk granularity
 
   // §5.2 cache hierarchy: when M2 > 0, each core also owns a 1/p partition
   // of a shared level-2 cache of M2 words (the paper's "simple but

@@ -1,63 +1,63 @@
-// Coherence directory: per block, the set of cores holding a copy.
+// Coherence directory: the replayer's one per-block state table.
 //
 // Implements the paper's §2.2 protocol: a write into a location of block β
 // by core C invalidates every other cached copy of β; the next access of β
 // by an invalidated core is a *block miss*.  Also tracks per-block transfer
 // counts (Def 2.2 block delay): a fetch of a block currently held by some
-// other cache counts as one cache-to-cache move.
+// other cache counts as one cache-to-cache move.  Each entry also keeps,
+// per core, whether the core ever loaded the block and whether it lost
+// its copy to an invalidation — the two bits a miss is classified by.
+//
+// Block ids are sparse: every steal opens a fresh stack arena (§3.3), so
+// a replay's address space grows by a whole arena chunk per steal while
+// only a few blocks of each chunk are ever touched.  The table is
+// therefore paged: small fixed pages, allocated on first touch, so memory
+// follows the touched blocks, not the highest block id.  Entry addresses
+// are stable for the directory's lifetime.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
-
-#include "ro/util/check.h"
 
 namespace ro {
 
 class Directory {
  public:
   struct Entry {
-    uint64_t holders = 0;    // bitmask over cores (p <= 64)
-    uint32_t transfers = 0;  // cache-to-cache moves of this block
-    // §5.1 delayed release: last writer and when its hold expires.
+    // Bitmasks over cores (p <= 64).
+    uint64_t holders = 0;  // cores holding a copy
+    uint64_t ever = 0;     // cores that ever loaded the block
+    uint64_t invalid = 0;  // cores whose copy a write invalidated
+    // §5.1 delayed release: when the last writer's hold expires, and who.
     uint64_t hold_until = 0;
+    uint32_t transfers = 0;  // cache-to-cache moves of this block
     uint8_t hold_owner = 0xFF;
   };
 
-  /// Declares the address-space high-water mark (in blocks): no block id
-  /// at or beyond `blocks` will ever be touched until the limit is raised
-  /// again.  at() caps its geometric growth here, so one sparse access
-  /// near the top of the space sizes the table to the space that exists
-  /// instead of 1.5x beyond it.  Monotonic; 0 (the default) = no cap.
-  void set_limit(uint64_t blocks) { limit_ = std::max(limit_, blocks); }
-
-  uint64_t limit() const { return limit_; }
+  /// Blocks per page: small next to an arena chunk's blocks, so a steal's
+  /// chunk, of which only the first few blocks are touched, costs a page.
+  static constexpr uint64_t kPageEntries = 64;
 
   Entry& at(uint64_t block) {
-    if (block >= entries_.size()) {
-      uint64_t want = block + 1 + block / 2;  // 1.5x amortized growth
-      if (limit_ != 0) {
-        // Cap at the high-water mark; a block beyond the declared limit
-        // (a caller that never set one, or raised it late) grows exactly.
-        want = std::min(want, std::max(limit_, block + 1));
-      }
-      entries_.resize(want);
+    const uint64_t p = block / kPageEntries;
+    if (p >= pages_.size()) {
+      // Geometric while the table grows block by block; exact on a jump.
+      pages_.resize(std::max(p + 1, pages_.size() + pages_.size() / 2));
     }
-    return entries_[block];
+    std::unique_ptr<Page>& page = pages_[p];
+    if (!page) page = std::make_unique<Page>();
+    return (*page)[block % kPageEntries];
   }
 
-  /// Entries for the block range [b0, b1] as one contiguous pointer: one
-  /// growth check for the whole range instead of one at() per block, and
-  /// the caller may index the result repeatedly (the replay hot loop uses
-  /// the same entries for its hold check and its touch, halving the
-  /// directory lookups on the write-hold path).  The pointer is valid
-  /// until the next at()/span() call with a block beyond the current size.
-  Entry* span(uint64_t b0, uint64_t b1) {
-    at(b1);
-    return entries_.data() + b0;
+  /// Pages allocated so far.
+  size_t pages() const {
+    return static_cast<size_t>(
+        std::count_if(pages_.begin(), pages_.end(),
+                      [](const auto& pg) { return pg != nullptr; }));
   }
-
-  uint64_t size() const { return entries_.size(); }
 
   /// Highest transfer count over all blocks, and the total.
   struct TransferStats {
@@ -66,16 +66,19 @@ class Directory {
   };
   TransferStats transfer_stats() const {
     TransferStats t;
-    for (const auto& e : entries_) {
-      t.max_transfers = std::max<uint64_t>(t.max_transfers, e.transfers);
-      t.total_transfers += e.transfers;
+    for (const auto& page : pages_) {
+      if (!page) continue;
+      for (const Entry& e : *page) {
+        t.max_transfers = std::max<uint64_t>(t.max_transfers, e.transfers);
+        t.total_transfers += e.transfers;
+      }
     }
     return t;
   }
 
  private:
-  uint64_t limit_ = 0;  // declared block high-water (0 = uncapped growth)
-  std::vector<Entry> entries_;
+  using Page = std::array<Entry, kPageEntries>;
+  std::vector<std::unique_ptr<Page>> pages_;
 };
 
 }  // namespace ro

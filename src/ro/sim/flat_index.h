@@ -1,14 +1,13 @@
-// Flat open-addressed block-id containers for the replay data plane.
+// Flat open-addressed block-id map for the replay data plane.
 //
-// The replay inner loop (sched/replay.cpp) keys several per-core side
-// tables by block id: the set of blocks lost to coherence invalidations
-// (probed on every miss) and the profiling last-touch attribution map.
-// Node-based std containers pay 2–3 hash probes plus an allocation per
-// mutation there; these are single-probe linear-probing tables over one
-// contiguous array — the same layout discipline as sim/cache.h's FlatLru,
-// with backward-shift deletion so no tombstones accumulate.
+// The replay inner loop (sched/replay.cpp) keeps one per-core side table
+// keyed by block id: the profiling last-touch attribution map, updated on
+// every profiled access.  A node-based std map pays 2–3 hash probes plus
+// an allocation per insert there; this is a single-probe linear-probing
+// table over one contiguous array — the same layout discipline as
+// sim/cache.h's FlatLru.
 //
-// Both grow geometrically and keep load factor <= 0.5.  Block ids are
+// It grows geometrically and keeps load factor <= 0.5.  Block ids are
 // rebased dense addresses (never ~0), so ~0 serves as the empty marker.
 #pragma once
 
@@ -19,69 +18,6 @@
 #include "ro/util/check.h"
 
 namespace ro {
-
-/// Open-addressed set of block ids with erase (backward-shift deletion).
-class FlatBlockSet {
- public:
-  FlatBlockSet() : keys_(kMinTable, kEmpty), mask_(kMinTable - 1) {}
-
-  bool insert(uint64_t block) {
-    RO_DCHECK(block != kEmpty);
-    uint32_t i = find_pos(block);
-    if (keys_[i] != kEmpty) return false;  // already present
-    keys_[i] = block;
-    if (++size_ * 2 > keys_.size()) grow();
-    return true;
-  }
-
-  /// Removes `block`; returns whether it was present.
-  bool erase(uint64_t block) {
-    uint32_t hole = find_pos(block);
-    if (keys_[hole] == kEmpty) return false;
-    uint32_t i = hole;
-    for (;;) {
-      i = (i + 1) & mask_;
-      if (keys_[i] == kEmpty) break;
-      const uint32_t home = flat_block_hash(keys_[i]) & mask_;
-      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-        keys_[hole] = keys_[i];
-        hole = i;
-      }
-    }
-    keys_[hole] = kEmpty;
-    --size_;
-    return true;
-  }
-
-  bool contains(uint64_t block) const {
-    return keys_[find_pos(block)] != kEmpty;
-  }
-
-  size_t size() const { return size_; }
-
- private:
-  static constexpr uint64_t kEmpty = ~uint64_t{0};
-  static constexpr size_t kMinTable = 16;
-
-  uint32_t find_pos(uint64_t block) const {
-    uint32_t i = flat_block_hash(block) & mask_;
-    while (keys_[i] != kEmpty && keys_[i] != block) i = (i + 1) & mask_;
-    return i;
-  }
-
-  void grow() {
-    std::vector<uint64_t> old = std::move(keys_);
-    keys_.assign(old.size() * 2, kEmpty);
-    mask_ = static_cast<uint32_t>(keys_.size() - 1);
-    for (const uint64_t k : old) {
-      if (k != kEmpty) keys_[find_pos(k)] = k;
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  uint32_t mask_;
-  size_t size_ = 0;
-};
 
 /// Open-addressed block-id -> V map without erase (the last-touch table
 /// only ever overwrites), values inline next to their keys.

@@ -2,6 +2,7 @@
 // false-sharing dynamics of the replay engine on hand-crafted computations.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "ro/alg/scan.h"
@@ -141,30 +142,6 @@ TEST(FlatLru, MatchesLegacyOracleOnRandomOpSequences) {
   }
 }
 
-TEST(FlatBlockSet, InsertEraseContains) {
-  FlatBlockSet s;
-  EXPECT_TRUE(s.insert(5));
-  EXPECT_FALSE(s.insert(5));  // already present
-  EXPECT_TRUE(s.contains(5));
-  EXPECT_FALSE(s.contains(6));
-  EXPECT_TRUE(s.erase(5));
-  EXPECT_FALSE(s.erase(5));
-  EXPECT_EQ(s.size(), 0u);
-  // Growth + backward-shift under churn, against a simple mirror.
-  Rng rng(42);
-  std::set<uint64_t> mirror;
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t b = rng.next_below(512);
-    if (rng.next_below(3) == 0) {
-      ASSERT_EQ(s.erase(b), mirror.erase(b) > 0);
-    } else {
-      ASSERT_EQ(s.insert(b), mirror.insert(b).second);
-    }
-    ASSERT_EQ(s.size(), mirror.size());
-    ASSERT_EQ(s.contains(b), mirror.count(b) > 0);
-  }
-}
-
 TEST(FlatBlockMap, PutOverwritesAndGrows) {
   FlatBlockMap<uint32_t> m;
   EXPECT_EQ(m.find(3), nullptr);
@@ -188,34 +165,40 @@ TEST(Directory, GrowsAndTracksTransfers) {
   EXPECT_EQ(ts.total_transfers, 7u);
 }
 
-TEST(Directory, GrowthCappedAtHighWaterMark) {
-  // Regression: a sparse access near the top of the declared space used to
-  // trigger the raw 1.5x geometric resize — 50% of the table allocated
-  // beyond addresses that can even exist.  With the limit set to the
-  // vspace high-water mark the resize stops exactly there.
+TEST(Directory, PagesAllocateOnFirstTouch) {
+  // Block ids are sparse (every steal opens a fresh stack arena), so the
+  // entries must follow the touched blocks, not the highest id: block
+  // 10^9 costs one page (only the page-pointer table spans the range).
   Directory d;
-  d.set_limit(1'000'000);
-  d.at(999'999).transfers = 1;  // sparse access just below the mark
-  EXPECT_EQ(d.size(), 1'000'000u);  // not 1.5M
+  Directory::Entry* const far = &d.at(1'000'000'000);
+  far->transfers = 4;
+  EXPECT_EQ(d.pages(), 1u);
+  d.at(1'000'000'001).transfers = 1;  // same page
+  EXPECT_EQ(d.pages(), 1u);
 
-  // Under the cap, growth stays geometric (amortized appends).
-  Directory g;
-  g.set_limit(1'000'000);
-  g.at(1000);
-  EXPECT_GE(g.size(), 1501u);
-  EXPECT_LE(g.size(), 1'000'000u);
-
-  // Beyond a stale limit (the high-water mark rose later), exact growth —
-  // correct, never over-allocating.
-  Directory s;
-  s.set_limit(100);
-  s.at(5000).transfers = 3;
-  EXPECT_EQ(s.size(), 5001u);
-  EXPECT_EQ(s.at(5000).transfers, 3u);
-
-  // set_limit is monotonic: a lower later value never shrinks the cap.
-  s.set_limit(10);
-  EXPECT_EQ(s.limit(), 100u);
+  // A scatter of blocks below it: the stats match a direct count, one
+  // page per distinct page id, and the first entry never moved.
+  std::map<uint64_t, uint32_t> mirror{{1'000'000'000, 4}, {1'000'000'001, 1}};
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t b = rng.next_below(1 << 24);
+    const uint32_t t = static_cast<uint32_t>(rng.next_below(100));
+    d.at(b).transfers = t;
+    mirror[b] = t;
+  }
+  uint64_t max_t = 0, total_t = 0;
+  std::set<uint64_t> page_ids;
+  for (const auto& [b, t] : mirror) {
+    max_t = std::max<uint64_t>(max_t, t);
+    total_t += t;
+    page_ids.insert(b / Directory::kPageEntries);
+  }
+  const auto ts = d.transfer_stats();
+  EXPECT_EQ(ts.max_transfers, max_t);
+  EXPECT_EQ(ts.total_transfers, total_t);
+  EXPECT_EQ(d.pages(), page_ids.size());
+  EXPECT_EQ(&d.at(1'000'000'000), far);
+  EXPECT_EQ(far->transfers, 4u);
 }
 
 // ---- engine-level classification on crafted traces ----

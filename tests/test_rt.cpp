@@ -24,24 +24,26 @@ using rt::StealPolicy;
 TEST(Deque, OwnerLifoThiefFifo) {
   Deque d;
   Job a, b, c;
-  d.push(&a);
-  d.push(&b);
-  d.push(&c);
+  d.push(&a, 1);
+  d.push(&b, 2);
+  d.push(&c, 3);
   EXPECT_EQ(d.size_estimate(), 3);
-  EXPECT_EQ(d.peek_top(), &a);   // top = oldest
-  EXPECT_EQ(d.steal(), &a);      // thief takes oldest
-  EXPECT_EQ(d.pop(), &c);        // owner takes newest
+  EXPECT_EQ(d.peek_top_depth(), 1u);  // top = oldest
+  EXPECT_EQ(d.steal(), &a);           // thief takes oldest
+  EXPECT_EQ(d.peek_top_depth(), 2u);
+  EXPECT_EQ(d.pop(), &c);             // owner takes newest
   EXPECT_EQ(d.pop(), &b);
   EXPECT_EQ(d.pop(), nullptr);
   EXPECT_EQ(d.steal(), nullptr);
+  EXPECT_EQ(d.peek_top_depth(), UINT32_MAX);  // empty
 }
 
 TEST(Deque, SingleElementRace) {
   Deque d;
   Job a;
-  d.push(&a);
+  d.push(&a, 0);
   EXPECT_EQ(d.pop(), &a);
-  d.push(&a);
+  d.push(&a, 0);
   EXPECT_EQ(d.steal(), &a);
   EXPECT_EQ(d.pop(), nullptr);
 }

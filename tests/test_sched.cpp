@@ -5,7 +5,10 @@
 #include "ro/alg/mt.h"
 #include "ro/alg/scan.h"
 #include "ro/core/trace_ctx.h"
+#include "ro/engine/workloads.h"
 #include "ro/sched/run.h"
+#include "golden.h"
+#include "test_helpers.h"
 
 namespace ro {
 namespace {
@@ -157,6 +160,57 @@ TEST(Sched, EffectiveStealLatencyDefault) {
   EXPECT_EQ(cfg.effective_steal_latency(), 32u * (1 + 3));
   cfg.steal_latency = 7;
   EXPECT_EQ(cfg.effective_steal_latency(), 7u);
+}
+
+// High-steal machines: at p = 16 on a small cache every steal opens a
+// fresh stack arena, so the walk's address space is mostly untouched
+// stack chunks and the coherence directory sees block ids far apart.
+// The rows were taken from the dense-directory replayer; besides the
+// digest they show makespan, block misses, steals and stack_words.  The
+// write-hold machine reaches the per-block hold check, the L2 machine
+// the directory update of an L2 victim.
+TEST(Sched, HighStealMachinesMatchCommittedGoldens) {
+  auto record = [](const std::string& w, uint64_t n) {
+    return testing::engine().record(make_workload(w, n, /*seed=*/0)).graph;
+  };
+  const std::vector<std::pair<std::string, TaskGraph>> graphs = {
+      {"sort-spms", record("sort-spms", 1 << 12)},
+      {"ps", record("ps", 1 << 13)}};
+  SimConfig plain = base_cfg(16);
+  SimConfig hold = plain;
+  hold.write_hold = 24;
+  SimConfig l2 = plain;  // L1 of 32 lines over a 128-line L2 partition
+  l2.M = 1 << 10;
+  l2.M2 = 1 << 16;
+  struct Case {
+    size_t graph;
+    SchedKind kind;
+    const char* machine;
+    const SimConfig& cfg;
+  };
+  const Case cases[] = {
+      {0, SchedKind::kPws, "plain", plain},
+      {0, SchedKind::kRws, "plain", plain},
+      {1, SchedKind::kPws, "plain", plain},
+      {1, SchedKind::kRws, "plain", plain},
+      {0, SchedKind::kPws, "write_hold", hold},
+      {0, SchedKind::kRws, "l2", l2},
+  };
+  testing::GoldenTable golden({
+      {"sort-spms/PWS/plain", 38827, 1560, 564, 9260528, 0xe0ad626dd54b91c5ull},
+      {"sort-spms/RWS/plain", 46654, 697, 424, 6966768, 0xfd7354e482353527ull},
+      {"ps/PWS/plain", 16995, 73, 166, 2736129, 0xcc50d0d31cbbe4bfull},
+      {"ps/RWS/plain", 19372, 38, 197, 3244033, 0x1914d9d244bb3df7ull},
+      {"sort-spms/PWS/write_hold", 42407, 1013, 570, 9358832, 0x44e89912bac2838eull},
+      {"sort-spms/RWS/l2", 43216, 750, 380, 6245872, 0x11fba9e040c46aadull},
+  });
+  for (const Case& k : cases) {
+    const auto& [name, g] = graphs[k.graph];
+    const Metrics m = simulate(g, k.kind, k.cfg);
+    golden.check(testing::Golden{
+        name + "/" + sched_name(k.kind) + "/" + k.machine, m.makespan,
+        m.block_misses(), m.steals(), m.stack_words, testing::digest(m)});
+  }
 }
 
 }  // namespace
