@@ -1,7 +1,9 @@
 #include "ro/sched/replay.h"
 
+#include <algorithm>
 #include <deque>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ro/core/remap.h"
@@ -81,16 +83,56 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
   return lo;
 }
 
+/// Allocation alignment a graph was recorded with (4096 when unknown).
+uint64_t align_of(const TaskGraph& g) {
+  return g.align_words ? g.align_words : 4096;
+}
+
+/// Checks that a unit's spans are contiguous in the graph's activation and
+/// segment tables — span-local state is indexed off the first span's ids,
+/// which merge_shards' contiguous layout allows — and returns their total
+/// activation and segment counts.
+std::pair<uint64_t, uint64_t> span_extent(const std::vector<ShardSpan>& spans) {
+  uint64_t acts = 0, segs = 0;
+  for (const ShardSpan& sp : spans) {
+    RO_CHECK_MSG(sp.first_act == spans[0].first_act + acts &&
+                     sp.first_seg == spans[0].first_seg + segs,
+                 "shard spans must be contiguous");
+    acts += sp.num_acts;
+    segs += sp.num_segs;
+  }
+  return {acts, segs};
+}
+
+/// Block id and word offset of a rebased address for block size B: a
+/// shift and a mask when B is a power of two, a division otherwise.
+class BlockIndex {
+ public:
+  explicit BlockIndex(uint32_t B)
+      : B_(B), pow2_(is_pow2(B)), shift_(log2_floor(B)) {}
+
+  uint64_t block_of(vaddr_t a) const { return pow2_ ? a >> shift_ : a / B_; }
+  uint16_t word_of(vaddr_t a) const {
+    return static_cast<uint16_t>(pow2_ ? a & (B_ - 1) : a % B_);
+  }
+
+ private:
+  uint64_t B_;
+  bool pow2_;
+  uint32_t shift_;
+};
+
 /// Replays one or more shard spans as a single unit: the priority-round
-/// sequence on one simulated machine (cores, caches, directory, stack
-/// arenas).  Addresses are rebased per span (SpanLayout), so block ids
-/// start at 0 whichever shards the data was recorded in.  One instance
-/// never touches state outside its spans — the invariant that makes
-/// independent walks of one store safe on concurrent host threads.
+/// sequence on one simulated machine of p >= 2 cores (cores, caches,
+/// directory, stack arenas); a one-core machine is OneCoreWalk below.
+/// Addresses are rebased per span (SpanLayout), so block ids start at 0
+/// whichever shards the data was recorded in.  One instance never touches
+/// state outside its spans — the invariant that makes independent walks
+/// of one store safe on concurrent host threads.
 ///
-/// simulate() constructs one single-span instance per shard (independent
+/// simulate() constructs one single-span machine per shard (independent
 /// machines); capacity-shared replay (simulate_shared) constructs one
-/// instance over ALL spans, whose roots are co-scheduled on the shared
+/// machine over ALL spans, whose roots are co-scheduled on the shared
 /// cores and whose misses/transfers can be attributed per span through
 /// `shares`.
 ///
@@ -112,27 +154,14 @@ class ShardReplayer {
       : g_(g), spans_(std::move(spans)), kind_(kind), cfg_(cfg),
         parts_(std::move(parts)), shares_(shares),
         sp_(cfg.effective_steal_latency()),
-        layout_(layout_spans(spans_, cfg,
-                             g.align_words ? g.align_words : 4096)),
-        arenas_(layout_.data_top, g.align_words ? g.align_words : 4096),
-        rng_(cfg.seed) {
-    RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
+        layout_(layout_spans(spans_, cfg, align_of(g))),
+        arenas_(layout_.data_top, align_of(g)), blk_(cfg.B), rng_(cfg.seed) {
+    RO_CHECK_MSG(cfg_.p >= 2 && cfg_.p <= 64,
+                 "the multi-core machine needs p in [2, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
     RO_CHECK_MSG(!spans_.empty() && spans_.size() == parts_.size(),
                  "one stream part per span");
-    if (kind_ == SchedKind::kSeq) {
-      RO_CHECK_MSG(cfg_.p == 1, "sequential schedule needs p == 1");
-    }
-    // Span-local state is indexed off the first span's ids; merge_shards
-    // lays successive spans out contiguously, which this relies on.
-    uint64_t acts = 0, segs = 0;
-    for (size_t s = 0; s < spans_.size(); ++s) {
-      RO_CHECK_MSG(spans_[s].first_act == spans_[0].first_act + acts &&
-                       spans_[s].first_seg == spans_[0].first_seg + segs,
-                   "shard spans must be contiguous");
-      acts += spans_[s].num_acts;
-      segs += spans_[s].num_segs;
-    }
+    const auto [acts, segs] = span_extent(spans_);
     const uint32_t lines = static_cast<uint32_t>(cfg_.M / cfg_.B);
     const uint32_t l2_lines =
         cfg_.M2 ? static_cast<uint32_t>(cfg_.M2 / cfg_.p / cfg_.B) : 0;
@@ -221,8 +250,7 @@ class ShardReplayer {
   };
 
   struct ActState {
-    vaddr_t frame_base = kUnresolved;
-    ArenaSet::FrameToken token;
+    ArenaSet::FrameToken token{0, 0, kUnresolved};  // base set at start
     bool started = false;
   };
 
@@ -291,16 +319,10 @@ class ShardReplayer {
       start_act(c, act, /*stolen=*/false);
       return;
     }
-    if (kind_ == SchedKind::kSeq) {
-      // Nothing to resume and no stealing: only legal when done.
-      RO_CHECK_MSG(done_, "sequential executor starved");
-      return;
-    }
     attempt_steal(c);
   }
 
   void attempt_steal(Core& c) {
-    RO_CHECK_MSG(cfg_.p >= 2, "steal attempted with a single core");
     ++c.m.steal_attempts;
     uint32_t victim = kNoCore;
     if (kind_ == SchedKind::kPws) {
@@ -365,7 +387,6 @@ class ShardReplayer {
     }
     RO_CHECK(c.cur_arena != kNoCore);
     st.token = arenas_.push(c.cur_arena, a.frame_words);
-    st.frame_base = st.token.base;
     c.busy = true;
     c.fr = Frame{act, 0, g_.segments[a.first_seg].acc_begin,
                  span_of_act(act)};
@@ -430,8 +451,8 @@ class ShardReplayer {
 
   vaddr_t fork_slot_addr(uint32_t act, uint32_t local_seg) const {
     const Activation& a = g_.acts[act];
-    RO_CHECK(ast(act).frame_base != kUnresolved);
-    return ast(act).frame_base + a.fork_slot_base + 2 * local_seg;
+    RO_CHECK(ast(act).token.base != kUnresolved);
+    return ast(act).token.base + a.fork_slot_base + 2 * local_seg;
   }
 
   // ---- memory system ----
@@ -444,10 +465,9 @@ class ShardReplayer {
     bool stack = false;
     if (acc.act != kNoAct) {
       // A frame access: the record's id is part-local (see the class note).
-      const ActState& st = astate_[acc.act + c.act_index_off];
-      RO_CHECK_MSG(st.frame_base != kUnresolved,
-                   "frame access before frame allocation");
-      addr = acc.addr + st.frame_base;
+      const vaddr_t base = astate_[acc.act + c.act_index_off].token.base;
+      RO_CHECK_MSG(base != kUnresolved, "frame access before frame allocation");
+      addr = acc.addr + base;
       stack = true;
     } else {
       // A task only ever touches its own shard's data (shards share no
@@ -477,8 +497,8 @@ class ShardReplayer {
   uint64_t hold_barrier(const Core& c, vaddr_t addr, uint16_t len,
                         bool write) {
     uint64_t until = 0;
-    const uint64_t b1 = (addr + len - 1) / cfg_.B;
-    for (uint64_t b = addr / cfg_.B; b <= b1; ++b) {
+    const uint64_t b1 = blk_.block_of(addr + len - 1);
+    for (uint64_t b = blk_.block_of(addr); b <= b1; ++b) {
       const Directory::Entry& d = dir_.at(b);
       if (d.hold_owner == 0xFF || d.hold_owner == c.id) continue;
       if (d.hold_until <= c.time) continue;
@@ -492,19 +512,18 @@ class ShardReplayer {
   }
 
   // Frame traffic calls this five times per fork/join.  GCC's heuristics
-  // call it out of line from run(), which makes a p=1 walk of a
-  // fork-heavy trace (prefix sums) ~8% slower than inlining it.
+  // call it out of line from run(), which made a walk of a fork-heavy
+  // trace (prefix sums) ~8% slower than inlining it.
   [[gnu::always_inline]] void touch(Core& c, vaddr_t addr, uint16_t len,
                                     bool write, bool stack,
                                     uint32_t act = kNoAct) {
     c.time += len;
     c.m.compute += len;
     if (shares_) (*shares_)[c.fr.span].compute += len;
-    const uint64_t b0 = addr / cfg_.B;
-    const uint64_t b1 = (addr + len - 1) / cfg_.B;
+    const uint64_t b0 = blk_.block_of(addr);
+    const uint64_t b1 = blk_.block_of(addr + len - 1);
     for (uint64_t b = b0; b <= b1; ++b) {
-      const uint16_t word =
-          b == b0 ? static_cast<uint16_t>(addr % cfg_.B) : uint16_t{0};
+      const uint16_t word = b == b0 ? blk_.word_of(addr) : uint16_t{0};
       touch_block(c, b, word, write, stack, act);
     }
   }
@@ -644,6 +663,7 @@ class ShardReplayer {
   uint32_t sp_;
   SpanLayout layout_;
   ArenaSet arenas_;
+  BlockIndex blk_;
   Rng rng_;
   Directory dir_;
   std::vector<Core> cores_;
@@ -654,9 +674,244 @@ class ShardReplayer {
   bool done_ = false;
 };
 
-SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
+/// The one-core machine: kSeq, and kPws / kRws at p = 1, which can never
+/// steal and so walk identically.  One core runs the recording depth-first,
+/// left child before right, on an explicit stack (fork depth goes up to
+/// 65535, too deep for C++ recursion).  With one core there is no deque,
+/// steal, usurpation, coherence miss, transfer or write hold, so the walk
+/// keeps only what one cache can observe: the L1 (and L2 partition), one
+/// dense "ever loaded" bit per block for the cold / capacity split, and the
+/// frame base of every activation.  Frames come from the same ArenaSet as
+/// the multi-core machine's, one arena per root, and the fork/join frame
+/// traffic is injected in the order that machine charges it: the two slot
+/// writes at a fork, the left child's frame release and result write, the
+/// right child's, then the two join reads.  So the Metrics are, bit for
+/// bit, what the work-stealing rules give on one core.  Several spans
+/// (capacity-shared replay) run root after root in span order, sharing the
+/// cache, as roots seeded on one core's deque would.
+class OneCoreWalk {
+ public:
+  OneCoreWalk(const TaskGraph& g, std::vector<ShardSpan> spans,
+              const SimConfig& cfg, std::vector<StreamPart> parts,
+              std::vector<TenantShare>* shares = nullptr)
+      : g_(g), spans_(std::move(spans)), cfg_(cfg), shares_(shares),
+        layout_(layout_spans(spans_, cfg, align_of(g))),
+        arenas_(layout_.data_top, align_of(g)), blk_(cfg.B),
+        l1_(static_cast<uint32_t>(cfg.M / cfg.B)),
+        l2_(std::max<uint32_t>(1, static_cast<uint32_t>(cfg.M2 / cfg.B))) {
+    RO_CHECK_MSG(cfg_.p == 1, "the one-core walk needs p == 1");
+    RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
+    RO_CHECK_MSG(!spans_.empty() && spans_.size() == parts.size(),
+                 "one stream part per span");
+    curs_.reserve(parts.size());
+    for (const StreamPart& part : parts) {
+      curs_.emplace_back(*part.store, part.acc_base);
+    }
+    frame_base_ = VecPool<vaddr_t>::take();
+    frame_base_.assign(span_extent(spans_).first, kUnresolved);
+    ever_ = VecPool<uint64_t>::take();
+    ever_.assign(blk_.block_of(layout_.data_top) / 64 + 1, 0);
+    if (shares_) shares_->assign(spans_.size(), TenantShare{});
+  }
+
+  ~OneCoreWalk() {
+    VecPool<vaddr_t>::give(std::move(frame_base_));
+    VecPool<uint64_t>::give(std::move(ever_));
+  }
+  OneCoreWalk(const OneCoreWalk&) = delete;
+  OneCoreWalk& operator=(const OneCoreWalk&) = delete;
+
+  Metrics run() {
+    for (uint32_t s = 0; s < spans_.size(); ++s) walk_span(s);
+    Metrics m;
+    m_.finish = time_;
+    m.core.push_back(m_);
+    m.makespan = time_;
+    m.stack_words = arenas_.bump() - layout_.recorded_words;
+    return m;
+  }
+
+ private:
+  /// An activation on the walk's stack and its current local segment.
+  struct Open {
+    uint32_t act;
+    uint32_t seg;
+    ArenaSet::FrameToken token;
+  };
+
+  void walk_span(uint32_t s) {
+    const ShardSpan& sp = spans_[s];
+    TraceStore::Cursor& cur = curs_[s];
+    share_ = shares_ ? &(*shares_)[s] : nullptr;
+    // Records carry part-local activation ids; frame_base_ is indexed off
+    // the first span's.
+    const uint32_t act_off = sp.first_act - spans_[0].first_act;
+    const vaddr_t data_off = layout_.off[s] - sp.base;  // span rebase
+    const bool frames = cfg_.inject_frame_traffic;
+    arena_ = arenas_.new_arena();
+    open(sp.root);
+    while (!stack_.empty()) {
+      const uint32_t act = stack_.back().act;
+      const Activation& a = g_.acts[act];
+      const Segment& seg = g_.segments[a.first_seg + stack_.back().seg];
+      for (uint64_t i = seg.acc_begin; i < seg.acc_end; ++i) {
+        const Access& acc = cur.at(i);
+        vaddr_t addr;
+        bool stack = false;
+        if (acc.act != kNoAct) {
+          const vaddr_t base = frame_base_[acc.act + act_off];
+          RO_CHECK_MSG(base != kUnresolved,
+                       "frame access before frame allocation");
+          addr = acc.addr + base;
+          stack = true;
+        } else {
+          vaddr_t x = acc.addr;
+          if (cfg_.remap != nullptr) {
+            x = cfg_.remap->apply(x);
+            RO_CHECK_MSG(x >= sp.base,
+                         "remap moved an address below its shard");
+          }
+          addr = x + data_off;
+        }
+        touch(addr, acc.len, stack);
+      }
+      if (seg.has_fork()) {
+        if (frames) {
+          const vaddr_t slots = fork_slots(act, stack_.back().seg);
+          touch(slots, 1, /*stack=*/true);
+          touch(slots + 1, 1, /*stack=*/true);
+        }
+        open(static_cast<uint32_t>(seg.left));
+        continue;
+      }
+      arenas_.complete(stack_.back().token);
+      stack_.pop_back();
+      if (a.parent == kNoAct) continue;  // the span's root: done
+      // The parent, now on top of the stack, waits at the fork of `act`:
+      // a left child hands over to its sibling, a right child joins.
+      const Activation& pa = g_.acts[a.parent];
+      const Segment& fork = g_.segments[pa.first_seg + a.parent_seg];
+      const bool left = act == static_cast<uint32_t>(fork.left);
+      if (frames) {
+        const vaddr_t slots = fork_slots(a.parent, a.parent_seg);
+        touch(slots + a.child_slot, 1, /*stack=*/true);  // the result
+        if (!left) {
+          touch(slots, 1, /*stack=*/true);
+          touch(slots + 1, 1, /*stack=*/true);
+        }
+      }
+      if (left) {
+        open(static_cast<uint32_t>(fork.right));
+        continue;
+      }
+      RO_CHECK(a.parent_seg + 1 < pa.num_segs);
+      stack_.back().seg = a.parent_seg + 1;
+    }
+  }
+
+  /// Pushes `act`'s frame on the current arena and the activation on the
+  /// walk's stack, at its first segment.
+  void open(uint32_t act) {
+    const ArenaSet::FrameToken t =
+        arenas_.push(arena_, g_.acts[act].frame_words);
+    frame_base_[act - spans_[0].first_act] = t.base;
+    stack_.push_back(Open{act, 0, t});
+  }
+
+  vaddr_t fork_slots(uint32_t act, uint32_t local_seg) const {
+    const vaddr_t base = frame_base_[act - spans_[0].first_act];
+    RO_CHECK(base != kUnresolved);
+    return base + g_.acts[act].fork_slot_base + 2 * local_seg;
+  }
+
+  [[gnu::always_inline]] void touch(vaddr_t addr, uint16_t len, bool stack) {
+    time_ += len;
+    m_.compute += len;
+    if (share_) share_->compute += len;
+    const uint64_t b1 = blk_.block_of(addr + len - 1);
+    for (uint64_t b = blk_.block_of(addr); b <= b1; ++b) touch_block(b, stack);
+  }
+
+  void touch_block(uint64_t block, bool stack) {
+    if (cfg_.M2 == 0) {
+      // Nothing removes a line from a lone L1 but eviction, so the block
+      // touched last is still its MRU line: a hit that changes nothing.
+      if (block == mru_) return;
+      mru_ = block;
+      if (l1_.access(block).hit) return;
+      count_miss(block, stack);
+      time_ += cfg_.miss_latency;
+      return;
+    }
+    // §5.2 inclusive hierarchy, in the multi-core machine's op order.
+    if (l1_.contains(block)) {
+      l1_.touch(block);
+      return;
+    }
+    count_miss(block, stack);
+    if (l2_.contains(block)) {
+      l2_.touch(block);
+      ++m_.l2_hits;
+      time_ += cfg_.l2_latency;
+    } else {
+      time_ += cfg_.miss_latency;
+      if (const CacheAccess r = l2_.access(block); r.evicted) {
+        l1_.invalidate(r.victim);  // dropping from L2 drops from L1 too
+      }
+    }
+    l1_.access(block);
+  }
+
+  /// Charges a miss: capacity when the block was loaded before, else cold.
+  void count_miss(uint64_t block, bool stack) {
+    const uint64_t w = block / 64;
+    if (w >= ever_.size()) {
+      // Geometric while the walk grows block by block; exact on a jump.
+      ever_.resize(std::max(w + 1, ever_.size() + ever_.size() / 2), 0);
+    }
+    const uint64_t bit = uint64_t{1} << (block % 64);
+    const MissClass cls =
+        ever_[w] & bit ? MissClass::kCapacity : MissClass::kCold;
+    ever_[w] |= bit;
+    ++m_.miss[stack ? 1 : 0][static_cast<int>(cls)];
+    if (share_) ++share_->cache_misses;
+  }
+
+  const TaskGraph& g_;
+  std::vector<ShardSpan> spans_;
+  SimConfig cfg_;
+  std::vector<TenantShare>* shares_;
+  TenantShare* share_ = nullptr;  // the current span's, when shares_ is set
+  SpanLayout layout_;
+  ArenaSet arenas_;
+  uint32_t arena_ = 0;  // the current root's stack
+  BlockIndex blk_;
+  FlatLru l1_;
+  FlatLru l2_;  // L2 partition, used when M2 > 0
+  std::vector<TraceStore::Cursor> curs_;  // one per span
+  std::vector<vaddr_t> frame_base_;       // per activation
+  std::vector<uint64_t> ever_;            // one bit per block
+  std::vector<Open> stack_;
+  uint64_t mru_ = ~uint64_t{0};  // block touched last (M2 == 0 only)
+  CoreMetrics m_;
+  uint64_t time_ = 0;
+};
+
+/// One machine over `spans`: the one-core walk when it has one core (kSeq
+/// always does), else the multi-core scheduler.
+Metrics replay_machine(const TaskGraph& g, std::vector<ShardSpan> spans,
+                       SchedKind kind, SimConfig cfg,
+                       std::vector<StreamPart> parts,
+                       std::vector<TenantShare>* shares = nullptr) {
   if (kind == SchedKind::kSeq) cfg.p = 1;
-  return cfg;
+  RO_CHECK_MSG(cfg.p >= 1 && cfg.p <= 64, "p must be in [1, 64]");
+  if (cfg.p == 1) {
+    return OneCoreWalk(g, std::move(spans), cfg, std::move(parts), shares)
+        .run();
+  }
+  return ShardReplayer(g, std::move(spans), kind, cfg, std::move(parts),
+                       shares)
+      .run();
 }
 
 }  // namespace
@@ -671,7 +926,6 @@ uint32_t replay_host_threads(uint32_t requested, size_t units) {
 }
 
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
-  const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
   const std::vector<StreamPart> parts = parts_of(g, spans);
   // One machine per shard, walked in shard order: shards share no
@@ -679,7 +933,7 @@ Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
   std::vector<Metrics> per;
   per.reserve(spans.size());
   for (size_t s = 0; s < spans.size(); ++s) {
-    per.push_back(ShardReplayer(g, {spans[s]}, kind, ecfg, {parts[s]}).run());
+    per.push_back(replay_machine(g, {spans[s]}, kind, cfg, {parts[s]}));
   }
   if (per.size() == 1) return std::move(per[0]);
   return merge_shard_metrics(per);
@@ -688,10 +942,8 @@ Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
 Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares) {
-  const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  return ShardReplayer(g, spans, kind, ecfg, parts_of(g, spans), shares)
-      .run();
+  return replay_machine(g, spans, kind, cfg, parts_of(g, spans), shares);
 }
 
 }  // namespace ro

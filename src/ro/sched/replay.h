@@ -15,13 +15,21 @@
 //          steal the top of its deque (the setting of [18, 6] and the
 //          companion paper [13]).
 //
-// Work-stealing semantics follow §2 exactly: forked right children go to the
-// bottom of the owner's deque, owners resume their own bottom entry first,
-// thieves take from the top, and the last child to finish a join continues
-// the parent (usurpation, Def 4.1).  Fork/join bookkeeping traffic (two
-// frame-slot writes at a fork, a result write into the parent frame at child
-// completion, two reads at the join) is injected here because its addresses
-// depend on which arena the activation's frame landed on.
+// Two machines replay these.  Every one-core replay — kSeq, and kPws / kRws
+// at p = 1, which can never steal and so walk identically — is a
+// depth-first loop: left child before right, an explicit stack, one cache,
+// one "ever loaded" bit per block, and no deque, directory or steal
+// machinery.  The multi-core scheduler (p >= 2) runs kPws and kRws with
+// work-stealing semantics that follow §2 exactly: forked right children go
+// to the bottom of the owner's deque, owners resume their own bottom entry
+// first, thieves take from the top, and the last child to finish a join
+// continues the parent (usurpation, Def 4.1).  Both inject the fork/join
+// bookkeeping traffic (two frame-slot writes at a fork, a result write
+// into the parent frame at child completion, two reads at the join)
+// because its addresses depend on which arena the activation's frame
+// landed on, and both charge it in the same order, so a one-core walk's
+// Metrics are exactly what the work-stealing rules give on one core (the
+// one-core goldens in tests/test_sched.cpp pin this).
 //
 // ## Host parallelism
 //
@@ -147,11 +155,12 @@ struct TenantShare {
 /// per-span offsets keep their address ranges disjoint, so all contention
 /// is capacity and scheduling, never aliasing.  Span 0's root starts on
 /// core 0; the other roots are seeded round-robin onto core deques before
-/// the walk, stealable like any fork.  Deterministic for every SchedKind at
-/// fixed seed (the walk is one sequential unit; replay_threads does not
-/// apply).  When `shares` is non-null it is resized to the span count and
-/// filled with per-tenant attribution.  A single-span graph degenerates to
-/// exactly simulate()'s machine and Metrics.
+/// the walk, stealable like any fork (one core runs them in span order).
+/// Deterministic for every SchedKind at fixed seed (the walk is one
+/// sequential unit; replay_threads does not apply).  When `shares` is
+/// non-null it is resized to the span count and filled with per-tenant
+/// attribution.  A single-span graph degenerates to exactly simulate()'s
+/// machine and Metrics.
 Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares = nullptr);

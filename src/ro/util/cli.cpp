@@ -21,7 +21,9 @@ Cli::Cli(int argc, char** argv) {
     } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       flags_[s] = argv[++i];
     } else {
-      flags_[s] = "1";
+      // Not `= "1"`: gcc 12 at -O3 reports a bogus -Wrestrict inside
+      // std::string::assign(const char*) for that form.
+      flags_[s] = std::string(1, '1');
     }
   }
 }

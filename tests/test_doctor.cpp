@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "ro/alg/counters.h"
-#include "ro/alg/scan.h"
 #include "ro/core/remap.h"
 #include "ro/doctor/doctor.h"
 #include "ro/engine/engine.h"
 #include "ro/sim/contention.h"
-#include "ro/util/rng.h"
 #include "golden.h"
 #include "test_helpers.h"
 
@@ -34,17 +32,6 @@ auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
     cx.run(uint64_t{k} * 2 * iters, [&] {
       alg::counter_stripes(cx, slots.slice(), k, iters, stride);
     });
-  };
-}
-
-auto prog_msum(size_t n) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(1, "out");
-    cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice(), 1); });
   };
 }
 

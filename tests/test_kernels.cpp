@@ -101,8 +101,12 @@ TEST(Kernels, CorankIsTheSmallestValidSplit) {
         // The split is a valid merge prefix: a[0..ai) + b[0..q-ai) are all
         // <= every remaining element of the other side.
         const size_t bi = q - ai;
-        if (ai > 0 && bi < nb) ASSERT_LE(a[ai - 1], b[bi]) << " q=" << q;
-        if (bi > 0 && ai < na) ASSERT_LE(b[bi - 1], a[ai]) << " q=" << q;
+        if (ai > 0 && bi < nb) {
+          ASSERT_LE(a[ai - 1], b[bi]) << " q=" << q;
+        }
+        if (bi > 0 && ai < na) {
+          ASSERT_LE(b[bi - 1], a[ai]) << " q=" << q;
+        }
       }
     }
   }

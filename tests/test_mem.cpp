@@ -179,7 +179,9 @@ TEST_P(RowGapLayoutTest, InjectiveAndBounded) {
       const uint64_t s = lay.slot(r, c);
       EXPECT_LT(s, lay.space());
       // Within a row, slots are strictly increasing (order-preserving).
-      if (!first) EXPECT_GT(s, prev);
+      if (!first) {
+        EXPECT_GT(s, prev);
+      }
       prev = s;
       first = false;
       EXPECT_TRUE(slots.insert(s).second) << "collision at " << r << "," << c;

@@ -5,8 +5,10 @@
 #include "ro/alg/mt.h"
 #include "ro/alg/scan.h"
 #include "ro/core/trace_ctx.h"
+#include "ro/doctor/doctor.h"
 #include "ro/engine/workloads.h"
 #include "ro/sched/run.h"
+#include "ro/sim/contention.h"
 #include "golden.h"
 #include "test_helpers.h"
 
@@ -211,6 +213,235 @@ TEST(Sched, HighStealMachinesMatchCommittedGoldens) {
         name + "/" + sched_name(k.kind) + "/" + k.machine, m.makespan,
         m.block_misses(), m.steals(), m.stack_words, testing::digest(m)});
   }
+}
+
+// ---- one-core walks ----
+//
+// Every p = 1 replay (kSeq, and kPws / kRws at p = 1) is the sequential
+// depth-first walk whose cold + capacity misses are Q(n, M, B).  These
+// rows were taken from the multi-core scheduler run with one core; each
+// shows makespan, cache misses, stack misses and stack_words next to the
+// digest.  B = 24 covers the division branch of the block index, B = 32
+// and 64 the shift.
+
+testing::Golden one_core_row(const std::string& name, const Metrics& m) {
+  return testing::Golden{name, m.makespan, m.cache_misses(),
+                         m.stack_misses(), m.stack_words, testing::digest(m)};
+}
+
+TEST(Sched, OneCoreWalkGridMatchesCommittedGoldens) {
+  const std::pair<const char*, uint64_t> workloads[] = {
+      {"ps", 1024}, {"msum", 1024}, {"sort-spms", 1024},
+      {"counters-packed", 256}};
+  testing::GoldenTable golden({
+      {"ps/plain/M256/B24", 28626, 319, 1, 18433, 0x3aa2b128d1b4fbefull},
+      {"ps/plain/M256/B32", 26322, 247, 1, 18433, 0x2f7310a819e6b869ull},
+      {"ps/plain/M256/B64", 22738, 135, 1, 18433, 0x7cdfecf5db747b99ull},
+      {"ps/plain/M4096/B24", 24178, 180, 1, 18433, 0xe8e9cececc400404ull},
+      {"ps/plain/M4096/B32", 22578, 130, 1, 18433, 0xc56f7f7d930dc64eull},
+      {"ps/plain/M4096/B64", 20530, 66, 1, 18433, 0x0faa4855a5e4711eull},
+      {"ps/padded/M256/B24", 32018, 425, 88, 18433, 0xfac1b6c7988a986bull},
+      {"ps/padded/M256/B32", 28210, 306, 60, 18433, 0xc50855f761f2d41aull},
+      {"ps/padded/M256/B64", 38546, 629, 175, 18433, 0x9c1c6963197e6380ull},
+      {"ps/padded/M4096/B24", 25010, 206, 8, 18433, 0x9cbb3e011482e26eull},
+      {"ps/padded/M4096/B32", 23154, 148, 7, 18433, 0x1d88ba7c7f797e84ull},
+      {"ps/padded/M4096/B64", 20786, 74, 4, 18433, 0x0d6ab48865b8eab0ull},
+      {"msum/plain/M256/B24", 8635, 46, 2, 20479, 0x1046451c06eff932ull},
+      {"msum/plain/M256/B32", 8251, 34, 1, 20479, 0x773f85b101f8e068ull},
+      {"msum/plain/M256/B64", 7739, 18, 1, 20479, 0x77ed00e8206910e4ull},
+      {"msum/plain/M4096/B24", 8635, 46, 2, 20479, 0x1046451c06eff932ull},
+      {"msum/plain/M4096/B32", 8251, 34, 1, 20479, 0x773f85b101f8e068ull},
+      {"msum/plain/M4096/B64", 7739, 18, 1, 20479, 0x77ed00e8206910e4ull},
+      {"msum/padded/M256/B24", 8955, 56, 12, 20479, 0x8a0284cf5efb73a0ull},
+      {"msum/padded/M256/B32", 8411, 39, 6, 20479, 0xb07b54b41b8fe5abull},
+      {"msum/padded/M256/B64", 7771, 19, 2, 20479, 0x6aa3743361026a4bull},
+      {"msum/padded/M4096/B24", 8763, 50, 6, 20479, 0x454c52825a58d482ull},
+      {"msum/padded/M4096/B32", 8347, 37, 4, 20479, 0x2c71e7274bc2acadull},
+      {"msum/padded/M4096/B64", 7771, 19, 2, 20479, 0x6aa3743361026a4bull},
+      {"sort-spms/plain/M256/B24", 56639, 680, 588, 19456, 0xd5b6e54904fa4be2ull},
+      {"sort-spms/plain/M256/B32", 51359, 515, 451, 19456, 0x22dd98b5c738542full},
+      {"sort-spms/plain/M256/B64", 51199, 510, 457, 19456, 0x81838fc3a4f89ef4ull},
+      {"sort-spms/plain/M4096/B24", 41183, 197, 110, 19456, 0x2b761458b487ec46ull},
+      {"sort-spms/plain/M4096/B32", 39551, 146, 82, 19456, 0x2128e25ce2e62279ull},
+      {"sort-spms/plain/M4096/B64", 37215, 73, 41, 19456, 0x6c83ceed27d6da36ull},
+      {"sort-spms/padded/M256/B24", 62719, 870, 778, 19456, 0x23c0b90110699bbdull},
+      {"sort-spms/padded/M256/B32", 59423, 767, 703, 19456, 0x41506d4e2a158d5eull},
+      {"sort-spms/padded/M256/B64", 81439, 1455, 1382, 19456, 0xbe5b611122b336f7ull},
+      {"sort-spms/padded/M4096/B24", 41311, 201, 114, 19456, 0xc50a0abe0f922e3aull},
+      {"sort-spms/padded/M4096/B32", 39711, 151, 87, 19456, 0x5d8c8a0766f343acull},
+      {"sort-spms/padded/M4096/B64", 37311, 76, 44, 19456, 0x720c6b68ef65e29bull},
+      {"counters-packed/plain/M256/B24", 10138, 13, 2, 20224, 0x131499164a258635ull},
+      {"counters-packed/plain/M256/B32", 10010, 9, 1, 20224, 0xaecb432bda77b3d5ull},
+      {"counters-packed/plain/M256/B64", 9882, 5, 1, 20224, 0x90e72899d6719cf5ull},
+      {"counters-packed/plain/M4096/B24", 10138, 13, 2, 20224, 0x131499164a258635ull},
+      {"counters-packed/plain/M4096/B32", 10010, 9, 1, 20224, 0xaecb432bda77b3d5ull},
+      {"counters-packed/plain/M4096/B64", 9882, 5, 1, 20224, 0x90e72899d6719cf5ull},
+      {"counters-packed/padded/M256/B24", 10362, 20, 9, 20224, 0x85caded71970d57aull},
+      {"counters-packed/padded/M256/B32", 10266, 17, 9, 20224, 0xeb54ba146e85700dull},
+      {"counters-packed/padded/M256/B64", 10234, 16, 12, 20224, 0x21f5f1f782b76ef6ull},
+      {"counters-packed/padded/M4096/B24", 10298, 18, 7, 20224, 0xf03b65778f6fb77cull},
+      {"counters-packed/padded/M4096/B32", 10202, 15, 7, 20224, 0xd2354ddca38f2eefull},
+      {"counters-packed/padded/M4096/B64", 10010, 9, 5, 20224, 0xf65612c7ab58f65dull},
+  });
+  for (const auto& [w, n] : workloads) {
+    for (const bool padded : {false, true}) {
+      const TaskGraph g =
+          testing::engine().record(make_workload(w, n, 0), padded).graph;
+      for (const uint64_t M : {uint64_t{256}, uint64_t{4096}}) {
+        for (const uint32_t B : {24u, 32u, 64u}) {
+          SimConfig cfg = base_cfg(1);
+          cfg.M = M;
+          cfg.B = B;
+          golden.check(one_core_row(
+              std::string(w) + (padded ? "/padded" : "/plain") + "/M" +
+                  std::to_string(M) + "/B" + std::to_string(B),
+              simulate(g, SchedKind::kSeq, cfg)));
+        }
+      }
+    }
+  }
+}
+
+// An L2 machine (the inclusive-hierarchy sequence), a doctor-remapped
+// trace, and a spilled, compressed stream of the same recording as a
+// resident row.
+TEST(Sched, OneCoreWalkSpecialMachinesMatchCommittedGoldens) {
+  Engine& eng = testing::engine();
+  testing::GoldenTable golden({
+      {"ps/l2", 23546, 248, 2, 18433, 0x3e24dece781e8a81ull},
+      {"sort-spms/l2", 42503, 515, 451, 19456, 0xae1c567fdddfe559ull},
+      {"counters-packed/remapped", 4506, 65, 1, 20416, 0x16bf4cb9aeec9301ull},
+      {"sort-spms/streamed", 39551, 146, 82, 19456, 0x2128e25ce2e62279ull},
+  });
+  SimConfig l2 = base_cfg(1);  // L1 of 8 lines over a 128-line L2
+  l2.M = 256;
+  l2.M2 = 4096;
+  for (const char* w : {"ps", "sort-spms"}) {
+    const TaskGraph g = eng.record(make_workload(w, 1024, 0)).graph;
+    const Metrics m = simulate(g, SchedKind::kSeq, l2);
+    EXPECT_GT(m.l2_hits(), 0u);
+    golden.check(one_core_row(std::string(w) + "/l2", m));
+  }
+
+  const Recording packed = eng.record(make_workload("counters-packed", 64, 0));
+  const doctor::DoctorReport d =
+      eng.diagnose(packed, Backend::kSimPws, base_cfg(4));
+  ASSERT_FALSE(d.plan.remap.empty());
+  SimConfig remapped = base_cfg(1);
+  remapped.remap = &d.plan.remap;
+  golden.check(one_core_row("counters-packed/remapped",
+                            simulate(packed.graph, SchedKind::kSeq, remapped)));
+
+  StreamOptions so;
+  so.segment_tasks = 64;
+  so.max_resident_segments = 1;
+  so.compress = true;
+  const Recording streamed =
+      eng.record_stream(make_workload("sort-spms", 1024, 0), so);
+  const TraceStore::Stats st = streamed.graph.streams[0].store->stats();
+  EXPECT_GT(st.spilled_bytes, 0u);
+  EXPECT_LT(st.compressed_bytes, st.spilled_bytes);
+  const Metrics ms = simulate(streamed.graph, SchedKind::kSeq, base_cfg(1));
+  golden.check(one_core_row("sort-spms/streamed", ms));
+  const TaskGraph resident =
+      eng.record(make_workload("sort-spms", 1024, 0)).graph;
+  EXPECT_EQ(ms, simulate(resident, SchedKind::kSeq, base_cfg(1)));
+}
+
+// Two tenants on one core: the roots run in span order, and every share
+// row holds all four TenantShare counters (its digest column is unused).
+TEST(Sched, OneCoreSharedWalkMatchesCommittedGoldens) {
+  Engine& eng = testing::engine();
+  std::vector<TaskGraph> parts;
+  parts.push_back(
+      eng.record(make_workload("ps", 512, 0), false, 4096, 0).graph);
+  parts.push_back(
+      eng.record(make_workload("sort-spms", 512, 1), false, 4096, 1).graph);
+  const TaskGraph merged = merge_shards(std::move(parts));
+  testing::GoldenTable golden({
+      {"shared/seq", 27116, 140, 44, 39425, 0xf24f27a3dc62ff3full},
+      {"shared/seq/tenant0", 9202, 65, 0, 0, 0x0000000000000000ull},
+      {"shared/seq/tenant1", 13434, 75, 0, 0, 0x0000000000000000ull},
+  });
+  std::vector<TenantShare> shares;
+  const Metrics m =
+      simulate_shared(merged, SchedKind::kSeq, base_cfg(4), &shares);
+  golden.check(one_core_row("shared/seq", m));
+  ASSERT_EQ(shares.size(), 2u);
+  for (size_t s = 0; s < shares.size(); ++s) {
+    const TenantShare& t = shares[s];
+    golden.check(testing::Golden{"shared/seq/tenant" + std::to_string(s),
+                                 t.compute, t.cache_misses, t.block_misses,
+                                 t.transfers, 0});
+  }
+}
+
+// A one-core machine can never steal, so PWS and RWS at p = 1 walk
+// exactly as kSeq does, for one machine per shard and for a shared one;
+// an attached ContentionProfile sees no invalidation, coherence miss or
+// transfer and stays empty.
+TEST(Sched, OneCoreSchedulersAgreeAndProfileStaysEmpty) {
+  Engine& eng = testing::engine();
+  std::vector<TaskGraph> parts;
+  parts.push_back(
+      eng.record(make_workload("msum", 512, 0), false, 4096, 0).graph);
+  parts.push_back(
+      eng.record(make_workload("counters-packed", 64, 0), false, 4096, 1)
+          .graph);
+  const TaskGraph merged = merge_shards(std::move(parts));
+  const TaskGraph ps = eng.record(make_workload("ps", 1024, 0)).graph;
+  const SimConfig one = base_cfg(1);
+  for (const TaskGraph* g : {&ps, &merged}) {
+    const Metrics seq = simulate(*g, SchedKind::kSeq, one);
+    std::vector<TenantShare> seq_shares;
+    const Metrics shared_seq =
+        simulate_shared(*g, SchedKind::kSeq, one, &seq_shares);
+    for (const SchedKind k : {SchedKind::kPws, SchedKind::kRws}) {
+      EXPECT_EQ(simulate(*g, k, one), seq) << sched_name(k);
+      std::vector<TenantShare> shares;
+      EXPECT_EQ(simulate_shared(*g, k, one, &shares), shared_seq);
+      EXPECT_EQ(shares, seq_shares);
+    }
+    ContentionProfile prof;
+    SimConfig profiled = one;
+    profiled.profile = &prof;
+    EXPECT_EQ(simulate(*g, SchedKind::kSeq, profiled), seq);
+    EXPECT_EQ(simulate(*g, SchedKind::kPws, profiled), seq);
+    EXPECT_TRUE(prof.empty());
+  }
+}
+
+// Level k forks level k - 1 (left) and a leaf (right) that reads the
+// parent's frame local.  A chain 5000 forks deep keeps 5000 activations
+// open at once, which the walk must hold on its own stack, not in C++
+// frames.
+void fork_chain(TraceCtx& cx, Slice<i64> a, uint32_t level) {
+  auto loc = cx.local<i64>(1);
+  cx.set(loc.slice(), 0, cx.get(a, level % a.n));
+  if (level == 0) return;
+  cx.fork2(
+      level, [&] { fork_chain(cx, a, level - 1); }, 1,
+      [&] { cx.set(a, level % a.n, cx.get(loc.slice(), 0)); });
+}
+
+TEST(Sched, DeepForkChainMatchesCommittedGolden) {
+  constexpr uint32_t kDepth = 5000;
+  TraceCtx cx;
+  auto a = cx.alloc<i64>(64, "a");
+  const TaskGraph g =
+      cx.run(kDepth, [&] { fork_chain(cx, a.slice(), kDepth); });
+  ASSERT_EQ(g.analyze().max_depth, kDepth);
+  testing::GoldenTable golden({
+      {"chain/seq", 76050, 814, 812, 20416, 0x6a4e9f0ba23fdb92ull},
+      {"chain/seq/l2", 77394, 946, 932, 20416, 0x32af545abf193c32ull},
+  });
+  golden.check(one_core_row("chain/seq",
+                            simulate(g, SchedKind::kSeq, base_cfg(1))));
+  SimConfig l2 = base_cfg(1);
+  l2.M = 256;
+  l2.M2 = 4096;
+  golden.check(
+      one_core_row("chain/seq/l2", simulate(g, SchedKind::kSeq, l2)));
 }
 
 }  // namespace
