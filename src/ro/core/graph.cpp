@@ -46,10 +46,11 @@ GraphStats TaskGraph::analyze() const {
   st.activations = acts.size();
   st.accesses = acc_count();
   AccessReader rd(*this);
-  for (uint64_t i = 0; i < st.accesses; ++i) st.work += rd.at(i).len;
 
   // Span: activations are created parent-before-child, so children have
   // larger ids; a reverse sweep sees every child's span before its parent.
+  // The segments tile the access stream exactly, so the sweep also sums
+  // the work: every access is read once.
   std::vector<uint64_t> span(acts.size(), 0);
   for (size_t ai = acts.size(); ai-- > 0;) {
     const Activation& a = acts[ai];
@@ -57,7 +58,10 @@ GraphStats TaskGraph::analyze() const {
     bool leaf = true;
     for (uint32_t k = 0; k < a.num_segs; ++k) {
       const Segment& seg = segments[a.first_seg + k];
-      s += seg_cost(seg, rd);  // shared reader: one pinned trace segment
+      // Shared reader: one pinned trace segment.
+      const uint64_t c = seg_cost(seg, rd);
+      s += c;
+      st.work += c;
       if (seg.has_fork()) {
         leaf = false;
         s += kForkCost + kJoinCost +

@@ -7,8 +7,37 @@
 
 namespace ro {
 
+const char* remap_rules_error(const std::vector<RemapRule>& rules) {
+  for (const RemapRule& r : rules) {
+    if (r.len == 0 || r.stride == 0) return "remap rule must cover words";
+    // Measured from the shard offsets, so no rule can wrap past 2^64 and
+    // src_end() / dst_end() below are exact.
+    if (r.len > kShardSpanWords - shard_offset(r.src) ||
+        r.len - 1 > (kShardSpanWords - 1 - shard_offset(r.dst)) / r.stride ||
+        shard_of(r.src) != shard_of(r.dst))
+      return "remap rule must stay within one shard span";
+  }
+  for (const RemapRule& r : rules) {
+    for (const RemapRule& o : rules) {
+      // Destinations must not shadow any source range (its own included),
+      // or apply() would map two addresses to states the inverse cannot
+      // tell apart.
+      if (r.dst < o.src_end() && o.src < r.dst_end())
+        return "remap destination overlaps a source range";
+      if (&r == &o) continue;
+      if (r.src < o.src_end() && o.src < r.src_end())
+        return "remap source ranges overlap";
+      if (r.dst < o.dst_end() && o.dst < r.dst_end())
+        return "remap destination ranges overlap";
+    }
+  }
+  return nullptr;
+}
+
 AddressRemap::AddressRemap(std::vector<RemapRule> rules)
     : rules_(std::move(rules)) {
+  const char* bad = remap_rules_error(rules_);
+  RO_CHECK_MSG(bad == nullptr, bad);
   std::sort(rules_.begin(), rules_.end(),
             [](const RemapRule& a, const RemapRule& b) { return a.src < b.src; });
   by_dst_.resize(rules_.size());
@@ -16,27 +45,6 @@ AddressRemap::AddressRemap(std::vector<RemapRule> rules)
   std::sort(by_dst_.begin(), by_dst_.end(), [&](uint32_t a, uint32_t b) {
     return rules_[a].dst < rules_[b].dst;
   });
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const RemapRule& r = rules_[i];
-    RO_CHECK_MSG(r.len > 0 && r.stride >= 1, "remap rule must cover words");
-    RO_CHECK_MSG(shard_of(r.src) == shard_of(r.src_end() - 1) &&
-                     shard_of(r.dst) == shard_of(r.dst_end() - 1) &&
-                     shard_of(r.src) == shard_of(r.dst),
-                 "remap rule must stay within one shard span");
-    if (i + 1 < rules_.size()) {
-      RO_CHECK_MSG(r.src_end() <= rules_[i + 1].src,
-                   "remap source ranges overlap");
-      const RemapRule& n = rules_[by_dst_[i + 1]];
-      RO_CHECK_MSG(rules_[by_dst_[i]].dst_end() <= n.dst,
-                   "remap destination ranges overlap");
-    }
-    // Destinations must not shadow any source range, or apply() would map
-    // two addresses to states the inverse cannot tell apart.
-    for (const RemapRule& o : rules_) {
-      RO_CHECK_MSG(r.dst_end() <= o.src || o.src_end() <= r.dst,
-                   "remap destination overlaps a source range");
-    }
-  }
 }
 
 vaddr_t AddressRemap::apply(vaddr_t a) const {

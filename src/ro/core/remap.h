@@ -53,11 +53,16 @@ struct RemapRule {
   friend bool operator==(const RemapRule&, const RemapRule&) = default;
 };
 
+/// Why `rules` cannot form an AddressRemap (the constraints above), or
+/// nullptr when they can.  AddressRemap RO_CHECKs it; readers of rules
+/// off the wire refuse them instead.
+const char* remap_rules_error(const std::vector<RemapRule>& rules);
+
 class AddressRemap {
  public:
   AddressRemap() = default;
-  /// Takes ownership of `rules`; sorts by src and validates the disjointness
-  /// constraints above (RO_CHECK on violation).
+  /// Takes ownership of `rules`; validates the constraints above
+  /// (RO_CHECK on remap_rules_error) and sorts by src.
   explicit AddressRemap(std::vector<RemapRule> rules);
 
   bool empty() const { return rules_.empty(); }

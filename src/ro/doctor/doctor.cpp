@@ -1,13 +1,12 @@
 #include "ro/doctor/doctor.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "ro/util/check.h"
+#include "ro/util/flatjson.h"
 
 namespace ro::doctor {
 
@@ -111,173 +110,57 @@ double DoctorReport::transfer_reduction() const {
 
 // ---- JSON ----
 //
-// DoctorReport nests (findings / rules arrays, embedded RunReports), so
-// it gets its own balanced scanner here instead of stretching report.cpp's
-// flat tokenizer; the embedded reports still round-trip through
-// report_from_json / RunReport::to_json verbatim.
+// Written and read through util/flatjson.h like every other wire object;
+// the embedded reports round-trip through report_from_json /
+// RunReport::to_json verbatim.
 
 namespace {
 
-void raw_kv(std::string& s, const char* key, const std::string& raw) {
-  if (s.size() > 1 && s.back() != '{') s += ",";
-  s += "\"";
-  s += key;
-  s += "\":";
-  s += raw;
-}
-
-void num_kv(std::string& s, const char* key, uint64_t v) {
-  raw_kv(s, key, std::to_string(v));
-}
-
-void str_kv(std::string& s, const char* key, const std::string& v) {
-  raw_kv(s, key, "\"" + v + "\"");  // doctor strings are identifier-like
-}
+using json::as_u64;
+using json::kv;
+using json::kv_raw;
+using json::kv_str;
 
 std::string finding_json(const LineFinding& f) {
   std::string s = "{";
-  num_kv(s, "line", f.line);
-  str_kv(s, "pattern", pattern_name(f.pattern));
-  num_kv(s, "false_events", f.false_events);
-  num_kv(s, "true_events", f.true_events);
-  num_kv(s, "transfers", f.transfers);
-  num_kv(s, "coherence_misses", f.coherence_misses);
-  num_kv(s, "tasks", f.tasks);
-  std::string words = "[";
-  for (size_t i = 0; i < f.hot_words.size(); ++i) {
-    if (i) words += ",";
-    words += std::to_string(f.hot_words[i]);
-  }
-  words += "]";
-  raw_kv(s, "hot_words", words);
+  kv(s, "line", f.line);
+  kv_str(s, "pattern", pattern_name(f.pattern));
+  kv(s, "false_events", f.false_events);
+  kv(s, "true_events", f.true_events);
+  kv(s, "transfers", f.transfers);
+  kv(s, "coherence_misses", f.coherence_misses);
+  kv(s, "tasks", static_cast<uint64_t>(f.tasks));
+  kv(s, "hot_words",
+     std::vector<uint64_t>(f.hot_words.begin(), f.hot_words.end()));
   s += "}";
   return s;
 }
 
 std::string rule_json(const RemapRule& r) {
   std::string s = "{";
-  num_kv(s, "src", r.src);
-  num_kv(s, "len", r.len);
-  num_kv(s, "dst", r.dst);
-  num_kv(s, "stride", r.stride);
+  kv(s, "src", r.src);
+  kv(s, "len", r.len);
+  kv(s, "dst", r.dst);
+  kv(s, "stride", r.stride);
   s += "}";
   return s;
 }
 
-/// Splits one balanced JSON value starting at j[i] (object, array, string
-/// or scalar); returns the raw slice and advances i past it.  Depth-aware:
-/// the one capability report.cpp's flat scanner deliberately lacks.
-bool take_value(const std::string& j, size_t& i, std::string& out) {
-  const size_t start = i;
-  if (i >= j.size()) return false;
-  if (j[i] == '"') {
-    ++i;
-    while (i < j.size() && j[i] != '"') i += j[i] == '\\' ? 2 : 1;
-    if (i >= j.size()) return false;
-    ++i;
-  } else if (j[i] == '{' || j[i] == '[') {
-    int depth = 0;
-    bool in_str = false;
-    for (; i < j.size(); ++i) {
-      const char c = j[i];
-      if (in_str) {
-        if (c == '\\') ++i;
-        else if (c == '"') in_str = false;
-      } else if (c == '"') {
-        in_str = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (--depth == 0) { ++i; break; }
-      }
-    }
-    if (depth != 0) return false;
-  } else {
-    while (i < j.size() && j[i] != ',' && j[i] != '}' && j[i] != ']' &&
-           j[i] != '\n')
-      ++i;
-    if (i == start) return false;
-  }
-  out = j.substr(start, i - start);
-  return true;
-}
-
-/// Key -> raw value pairs of one (possibly nested) JSON object.
-bool object_fields(const std::string& j,
-                   std::vector<std::pair<std::string, std::string>>& kvs) {
-  size_t i = j.find('{');
-  if (i == std::string::npos) return false;
-  ++i;
-  auto skip = [&] {
-    while (i < j.size() && (j[i] == ' ' || j[i] == '\n' || j[i] == '\t' ||
-                            j[i] == '\r' || j[i] == ','))
-      ++i;
-  };
-  while (true) {
-    skip();
-    if (i >= j.size()) return false;
-    if (j[i] == '}') return true;
-    if (j[i] != '"') return false;
-    const size_t k0 = ++i;
-    while (i < j.size() && j[i] != '"') ++i;
-    if (i >= j.size()) return false;
-    std::string key = j.substr(k0, i - k0);
-    ++i;
-    skip();
-    if (i >= j.size() || j[i] != ':') return false;
-    ++i;
-    skip();
-    std::string val;
-    if (!take_value(j, i, val)) return false;
-    kvs.emplace_back(std::move(key), std::move(val));
-  }
-}
-
-/// Top-level elements of a raw JSON array capture.
-bool array_elems(const std::string& j, std::vector<std::string>& out) {
-  size_t i = j.find('[');
-  if (i == std::string::npos) return false;
-  ++i;
-  while (true) {
-    while (i < j.size() && (j[i] == ' ' || j[i] == '\n' || j[i] == '\t' ||
-                            j[i] == '\r' || j[i] == ','))
-      ++i;
-    if (i >= j.size()) return false;
-    if (j[i] == ']') return true;
-    std::string val;
-    if (!take_value(j, i, val)) return false;
-    out.push_back(std::move(val));
-  }
-}
-
-uint64_t as_u64(const std::string& v) {
-  return std::strtoull(v.c_str(), nullptr, 10);
-}
-
-std::string unquote(const std::string& v) {
-  if (v.size() >= 2 && v.front() == '"' && v.back() == '"') {
-    return v.substr(1, v.size() - 2);
-  }
-  return v;
-}
-
 bool parse_finding(const std::string& j, LineFinding& f) {
   std::vector<std::pair<std::string, std::string>> kvs;
-  if (!object_fields(j, kvs)) return false;
+  if (!json::scan_object(j, kvs)) return false;
   for (const auto& [k, v] : kvs) {
     if (k == "line") f.line = as_u64(v);
     else if (k == "pattern") {
-      if (!parse_pattern(unquote(v), f.pattern)) return false;
+      if (!parse_pattern(v, f.pattern)) return false;
     } else if (k == "false_events") f.false_events = as_u64(v);
     else if (k == "true_events") f.true_events = as_u64(v);
     else if (k == "transfers") f.transfers = as_u64(v);
     else if (k == "coherence_misses") f.coherence_misses = as_u64(v);
     else if (k == "tasks") f.tasks = static_cast<uint32_t>(as_u64(v));
     else if (k == "hot_words") {
-      std::vector<std::string> elems;
-      if (!array_elems(v, elems)) return false;
-      for (const auto& e : elems) {
-        f.hot_words.push_back(static_cast<uint16_t>(as_u64(e)));
+      for (const uint64_t w : json::as_u64_list(v)) {
+        f.hot_words.push_back(static_cast<uint16_t>(w));
       }
     }
   }
@@ -286,18 +169,16 @@ bool parse_finding(const std::string& j, LineFinding& f) {
 
 bool parse_plan(const std::string& j, RepairPlan& plan) {
   std::vector<std::pair<std::string, std::string>> kvs;
-  if (!object_fields(j, kvs)) return false;
+  if (!json::scan_object(j, kvs)) return false;
   std::vector<RemapRule> rules;
   for (const auto& [k, v] : kvs) {
     if (k == "lines_padded") plan.lines_padded = as_u64(v);
     else if (k == "predicted_avoided_events") {
       plan.predicted_avoided_events = as_u64(v);
     } else if (k == "rules") {
-      std::vector<std::string> elems;
-      if (!array_elems(v, elems)) return false;
-      for (const auto& e : elems) {
+      for (const std::string& e : json::as_object_list(v)) {
         std::vector<std::pair<std::string, std::string>> rkv;
-        if (!object_fields(e, rkv)) return false;
+        if (!json::scan_object(e, rkv)) return false;
         RemapRule r;
         for (const auto& [rk, rv] : rkv) {
           if (rk == "src") r.src = as_u64(rv);
@@ -309,6 +190,8 @@ bool parse_plan(const std::string& j, RepairPlan& plan) {
       }
     }
   }
+  // Rules off the wire are untrusted: refuse what AddressRemap would abort on.
+  if (remap_rules_error(rules) != nullptr) return false;
   plan.remap = AddressRemap(std::move(rules));
   return true;
 }
@@ -317,51 +200,49 @@ bool parse_plan(const std::string& j, RepairPlan& plan) {
 
 std::string DoctorReport::to_json() const {
   std::string s = "{";
-  str_kv(s, "label", label);  // labels are caller-chosen identifiers
-  str_kv(s, "doctor_backend", backend_name(backend));
-  num_kv(s, "p", p);
-  num_kv(s, "M", M);
-  num_kv(s, "B", B);
+  kv_str(s, "label", label);
+  kv_str(s, "doctor_backend", backend_name(backend));
+  kv(s, "p", static_cast<uint64_t>(p));
+  kv(s, "M", M);
+  kv(s, "B", static_cast<uint64_t>(B));
   std::string arr = "[";
   for (size_t i = 0; i < findings.size(); ++i) {
     if (i) arr += ",";
     arr += finding_json(findings[i]);
   }
   arr += "]";
-  raw_kv(s, "findings", arr);
+  kv_raw(s, "findings", arr);
   std::string pl = "{";
-  num_kv(pl, "lines_padded", plan.lines_padded);
-  num_kv(pl, "predicted_avoided_events", plan.predicted_avoided_events);
+  kv(pl, "lines_padded", plan.lines_padded);
+  kv(pl, "predicted_avoided_events", plan.predicted_avoided_events);
   std::string rs = "[";
   for (size_t i = 0; i < plan.remap.rules().size(); ++i) {
     if (i) rs += ",";
     rs += rule_json(plan.remap.rules()[i]);
   }
   rs += "]";
-  raw_kv(pl, "rules", rs);
+  kv_raw(pl, "rules", rs);
   pl += "}";
-  raw_kv(s, "plan", pl);
-  raw_kv(s, "before", before.to_json());
-  if (has_after) raw_kv(s, "after", after.to_json());
+  kv_raw(s, "plan", pl);
+  kv_raw(s, "before", before.to_json());
+  if (has_after) kv_raw(s, "after", after.to_json());
   s += "}";
   return s;
 }
 
-bool doctor_report_from_json(const std::string& json, DoctorReport& out) {
+bool doctor_report_from_json(const std::string& text, DoctorReport& out) {
   std::vector<std::pair<std::string, std::string>> kvs;
-  if (!object_fields(json, kvs)) return false;
+  if (!json::scan_object(text, kvs)) return false;
   out = DoctorReport{};
   for (const auto& [k, v] : kvs) {
-    if (k == "label") out.label = unquote(v);
+    if (k == "label") out.label = v;
     else if (k == "doctor_backend") {
-      if (!parse_backend(unquote(v), out.backend)) return false;
+      if (!parse_backend(v, out.backend)) return false;
     } else if (k == "p") out.p = static_cast<uint32_t>(as_u64(v));
     else if (k == "M") out.M = as_u64(v);
     else if (k == "B") out.B = static_cast<uint32_t>(as_u64(v));
     else if (k == "findings") {
-      std::vector<std::string> elems;
-      if (!array_elems(v, elems)) return false;
-      for (const auto& e : elems) {
+      for (const std::string& e : json::as_object_list(v)) {
         LineFinding f;
         if (!parse_finding(e, f)) return false;
         out.findings.push_back(std::move(f));

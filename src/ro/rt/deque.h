@@ -41,9 +41,11 @@ class Deque {
   /// Owner only; nullptr if empty.
   Job* pop() {
     const int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t t = top_.load(std::memory_order_relaxed);
+    // seq_cst store then seq_cst load, against steal()'s seq_cst loads:
+    // owner and thief cannot both miss each other's update (the
+    // store-buffering outcome), so at most one takes the last entry.
+    bottom_.store(b, std::memory_order_seq_cst);
+    int64_t t = top_.load(std::memory_order_seq_cst);
     if (t > b) {  // empty
       bottom_.store(b + 1, std::memory_order_relaxed);
       return nullptr;
@@ -62,9 +64,8 @@ class Deque {
 
   /// Thieves; nullptr if empty or lost the race.
   Job* steal() {
-    int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const int64_t b = bottom_.load(std::memory_order_acquire);
+    int64_t t = top_.load(std::memory_order_seq_cst);
+    const int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return nullptr;
     Job* j =
         buf_[static_cast<size_t>(t) & mask_].load(std::memory_order_relaxed);

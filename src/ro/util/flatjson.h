@@ -1,9 +1,10 @@
 #pragma once
 
-// Minimal flat-JSON emit/scan helpers shared by the report, job, and serve
-// layers.  The dialect is the one RunReport::to_json has always produced:
-// one object of "key":value pairs where values are strings, numbers, flat
-// numeric arrays, or (new) nested objects / object arrays captured raw.
+// The repo's one JSON emit/scan layer, shared by the report, job, serve
+// and doctor layers.  The dialect is the one RunReport::to_json has always
+// produced: one object of "key":value pairs where values are escaped
+// strings, numbers, flat numeric arrays, or nested objects / object arrays
+// captured raw (and scanned again by the reader that owns them).
 // Not a general JSON parser — exactly the shapes this repo writes.
 
 #include <cstdint>
@@ -82,6 +83,60 @@ inline void kv_raw(std::string& s, const char* key, const std::string& raw) {
   s += raw;
 }
 
+/// Reads the string literal at j[i] into `out` (unescaped) and advances i
+/// past its closing quote; false when j[i] is not a quote or the literal
+/// is cut off.
+inline bool scan_string(const std::string& j, size_t& i, std::string& out) {
+  if (i >= j.size() || j[i] != '"') return false;
+  ++i;
+  out.clear();
+  while (i < j.size() && j[i] != '"') {
+    if (j[i] == '\\') {
+      if (i + 1 >= j.size()) return false;
+      const char e = j[i + 1];
+      if (e == 'n') out += '\n';
+      else if (e == 't') out += '\t';
+      else if (e == 'r') out += '\r';
+      else if (e == 'u') {
+        if (i + 5 >= j.size()) return false;
+        out += static_cast<char>(
+            std::strtoul(j.substr(i + 2, 4).c_str(), nullptr, 16));
+        i += 4;
+      } else out += e;  // \" \\ \/ and friends
+      i += 2;
+    } else {
+      out += j[i++];
+    }
+  }
+  if (i >= j.size()) return false;
+  ++i;  // closing quote
+  return true;
+}
+
+/// Captures the balanced {...} or [...] value at j[i] raw into `out` and
+/// advances i past it, skipping strings so braces inside labels don't
+/// miscount.  The one balanced-value scanner of the dialect.
+inline bool capture_balanced(const std::string& j, size_t& i,
+                             std::string& out) {
+  const size_t v0 = i;
+  int depth = 0;
+  std::string tmp;
+  while (i < j.size()) {
+    const char c = j[i];
+    if (c == '"') {
+      if (!scan_string(j, i, tmp)) return false;
+      continue;
+    }
+    if (c == '{' || c == '[') ++depth;
+    else if (c == '}' || c == ']') --depth;
+    ++i;
+    if (depth == 0) break;
+  }
+  if (depth != 0) return false;
+  out = j.substr(v0, i - v0);
+  return true;
+}
+
 /// Tokenizes one JSON object {"key":value,...} into key -> raw value
 /// (strings unescaped, numbers verbatim, arrays and nested objects captured
 /// raw with their brackets, nesting and embedded strings respected).
@@ -96,68 +151,21 @@ inline bool scan_object(const std::string& j,
                             j[i] == '\r' || j[i] == ','))
       ++i;
   };
-  auto parse_string = [&](std::string& out) {
-    if (i >= j.size() || j[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < j.size() && j[i] != '"') {
-      if (j[i] == '\\') {
-        if (i + 1 >= j.size()) return false;
-        const char e = j[i + 1];
-        if (e == 'n') out += '\n';
-        else if (e == 't') out += '\t';
-        else if (e == 'r') out += '\r';
-        else if (e == 'u') {
-          if (i + 5 >= j.size()) return false;
-          out += static_cast<char>(
-              std::strtoul(j.substr(i + 2, 4).c_str(), nullptr, 16));
-          i += 4;
-        } else out += e;  // \" \\ \/ and friends
-        i += 2;
-      } else {
-        out += j[i++];
-      }
-    }
-    if (i >= j.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-  // Captures a balanced {...} or [...] raw, skipping strings so braces
-  // inside labels don't miscount.
-  auto capture_nested = [&](std::string& out) {
-    const size_t v0 = i;
-    int depth = 0;
-    while (i < j.size()) {
-      const char c = j[i];
-      if (c == '"') {
-        std::string tmp;
-        if (!parse_string(tmp)) return false;
-        continue;
-      }
-      if (c == '{' || c == '[') ++depth;
-      else if (c == '}' || c == ']') --depth;
-      ++i;
-      if (depth == 0) break;
-    }
-    if (depth != 0) return false;
-    out = j.substr(v0, i - v0);
-    return true;
-  };
   while (true) {
     skip_ws();
     if (i >= j.size()) return false;
     if (j[i] == '}') return true;
     std::string key;
-    if (!parse_string(key)) return false;
+    if (!scan_string(j, i, key)) return false;
     skip_ws();
     if (i >= j.size() || j[i] != ':') return false;
     ++i;
     skip_ws();
     std::string val;
     if (i < j.size() && j[i] == '"') {
-      if (!parse_string(val)) return false;
+      if (!scan_string(j, i, val)) return false;
     } else if (i < j.size() && (j[i] == '[' || j[i] == '{')) {
-      if (!capture_nested(val)) return false;
+      if (!capture_balanced(j, i, val)) return false;
     } else {
       const size_t v0 = i;
       while (i < j.size() && j[i] != ',' && j[i] != '}') ++i;
@@ -191,27 +199,19 @@ inline std::vector<uint64_t> as_u64_list(const std::string& v) {
   return out;
 }
 
-/// Splits a raw "[{...},{...}]" capture into the element objects.
+/// Splits a raw "[{...},{...}]" capture into the element objects (a
+/// cut-off object ends the list).
 inline std::vector<std::string> as_object_list(const std::string& v) {
   std::vector<std::string> out;
   size_t i = 0;
+  std::string elem;
   while (i < v.size()) {
-    if (v[i] == '{') {
-      int depth = 0;
-      const size_t v0 = i;
-      bool in_str = false;
-      for (; i < v.size(); ++i) {
-        const char c = v[i];
-        if (in_str) {
-          if (c == '\\') ++i;
-          else if (c == '"') in_str = false;
-        } else if (c == '"') in_str = true;
-        else if (c == '{') ++depth;
-        else if (c == '}' && --depth == 0) { ++i; break; }
-      }
-      out.push_back(v.substr(v0, i - v0));
-    } else {
+    if (v[i] != '{') {
       ++i;
+    } else if (capture_balanced(v, i, elem)) {
+      out.push_back(std::move(elem));
+    } else {
+      break;
     }
   }
   return out;

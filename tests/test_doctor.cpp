@@ -2,7 +2,8 @@
 // replay parallelism and streamed trace windows, AddressRemap apply/unmap
 // round-trips over recorded addresses, the packed-counter closed loop
 // (diagnose -> repair -> verified >= 2x transfer reduction), the padded
-// control staying clean, DoctorReport JSON round-trips, and the RunReport
+// control staying clean, DoctorReport JSON round-trips (escaped labels,
+// golden bytes, hostile remap rules refused), and the RunReport
 // forward-compat contract (unknown / missing fields default, never fail).
 #include <gtest/gtest.h>
 
@@ -97,6 +98,34 @@ TEST(AddressRemap, RoundTripOverRecordedAddresses) {
   }
   EXPECT_GT(data, 0u);
   EXPECT_GT(moved, 0u);  // the packed counter line really was relocated
+}
+
+TEST(AddressRemap, RulesErrorNamesEachViolation) {
+  const RemapRule ok{/*src=*/0, /*len=*/32, /*dst=*/64, /*stride=*/32};
+  EXPECT_EQ(remap_rules_error({}), nullptr);
+  EXPECT_EQ(remap_rules_error({ok}), nullptr);
+  RemapRule bad = ok;
+  bad.len = 0;
+  EXPECT_NE(remap_rules_error({bad}), nullptr);
+  bad = ok;
+  bad.stride = 0;
+  EXPECT_NE(remap_rules_error({bad}), nullptr);
+  bad = ok;
+  bad.src = ~vaddr_t{0} - 23;  // wraps past 2^64 unless caught first
+  EXPECT_NE(remap_rules_error({bad}), nullptr);
+  bad = ok;
+  bad.dst = shard_base(1);  // lands in another shard
+  EXPECT_NE(remap_rules_error({bad}), nullptr);
+  bad = ok;
+  bad.src = 16;  // overlaps ok's source range
+  bad.dst = 2048;
+  EXPECT_NE(remap_rules_error({ok, bad}), nullptr);
+  bad = ok;
+  bad.src = 2048;  // same destination image as ok
+  EXPECT_NE(remap_rules_error({ok, bad}), nullptr);
+  bad = ok;
+  bad.dst = 16;  // destination over its own source range
+  EXPECT_NE(remap_rules_error({bad}), nullptr);
 }
 
 // ---- ContentionProfile determinism ----
@@ -268,11 +297,18 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
 
 TEST(Doctor, ReportJsonRoundTrips) {
   const Recording rec = engine().record(prog_counters(8, 32, 1));
+  // A label that needs escaping: quote, backslash, braces, control bytes.
+  const std::string label = "json quo\"te\\slash}{\n\x01";
   const doctor::DoctorReport d =
-      engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "json");
+      engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, label);
   const std::string j = d.to_json();
+  EXPECT_NE(j.find("\"label\":\"json quo\\\"te\\\\slash}{\\n\\u0001\""),
+            std::string::npos)
+      << j;
   doctor::DoctorReport back;
   ASSERT_TRUE(doctor::doctor_report_from_json(j, back));
+  EXPECT_EQ(back.label, label);
+  EXPECT_EQ(back.before.label, label);
   EXPECT_EQ(back.to_json(), j);
   EXPECT_EQ(back.findings, d.findings);
   EXPECT_EQ(back.plan, d.plan);
@@ -281,6 +317,84 @@ TEST(Doctor, ReportJsonRoundTrips) {
   doctor::DoctorReport junk;
   EXPECT_FALSE(doctor::doctor_report_from_json("not json", junk));
   EXPECT_FALSE(doctor::doctor_report_from_json("[1,2]", junk));
+}
+
+TEST(Doctor, ReportJsonBytesMatchGolden) {
+  // Byte-for-byte the output of the doctor's former private writer, so
+  // moving to util/flatjson.h changed nothing a client can see.
+  const Recording rec = engine().record(prog_counters(8, 4, 8));
+  doctor::DoctorReport d =
+      engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "golden");
+  d.before.wall_ms = 0;
+  d.after.wall_ms = 0;
+  const std::string golden =
+      "{\"label\":\"golden\",\"doctor_backend\":\"sim-pws\",\"p\":4,"
+      "\"M\":4096,\"B\":32,\"findings\":[{\"line\":32,"
+      "\"pattern\":\"false-sharing\",\"false_events\":2,\"true_events\":0,"
+      "\"transfers\":2,\"coherence_misses\":0,\"tasks\":3,\"hot_words\":[8,"
+      "16,24]},{\"line\":0,\"pattern\":\"false-sharing\",\"false_events\":1,"
+      "\"true_events\":0,\"transfers\":1,\"coherence_misses\":0,\"tasks\":2,"
+      "\"hot_words\":[16,24]}],\"plan\":{\"lines_padded\":2,"
+      "\"predicted_avoided_events\":3,\"rules\":[{\"src\":0,\"len\":32,"
+      "\"dst\":1088,\"stride\":32},{\"src\":32,\"len\":32,\"dst\":64,"
+      "\"stride\":32}]},\"before\":{\"label\":\"golden\","
+      "\"backend\":\"sim-pws\",\"wall_ms\":0.0000,\"work\":99,\"span\":23,"
+      "\"max_depth\":3,\"activations\":15,\"accesses\":64,\"leaves\":8,"
+      "\"p\":4,\"M\":4096,\"B\":32,\"makespan\":439,\"compute\":106,"
+      "\"cache_misses\":11,\"block_misses\":1,\"stack_misses\":7,"
+      "\"steals\":4,\"steal_attempts\":14,\"steal_cycles\":1344,"
+      "\"usurpations\":4,\"idle\":960,\"l2_hits\":0,\"hold_waits\":0,"
+      "\"total_block_transfers\":7,\"max_block_transfers\":2,"
+      "\"stack_words\":85959,\"q_seq\":3,\"seq_makespan\":202,"
+      "\"cache_excess\":8,\"sim_speedup\":0.4601,\"fs_false_events\":3,"
+      "\"fs_true_events\":0,\"fs_hot_lines\":2},"
+      "\"after\":{\"label\":\"golden:repaired\",\"backend\":\"sim-pws\","
+      "\"wall_ms\":0.0000,\"work\":99,\"span\":23,\"max_depth\":3,"
+      "\"activations\":15,\"accesses\":64,\"leaves\":8,\"p\":4,\"M\":4096,"
+      "\"B\":32,\"makespan\":460,\"compute\":106,\"cache_misses\":16,"
+      "\"block_misses\":1,\"stack_misses\":9,\"steals\":5,"
+      "\"steal_attempts\":15,\"steal_cycles\":1440,\"usurpations\":4,"
+      "\"idle\":960,\"l2_hits\":0,\"hold_waits\":0,"
+      "\"total_block_transfers\":5,\"max_block_transfers\":2,"
+      "\"stack_words\":102343,\"q_seq\":9,\"seq_makespan\":394,"
+      "\"cache_excess\":7,\"sim_speedup\":0.8565}}";
+  EXPECT_EQ(d.to_json(), golden);
+}
+
+TEST(Doctor, HostileRemapRulesAreRefusedNotAborted) {
+  // Plan rules arrive over the wire; ones AddressRemap cannot hold make
+  // the reply unparsable instead of killing the reading process.
+  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  JobResult jr;
+  jr.kind = JobKind::kDiagnose;
+  jr.has_doctor = true;
+  jr.doctor =
+      engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "hostile");
+  ASSERT_FALSE(jr.doctor.plan.remap.empty());
+  // Swaps the plan's rules array for `rules`.
+  const auto with_rules = [](std::string j, const char* rules) {
+    const size_t r0 = j.find("\"rules\":[") + 9;
+    j.replace(r0, j.find(']', r0) - r0, rules);
+    return j;
+  };
+  const char* hostile[] = {
+      "{\"src\":-24,\"len\":32,\"dst\":64,\"stride\":32}",
+      "{\"src\":0,\"len\":32,\"dst\":64,\"stride\":32},"
+      "{\"src\":16,\"len\":32,\"dst\":4096,\"stride\":32}",
+      "{\"src\":0,\"len\":0,\"dst\":64,\"stride\":32}",
+      "{\"src\":0,\"len\":32,\"dst\":64,\"stride\":0}",
+  };
+  JobResult back;
+  doctor::DoctorReport d;
+  ASSERT_TRUE(jobresult_from_json(jr.to_json(), back));
+  ASSERT_TRUE(doctor::doctor_report_from_json(jr.doctor.to_json(), d));
+  for (const char* bad : hostile) {
+    EXPECT_FALSE(jobresult_from_json(with_rules(jr.to_json(), bad), back))
+        << bad;
+    EXPECT_FALSE(doctor::doctor_report_from_json(
+        with_rules(jr.doctor.to_json(), bad), d))
+        << bad;
+  }
 }
 
 TEST(Report, ForwardCompatUnknownAndMissingFields) {

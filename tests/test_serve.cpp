@@ -1,14 +1,18 @@
 // ro-serve tests: admission-control determinism, the JobSpec wire schema
-// (forward compatibility, garbage rejection), the line protocol over a
-// real Unix socket (malformed input must produce error lines, never
-// aborts), and served-vs-one-shot metric identity.
+// (forward compatibility, garbage rejection), every wire parser under
+// truncation and byte mutation (refusals, never aborts), the line
+// protocol over a real Unix socket (malformed input must produce error
+// lines, never aborts), escaped labels on the wire, and served-vs-one-shot
+// metric identity.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -254,6 +258,93 @@ TEST(JobSchema, BatchReportRoundTrips) {
   EXPECT_TRUE(back.capacity_shared);
 }
 
+// ---- wire parsers under mutation ----
+
+TEST(WireParsers, TruncatedAndMutatedMessagesAreRefusedNotFatal) {
+  // Every reader the wire feeds gets every proper prefix of a real message
+  // and a seeded sample of single-byte substitutions drawn from the JSON
+  // structural bytes.  Each call must return: true or false, never an
+  // abort or a spin.  Host times are zeroed so the inputs are fixed.
+  JobSpec spec;
+  spec.tenant = "t";
+  spec.tag = "tag";
+  spec.workload = "sort-spms";
+  spec.opt.label = "spec";
+  spec.opt.spms = alg::SpmsTuning{};
+
+  JobSpec diag;
+  diag.kind = JobKind::kDiagnose;
+  diag.workload = "counters-packed";
+  diag.n = 16;
+  diag.opt.backend = Backend::kSimPws;
+  diag.opt.label = "diag";
+  JobResult dr = ro::testing::engine().submit(diag);
+  ASSERT_TRUE(dr.ok() && dr.has_doctor) << dr.error;
+  ASSERT_TRUE(dr.doctor.has_after);
+  dr.queue_ms = dr.exec_ms = 0;
+  dr.doctor.before.wall_ms = dr.doctor.after.wall_ms = 0;
+
+  JobSpec batch;
+  batch.kind = JobKind::kBatch;
+  batch.workload = "msum";
+  batch.n = 1 << 8;
+  batch.shards = 2;
+  batch.opt.backend = Backend::kSimPws;
+  batch.opt.label = "batch";
+  JobResult br = ro::testing::engine().submit(batch);
+  ASSERT_TRUE(br.ok() && br.has_batch) << br.error;
+  br.queue_ms = br.exec_ms = 0;
+  br.batch.wall_ms = br.batch.record_ms = br.batch.replay_ms = 0;
+  br.batch.aggregate.wall_ms = 0;
+  for (RunReport& r : br.batch.runs) r.wall_ms = 0;
+
+  using Parser = std::function<bool(const std::string&)>;
+  const Parser spec_reader = [](const std::string& j) {
+    JobSpec o;
+    return jobspec_from_json(j, o);
+  };
+  const Parser result_reader = [](const std::string& j) {
+    JobResult o;
+    return jobresult_from_json(j, o);
+  };
+  const Parser report_reader = [](const std::string& j) {
+    RunReport o;
+    return report_from_json(j, o);
+  };
+  const Parser batch_reader = [](const std::string& j) {
+    BatchReport o;
+    return batch_from_json(j, o);
+  };
+  const Parser doctor_reader = [](const std::string& j) {
+    doctor::DoctorReport o;
+    return doctor::doctor_report_from_json(j, o);
+  };
+  const std::pair<Parser, std::string> cases[] = {
+      {spec_reader, spec.to_json()},
+      {result_reader, dr.to_json()},
+      {result_reader, br.to_json()},
+      {report_reader, dr.doctor.before.to_json()},
+      {batch_reader, br.batch.to_json()},
+      {doctor_reader, dr.doctor.to_json()},
+  };
+  constexpr char kBytes[] = "\"{}[],:\\-0";
+  constexpr int kMutationsPerCase = 400;
+  std::mt19937_64 rng(0x5eed);
+  for (const auto& [parse, msg] : cases) {
+    ASSERT_TRUE(parse(msg)) << msg;
+    // The closing brace is the only top-level '}', so no proper prefix is
+    // a complete object.
+    for (size_t len = 0; len < msg.size(); ++len) {
+      EXPECT_FALSE(parse(msg.substr(0, len))) << msg.substr(0, len);
+    }
+    for (int k = 0; k < kMutationsPerCase; ++k) {
+      std::string m = msg;
+      m[rng() % m.size()] = kBytes[rng() % (sizeof kBytes - 1)];
+      parse(m);
+    }
+  }
+}
+
 // ---- the wire protocol ----
 
 class ServeSocketTest : public ::testing::Test {
@@ -364,6 +455,30 @@ TEST_F(ServeSocketTest, ServedMetricsMatchOneShotSubmit) {
   EXPECT_EQ(jr.report.sim.block_misses(), golden.report.sim.block_misses());
   EXPECT_EQ(jr.report.sim.steals(), golden.report.sim.steals());
   EXPECT_EQ(jr.report.q_seq, golden.report.q_seq);
+}
+
+TEST_F(ServeSocketTest, DiagnoseLabelNeedingEscapesRoundTrips) {
+  // Quotes, backslashes and braces in a label are escaped on the way out
+  // and restored on the way in; the reply's findings are untouched.
+  JobSpec spec;
+  spec.kind = JobKind::kDiagnose;
+  spec.workload = "counters-packed";
+  spec.n = 16;
+  spec.opt.backend = Backend::kSimPws;
+  spec.opt.label = "quo\"te\\slash}{";
+  const JobResult golden = ro::testing::engine().submit(spec);
+  ASSERT_TRUE(golden.ok()) << golden.error;
+  serve::Client c;
+  ASSERT_TRUE(c.connect(server_->socket_path()));
+  JobResult jr;
+  ASSERT_TRUE(c.submit(spec, jr));
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  ASSERT_TRUE(jr.has_doctor);
+  EXPECT_EQ(jr.doctor.label, spec.opt.label);
+  EXPECT_EQ(jr.doctor.before.label, spec.opt.label);
+  EXPECT_FALSE(jr.doctor.findings.empty());
+  EXPECT_EQ(jr.doctor.findings, golden.doctor.findings);
+  EXPECT_EQ(jr.doctor.plan, golden.doctor.plan);
 }
 
 TEST_F(ServeSocketTest, ShutdownOpStopsTheServer) {
