@@ -376,6 +376,89 @@ TEST(Sched, OneCoreSharedWalkMatchesCommittedGoldens) {
   }
 }
 
+// Three tenants on one p = 4 machine, under PWS and seeded RWS, on the
+// plain, write-hold (§5.1) and partitioned-L2 (§5.2) machines.  Each
+// replay's row pins the whole Metrics; each tenant row holds all four
+// TenantShare counters (its digest column is unused), and the shares
+// partition the machine's totals.
+TEST(Sched, CapacitySharedWalkMatchesCommittedGoldens) {
+  Engine& eng = testing::engine();
+  std::vector<TaskGraph> parts;
+  parts.push_back(
+      eng.record(make_workload("ps", 512, 0), false, 4096, 0).graph);
+  parts.push_back(
+      eng.record(make_workload("sort-spms", 512, 1), false, 4096, 1).graph);
+  parts.push_back(
+      eng.record(make_workload("counters-packed", 256, 2), false, 4096, 2)
+          .graph);
+  const TaskGraph merged = merge_shards(std::move(parts));
+
+  SimConfig plain = base_cfg(4);  // small enough for the tenants to contend
+  plain.M = 1024;
+  plain.B = 16;
+  std::vector<std::pair<const char*, SimConfig>> machines;
+  machines.emplace_back("plain", plain);
+  SimConfig hold = plain;
+  hold.write_hold = 24;
+  machines.emplace_back("write_hold", hold);
+  SimConfig l2 = plain;
+  l2.M2 = 4 * l2.M;
+  machines.emplace_back("l2", l2);
+
+  testing::GoldenTable golden({
+      {"shared/PWS/plain", 15183, 578, 87, 32, 0xdd1786e8bed63da3ull},
+      {"shared/PWS/plain/tenant0", 9202, 233, 0, 53, 0x0000000000000000ull},
+      {"shared/PWS/plain/tenant1", 13434, 324, 39, 171, 0x0000000000000000ull},
+      {"shared/PWS/plain/tenant2", 9722, 21, 48, 50, 0x0000000000000000ull},
+      {"shared/PWS/write_hold", 15080, 605, 18, 40, 0x598cb299a6496addull},
+      {"shared/PWS/write_hold/tenant0", 9202, 233, 0, 53, 0x0000000000000000ull},
+      {"shared/PWS/write_hold/tenant1", 13434, 351, 18, 176, 0x0000000000000000ull},
+      {"shared/PWS/write_hold/tenant2", 9722, 21, 0, 2, 0x0000000000000000ull},
+      {"shared/PWS/l2", 15882, 633, 46, 45, 0xc40833ecb9484cd5ull},
+      {"shared/PWS/l2/tenant0", 9202, 242, 1, 56, 0x0000000000000000ull},
+      {"shared/PWS/l2/tenant1", 13434, 372, 45, 210, 0x0000000000000000ull},
+      {"shared/PWS/l2/tenant2", 9722, 19, 0, 0, 0x0000000000000000ull},
+      {"shared/RWS/plain", 16313, 629, 54, 36, 0xc5891fbcdc723988ull},
+      {"shared/RWS/plain/tenant0", 9202, 237, 1, 54, 0x0000000000000000ull},
+      {"shared/RWS/plain/tenant1", 13434, 375, 53, 197, 0x0000000000000000ull},
+      {"shared/RWS/plain/tenant2", 9722, 17, 0, 0, 0x0000000000000000ull},
+      {"shared/RWS/write_hold", 15319, 603, 12, 29, 0x54b925016ea4584dull},
+      {"shared/RWS/write_hold/tenant0", 9202, 233, 0, 50, 0x0000000000000000ull},
+      {"shared/RWS/write_hold/tenant1", 13434, 353, 12, 143, 0x0000000000000000ull},
+      {"shared/RWS/write_hold/tenant2", 9722, 17, 0, 0, 0x0000000000000000ull},
+      {"shared/RWS/l2", 16016, 630, 51, 36, 0x764bf649a50d3530ull},
+      {"shared/RWS/l2/tenant0", 9202, 238, 1, 54, 0x0000000000000000ull},
+      {"shared/RWS/l2/tenant1", 13434, 375, 50, 206, 0x0000000000000000ull},
+      {"shared/RWS/l2/tenant2", 9722, 17, 0, 0, 0x0000000000000000ull},
+  });
+  for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
+    for (auto [mname, cfg] : machines) {
+      cfg.seed = 7;
+      const std::string name =
+          std::string("shared/") + sched_name(kind) + "/" + mname;
+      std::vector<TenantShare> shares;
+      const Metrics m = simulate_shared(merged, kind, cfg, &shares);
+      golden.check(testing::golden_of(name, m));
+      ASSERT_EQ(shares.size(), 3u);
+      TenantShare sum;
+      for (size_t s = 0; s < shares.size(); ++s) {
+        const TenantShare& t = shares[s];
+        golden.check(testing::Golden{name + "/tenant" + std::to_string(s),
+                                     t.compute, t.cache_misses,
+                                     t.block_misses, t.transfers, 0});
+        sum.compute += t.compute;
+        sum.cache_misses += t.cache_misses;
+        sum.block_misses += t.block_misses;
+        sum.transfers += t.transfers;
+      }
+      EXPECT_EQ(sum.compute, m.compute()) << name;
+      EXPECT_EQ(sum.cache_misses, m.cache_misses()) << name;
+      EXPECT_EQ(sum.block_misses, m.block_misses()) << name;
+      EXPECT_EQ(sum.transfers, m.total_block_transfers) << name;
+    }
+  }
+}
+
 // A one-core machine can never steal, so PWS and RWS at p = 1 walk
 // exactly as kSeq does, for one machine per shard and for a shared one;
 // an attached ContentionProfile sees no invalidation, coherence miss or
