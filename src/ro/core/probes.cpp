@@ -119,7 +119,7 @@ std::vector<TaskProbe> probe_tasks(const TaskGraph& g, uint32_t block_words,
     }
   };
   std::unordered_map<uint64_t, BlockInfo> blocks;
-  AccessReader rd(g);  // one pinned trace segment at a time
+  TraceStore::Cursor rd(*g.store);  // one pinned trace segment at a time
   for (uint32_t ai = 0; ai < g.acts.size(); ++ai) {
     const Activation& a = g.acts[ai];
     for (uint32_t k = 0; k < a.num_segs; ++k) {

@@ -36,7 +36,7 @@ class TraceCtx : public CtxBase<TraceCtx> {
                                  // 0 = the single-shard compatibility path
     // The chunked store access records are appended to (bounded memory,
     // sealed segments spilled to disk per the store's options); run()
-    // seals it and hands it to the graph as its single StreamPart.  Null =
+    // seals it and hands it to the graph as its access stream.  Null =
     // a default TraceStore(): an unwindowed store that never spills.
     std::shared_ptr<TraceStore> store;
   };
@@ -110,7 +110,7 @@ class TraceCtx : public CtxBase<TraceCtx> {
     g_.data_top = vs_->top();
     g_.align_words = vs_->alignment();
     opt_.store->seal();
-    g_.streams = {StreamPart{opt_.store, 0, opt_.store->size()}};
+    g_.store = opt_.store;
     return std::move(g_);
   }
 

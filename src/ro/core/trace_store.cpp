@@ -294,10 +294,10 @@ TraceStore::SlabPtr TraceStore::segment(uint64_t seg) {
 const Access& TraceStore::Cursor::fault(uint64_t i) {
   RO_CHECK_MSG(store_ != nullptr, "read through an empty trace cursor");
   const uint64_t cap = store_->opt_.segment_tasks;
-  const uint64_t seg = (i - base_) / cap;
+  const uint64_t seg = i / cap;
   pin_ = store_->segment(seg);  // may block on the seal watermark
   recs_ = pin_->data();
-  first_ = base_ + seg * cap;
+  first_ = seg * cap;
   count_ = pin_->size();
   RO_CHECK_MSG(i - first_ < count_, "trace cursor out of range");
   return recs_[i - first_];

@@ -140,13 +140,11 @@ class TraceStore {
   /// reference, the pin keeps the segment alive until the cursor moves.
   /// A fault into a not-yet-sealed segment blocks until the recorder
   /// seals it (the pipelining handoff); reading past the end of a sealed
-  /// store fails.  `at(i)` reads record `i - base`, so a cursor can index a
-  /// graph's global access space directly (StreamPart::acc_base).
+  /// store fails.
   class Cursor {
    public:
     Cursor() = default;
-    explicit Cursor(TraceStore& s, uint64_t base = 0)
-        : store_(&s), base_(base) {}
+    explicit Cursor(TraceStore& s) : store_(&s) {}
 
     const Access& at(uint64_t i) {
       const uint64_t off = i - first_;  // wraps when i < first_ -> fault
@@ -160,9 +158,8 @@ class TraceStore {
     TraceStore* store_ = nullptr;
     std::shared_ptr<const std::vector<Access>> pin_;
     const Access* recs_ = nullptr;
-    uint64_t first_ = 0;  // index of recs_[0], base included
+    uint64_t first_ = 0;  // index of recs_[0]
     uint64_t count_ = 0;
-    uint64_t base_ = 0;
   };
 
  private:

@@ -11,7 +11,7 @@ LimitedAccessReport check_limited_access(const TaskGraph& g) {
   std::unordered_map<uint64_t, uint32_t> global_writes;
   // Frame locations are keyed (act, offset); pack into one u64.
   std::unordered_map<uint64_t, uint32_t> frame_writes;
-  AccessReader rd(g);  // one pinned trace segment at a time
+  TraceStore::Cursor rd(*g.store);  // one pinned trace segment at a time
   const uint64_t n = g.acc_count();
   for (uint64_t i = 0; i < n; ++i) {
     const Access a = rd.at(i);
@@ -73,7 +73,7 @@ BalanceReport check_balance(const TaskGraph& g) {
 
 HeadWorkReport check_head_work(const TaskGraph& g) {
   HeadWorkReport r;
-  AccessReader rd(g);  // hoisted: one store fault per trace segment
+  TraceStore::Cursor rd(*g.store);  // hoisted: one fault per trace segment
   for (const auto& a : g.acts) {
     for (uint32_t k = 0; k < a.num_segs; ++k) {
       const Segment& s = g.segments[a.first_seg + k];

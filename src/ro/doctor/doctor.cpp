@@ -1,7 +1,6 @@
 #include "ro/doctor/doctor.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -70,30 +69,23 @@ RepairPlan plan_repair(const std::vector<LineFinding>& findings,
                        const DoctorOptions& opt) {
   RO_CHECK_MSG(B >= 1, "plan_repair needs the replay block size");
   RepairPlan plan;
-  // Destination bump pointer per shard, starting one block past the
-  // shard's recorded data (block grid is rebased to span.base, so the
-  // rounding happens in offset space).
-  std::map<uint32_t, vaddr_t> bump;
-  std::vector<ShardSpan> spans = g.shard_spans();
+  // Destination bump pointer, starting one block past the recorded data
+  // (the block grid is rebased to data_base, so the rounding happens in
+  // offset space).
+  const uint64_t off = g.data_top - g.data_base;
+  vaddr_t bump = g.data_base + (off + B - 1) / B * B;
   std::vector<RemapRule> rules;
   for (const LineFinding& f : findings) {
     if (f.pattern == Pattern::kTrueSharing) continue;
     if (f.false_events < opt.min_false_events) continue;
-    const uint32_t shard = shard_of(f.line);
-    auto span = std::find_if(
-        spans.begin(), spans.end(),
-        [&](const ShardSpan& s) { return s.shard == shard; });
-    RO_CHECK_MSG(span != spans.end(), "finding outside any recorded shard");
-    if (bump.find(shard) == bump.end()) {
-      const uint64_t off = span->data_top - span->base;
-      bump[shard] = span->base + (off + B - 1) / B * B;
-    }
+    RO_CHECK_MSG(shard_of(f.line) == shard_of(g.data_base),
+                 "finding outside the recorded shard");
     RemapRule r;
     r.src = f.line;
     r.len = B;
-    r.dst = bump[shard];
+    r.dst = bump;
     r.stride = B;  // one private block per word — gap.h StrideLayout
-    bump[shard] += uint64_t{B} * B;
+    bump += uint64_t{B} * B;
     rules.push_back(r);
     ++plan.lines_padded;
     plan.predicted_avoided_events += f.false_events;

@@ -273,12 +273,11 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
 
 /// The batch path on independent machines: one record -> analyze ->
 /// replay chain per shard on a host pool, no phase barriers — shard i
-/// replays while shard j still records.  Replaying each shard's own
-/// single-shard graph is bit-identical to replaying its span of a merged
-/// graph (shards share no addresses or activations), so no merge_shards is
-/// needed.  With opt.pipeline each store also compresses and spills behind
-/// its recorder (async_spill).  The phase timings are cumulative busy
-/// times.
+/// replays while shard j still records.  Shards share no addresses or
+/// activations, so each shard's own walk is exact and the batch aggregate
+/// is their merge_shard_metrics.  With opt.pipeline each store also
+/// compresses and spills behind its recorder (async_spill).  The phase
+/// timings are cumulative busy times.
 BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
                              const RunOptions& opt, std::string& error) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -300,7 +299,7 @@ BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
     sh[i].record_ms = ms_since(c0);
     if (vs.overflowed()) return;  // the batch fails below
     sh[i].stats = g.analyze();
-    sh[i].store = g.streams[0].store;
+    sh[i].store = g.store;
     const auto c2 = std::chrono::steady_clock::now();
     SimConfig scfg = opt.sim;
     if (scfg.profile != nullptr) scfg.profile = &profiles[i];
@@ -499,7 +498,7 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt,
       r.has_graph = true;
       r.graph = gs;
       if (st.segment_tasks > 0) {  // post-replay: loads included
-        add_stream_stats(r, *g.streams[0].store);
+        add_stream_stats(r, *g.store);
       }
       break;
     }
@@ -527,9 +526,8 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   if (!opt.capacity_shared) return run_batch_chains(progs, opt, error);
   // Capacity sharing replays every shard on ONE simulated machine — shared
   // cores, caches, coherence directory — with each miss/transfer charged
-  // to the span (tenant) whose task performed it (docs/serve.md).  That
-  // walk needs the merged co-scheduled trace, so every shard records
-  // first.
+  // to the tenant whose task performed it (docs/serve.md).  That walk
+  // co-schedules every shard's trace, so every shard records first.
   const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
@@ -548,17 +546,16 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   std::vector<ShardResult> sh(n);
   for (uint32_t i = 0; i < n; ++i) {
     sh[i].stats = graphs[i].analyze();
-    sh[i].store = graphs[i].streams[0].store;
+    sh[i].store = graphs[i].store;
   }
-  const TaskGraph merged = merge_shards(std::move(graphs));
   const SchedKind kind = sched_kind_of(opt.backend);
   const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   const auto tr0 = std::chrono::steady_clock::now();
   std::vector<TenantShare> shares, base_shares;
-  const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
+  const Metrics main = simulate_shared(graphs, kind, opt.sim, &shares);
   Metrics base;
   if (with_baseline) {
-    base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
+    base = simulate_shared(graphs, SchedKind::kSeq, opt.sim, &base_shares);
   }
   for (uint32_t i = 0; i < n; ++i) {
     sh[i].share = shares[i];

@@ -129,9 +129,9 @@ class Engine {
   /// BatchReport carries one RunReport per shard (labelled "label#i") and
   /// the shard-order aggregate; both are bit-identical for every
   /// replay_threads value and either opt.pipeline.  With
-  /// opt.capacity_shared the shards are recorded, merged (merge_shards) and
-  /// replayed on ONE shared machine with per-tenant attribution instead
-  /// (docs/serve.md).  Equivalent to submit() with a kBatch spec.
+  /// opt.capacity_shared every shard records first, then their graphs
+  /// replay as a tenant list on ONE shared machine (simulate_shared) with
+  /// per-tenant attribution instead (docs/serve.md).  Equivalent to submit() with a kBatch spec.
   template <class Prog>
   BatchReport run_batch(const std::vector<Prog>& progs,
                         const RunOptions& opt = {}) {
@@ -167,7 +167,7 @@ class Engine {
   /// spilling to disk, so the trace never has to fit in memory.
   /// The returned Recording replays through the exact same entry points
   /// (replay / simulate) with bit-identical Metrics; the graph keeps the
-  /// store alive via its StreamPart.
+  /// store alive (TaskGraph::store).
   template <class Prog>
   Recording record_stream(Prog&& prog, const StreamOptions& stream,
                           bool padded = false, uint64_t align_words = 4096,

@@ -80,7 +80,6 @@ class ArenaSet {
 
   /// High-water mark of simulated stack space (words above `base`).
   vaddr_t bump() const { return bump_; }
-  size_t arena_count() const { return arenas_.size(); }
 
  private:
   struct Chunk {

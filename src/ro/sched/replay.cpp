@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -38,70 +40,46 @@ namespace {
 constexpr uint32_t kNoCore = 0xFFFFFFFFu;
 constexpr vaddr_t kUnresolved = ~vaddr_t{0};
 
-/// Words of the shard's data region (one past the recorded top, rebased):
+/// Words of a tenant's data region (one past the recorded top, rebased):
 /// a remap may relocate lines above the recorded data top, and the stack
 /// arenas must start above the remapped image, not just the recorded one.
-uint64_t data_words(const ShardSpan& span, const SimConfig& cfg) {
-  vaddr_t end = span.data_top + 1;
+uint64_t data_words(const TaskGraph& g, const SimConfig& cfg) {
+  vaddr_t end = g.data_top + 1;
   if (cfg.remap) {
-    end = std::max(end, cfg.remap->dst_top_in(span.base,
-                                              span.base + kShardSpanWords));
+    end = std::max(end, cfg.remap->dst_top_in(g.data_base,
+                                              g.data_base + kShardSpanWords));
   }
-  return end - span.base;
+  return end - g.data_base;
 }
 
-/// The stream part of each shard span of `g`, in span order.
-std::vector<StreamPart> parts_of(const TaskGraph& g,
-                                 const std::vector<ShardSpan>& spans) {
-  RO_CHECK_MSG(g.streams.size() == spans.size(),
-               "a graph must carry one stream part per shard span");
-  return g.streams;
+/// Allocation alignment the tenants were recorded with (4096 when
+/// unknown); simulate_shared checks that they agree.
+uint64_t align_of(std::span<const TaskGraph> gs) {
+  return gs[0].align_words ? gs[0].align_words : 4096;
 }
 
-/// Sized data region of each span and its rebased offset in a replayer's
-/// address space.  Span s's recorded address a maps to
-/// off[s] + (a - span.base); off[0] == 0, so a single-span replayer sees
-/// exactly the classic `span_rebase` addresses (bit-identical Metrics).
-/// Later spans are placed above the previous span's aligned data image, so
-/// distinct tenants never alias — capacity-shared replay contends for
-/// cache space and cores, not addresses.
-struct SpanLayout {
-  std::vector<vaddr_t> off;       // rebased base offset per span
-  uint64_t data_top = 0;          // one past the last span's data image
-  uint64_t recorded_words = 0;    // sum of (data_top - base) per span
+/// Where one machine places its tenants' data.  Tenant t's recorded
+/// address a maps to off[t] + (a - data_base); off[0] == 0, so a
+/// one-tenant machine sees exactly the classic `span_rebase` addresses.
+/// Later tenants are placed above the previous tenant's aligned data
+/// image, so distinct tenants never alias — capacity-shared replay
+/// contends for cache space and cores, not addresses.
+struct TenantLayout {
+  std::vector<vaddr_t> off;       // rebased data offset per tenant
+  uint64_t data_top = 0;          // one past the last tenant's data image
+  uint64_t recorded_words = 0;    // sum of (data_top - data_base) per tenant
 };
 
-SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
-                        const SimConfig& cfg, uint64_t align) {
-  SpanLayout lo;
-  lo.off.reserve(spans.size());
-  for (const ShardSpan& s : spans) {
+TenantLayout layout_tenants(std::span<const TaskGraph> gs,
+                            const SimConfig& cfg) {
+  TenantLayout lo;
+  lo.off.reserve(gs.size());
+  for (const TaskGraph& g : gs) {
     lo.off.push_back(lo.data_top);
-    lo.data_top += round_up_pow2(data_words(s, cfg), align);
-    lo.recorded_words += s.data_top - s.base;
+    lo.data_top += round_up_pow2(data_words(g, cfg), align_of(gs));
+    lo.recorded_words += g.data_top - g.data_base;
   }
   return lo;
-}
-
-/// Allocation alignment a graph was recorded with (4096 when unknown).
-uint64_t align_of(const TaskGraph& g) {
-  return g.align_words ? g.align_words : 4096;
-}
-
-/// Checks that a unit's spans are contiguous in the graph's activation and
-/// segment tables — span-local state is indexed off the first span's ids,
-/// which merge_shards' contiguous layout allows — and returns their total
-/// activation and segment counts.
-std::pair<uint64_t, uint64_t> span_extent(const std::vector<ShardSpan>& spans) {
-  uint64_t acts = 0, segs = 0;
-  for (const ShardSpan& sp : spans) {
-    RO_CHECK_MSG(sp.first_act == spans[0].first_act + acts &&
-                     sp.first_seg == spans[0].first_seg + segs,
-                 "shard spans must be contiguous");
-    acts += sp.num_acts;
-    segs += sp.num_segs;
-  }
-  return {acts, segs};
 }
 
 /// Block id and word offset of a rebased address for block size B: a
@@ -122,80 +100,77 @@ class BlockIndex {
   uint32_t shift_;
 };
 
-/// Replays one or more shard spans as a single unit: the priority-round
+/// Replays one or more tenants as a single unit: the priority-round
 /// sequence on one simulated machine of p >= 2 cores (cores, caches,
 /// directory, stack arenas); a one-core machine is OneCoreWalk below.
-/// Addresses are rebased per span (SpanLayout), so block ids start at 0
-/// whichever shards the data was recorded in.  One instance never touches
-/// state outside its spans — the invariant that makes independent walks
-/// of one store safe on concurrent host threads.
+/// Addresses are rebased per tenant (TenantLayout), so block ids start at
+/// 0 whichever shards the data was recorded in.  One instance never
+/// touches state outside its tenants — the invariant that makes
+/// independent walks of one store safe on concurrent host threads.
 ///
-/// simulate() constructs one single-span machine per shard (independent
-/// machines); capacity-shared replay (simulate_shared) constructs one
-/// machine over ALL spans, whose roots are co-scheduled on the shared
-/// cores and whose misses/transfers can be attributed per span through
-/// `shares`.
+/// simulate() constructs a one-tenant machine; capacity-shared replay
+/// (simulate_shared) constructs one machine over ALL tenants, whose roots
+/// are co-scheduled on the shared cores and whose misses/transfers can be
+/// attributed per tenant through `shares`.
 ///
-/// The access stream is read through one TraceStore cursor per core and
-/// span, indexed in the graph's global access space (the part's
-/// acc_base).  Each cursor pins one trace segment; crossing a seal
-/// boundary faults the next one in (a disk reload when it was spilled),
-/// so the walk consumes identical records whatever the store's window —
-/// hence bit-identical Metrics.  Records keep part-local activation ids
-/// (merge_shards shares the immutable stores instead of rewriting them);
-/// replay_access adds the span's first_act on the frame-access path, the
-/// only one that reads them.
+/// Every deque entry names its tenant, every core the tenant of the frame
+/// it runs, and activation and segment ids are that tenant's own, so they
+/// index its state directly.  The access stream is read through one
+/// TraceStore cursor per core and tenant.  Each cursor pins one trace
+/// segment; crossing a seal boundary faults the next one in (a disk reload
+/// when it was spilled), so the walk consumes identical records whatever
+/// the store's window — hence bit-identical Metrics.
 class ShardReplayer {
  public:
-  ShardReplayer(const TaskGraph& g, std::vector<ShardSpan> spans,
-                SchedKind kind, const SimConfig& cfg,
-                std::vector<StreamPart> parts,
-                std::vector<TenantShare>* shares = nullptr)
-      : g_(g), spans_(std::move(spans)), kind_(kind), cfg_(cfg),
-        parts_(std::move(parts)), shares_(shares),
-        sp_(cfg.effective_steal_latency()),
-        layout_(layout_spans(spans_, cfg, align_of(g))),
-        arenas_(layout_.data_top, align_of(g)), blk_(cfg.B), rng_(cfg.seed) {
+  ShardReplayer(std::span<const TaskGraph> gs, SchedKind kind,
+                const SimConfig& cfg, std::vector<TenantShare>* shares)
+      : kind_(kind), cfg_(cfg), shares_(shares),
+        sp_(cfg.effective_steal_latency()), layout_(layout_tenants(gs, cfg)),
+        arenas_(layout_.data_top, align_of(gs)), blk_(cfg.B),
+        rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 2 && cfg_.p <= 64,
                  "the multi-core machine needs p in [2, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
-    RO_CHECK_MSG(!spans_.empty() && spans_.size() == parts_.size(),
-                 "one stream part per span");
-    const auto [acts, segs] = span_extent(spans_);
     const uint32_t lines = static_cast<uint32_t>(cfg_.M / cfg_.B);
     const uint32_t l2_lines =
         cfg_.M2 ? static_cast<uint32_t>(cfg_.M2 / cfg_.p / cfg_.B) : 0;
     cores_.reserve(cfg_.p);
     for (uint32_t i = 0; i < cfg_.p; ++i) {
       cores_.emplace_back(i, lines, l2_lines);
-      for (const StreamPart& part : parts_) {
-        cores_.back().curs.emplace_back(*part.store, part.acc_base);
-      }
+      for (const TaskGraph& g : gs) cores_.back().curs.emplace_back(*g.store);
     }
-    astate_ = VecPool<ActState>::take();
-    astate_.resize(acts);
-    sstate_ = VecPool<SegState>::take();
-    sstate_.resize(segs);
-    if (shares_) shares_->assign(spans_.size(), TenantShare{});
+    tenants_.reserve(gs.size());
+    for (const TaskGraph& g : gs) {
+      Tenant& t = tenants_.emplace_back();
+      t.g = &g;
+      t.astate = VecPool<ActState>::take();
+      t.astate.resize(g.acts.size());
+      t.sstate = VecPool<SegState>::take();
+      t.sstate.resize(g.segments.size());
+    }
+    for (Core& c : cores_) enter(c, 0);
+    if (shares_) shares_->assign(tenants_.size(), TenantShare{});
   }
 
   ~ShardReplayer() {
-    VecPool<ActState>::give(std::move(astate_));
-    VecPool<SegState>::give(std::move(sstate_));
+    for (Tenant& t : tenants_) {
+      VecPool<ActState>::give(std::move(t.astate));
+      VecPool<SegState>::give(std::move(t.sstate));
+    }
   }
   ShardReplayer(const ShardReplayer&) = delete;
   ShardReplayer& operator=(const ShardReplayer&) = delete;
 
   Metrics run() {
-    roots_left_ = static_cast<uint32_t>(spans_.size());
+    roots_left_ = static_cast<uint32_t>(tenants_.size());
     // Seed the extra tenants' roots round-robin onto core deques (reversed
-    // so core 0's bottom — resumed first — is span 1), stealable at depth 0
-    // like any fork; span 0's root starts on core 0 exactly as the classic
-    // single-span walk does.
-    for (uint32_t s = static_cast<uint32_t>(spans_.size()); s-- > 1;) {
-      cores_[s % cfg_.p].dq.push_back(static_cast<uint32_t>(spans_[s].root));
+    // so core 0's bottom — resumed first — is tenant 1), stealable at
+    // depth 0 like any fork; tenant 0's root starts on core 0 exactly as
+    // the classic one-tenant walk does.
+    for (uint32_t t = static_cast<uint32_t>(tenants_.size()); t-- > 1;) {
+      cores_[t % cfg_.p].dq.push_back(Task{t, tenants_[t].g->root});
     }
-    start_act(cores_[0], spans_[0].root, /*stolen=*/false);
+    start_act(cores_[0], Task{0, tenants_[0].g->root}, /*stolen=*/false);
     while (!done_) {
       Core& c = pick_core();
       step(c);
@@ -216,37 +191,16 @@ class ShardReplayer {
   }
 
  private:
-  struct Frame {
+  /// An activation of one tenant: a deque entry.
+  struct Task {
+    uint32_t tenant = 0;
     uint32_t act = 0;
-    uint32_t seg = 0;    // local segment index
-    uint64_t acc = 0;    // absolute index into the graph's access stream
-    uint32_t span = 0;   // owning span (= tenant) of `act`
   };
 
-  struct Core {
-    Core(uint32_t id_, uint32_t lines, uint32_t l2_lines)
-        : id(id_), cache(lines), l2(l2_lines ? l2_lines : 1) {}
-    uint32_t id;
-    uint64_t time = 0;
-    uint64_t last_productive = 0;
-    bool busy = false;
-    Frame fr;
-    uint32_t cur_arena = kNoCore;  // stack the core pushes frames on
-    // This core's window into each span's trace (one cursor per span; a
-    // classic single-span unit has exactly one).
-    std::vector<TraceStore::Cursor> curs;
-    // Hot-path views of fr.span, set when a frame starts: its cursor, and
-    // the astate_ index of its part-local activation id 0.
-    TraceStore::Cursor* cur = nullptr;
-    uint32_t act_index_off = 0;
-    std::deque<uint32_t> dq;  // stealable right children; back = bottom
-    FlatLru cache;  // private L1
-    FlatLru l2;     // L2 partition (§5.2)
-    CoreMetrics m;
-    // Profiling only (SimConfig::profile): last (word, task) this core
-    // touched per held data block — the victim side of an invalidation
-    // (contention.h).
-    FlatBlockMap<LastTouch> last_touch;
+  struct Frame {
+    uint32_t act = 0;
+    uint32_t seg = 0;  // local segment index
+    uint64_t acc = 0;  // index into the tenant's access stream
   };
 
   struct ActState {
@@ -259,25 +213,43 @@ class ShardReplayer {
     uint32_t fork_core = kNoCore;
   };
 
-  // Span-local state lookup: activation / segment ids are global into the
-  // (possibly merged) graph, state vectors are sized to this unit's spans
-  // only (contiguous id ranges, checked in the constructor).
-  ActState& ast(uint32_t act) { return astate_[act - spans_[0].first_act]; }
-  const ActState& ast(uint32_t act) const {
-    return astate_[act - spans_[0].first_act];
-  }
-  SegState& sst(uint32_t gseg) { return sstate_[gseg - spans_[0].first_seg]; }
+  /// One tenant's recording and its walk state, by its own ids.
+  struct Tenant {
+    const TaskGraph* g = nullptr;
+    std::vector<ActState> astate;  // per activation
+    std::vector<SegState> sstate;  // per segment
+  };
 
-  /// Owning span of an activation id (binary search over the contiguous
-  /// first_act ranges; trivially 0 for a single-span unit).
-  uint32_t span_of_act(uint32_t act) const {
-    uint32_t lo = 0, hi = static_cast<uint32_t>(spans_.size()) - 1;
-    while (lo < hi) {
-      const uint32_t mid = (lo + hi + 1) / 2;
-      if (act >= spans_[mid].first_act) lo = mid;
-      else hi = mid - 1;
-    }
-    return lo;
+  struct Core {
+    Core(uint32_t id_, uint32_t lines, uint32_t l2_lines)
+        : id(id_), cache(lines), l2(l2_lines ? l2_lines : 1) {}
+    uint32_t id;
+    uint64_t time = 0;
+    uint64_t last_productive = 0;
+    bool busy = false;
+    Frame fr;
+    uint32_t cur_arena = kNoCore;  // stack the core pushes frames on
+    // This core's window into each tenant's trace.
+    std::vector<TraceStore::Cursor> curs;
+    // The tenant of `fr` and hot-path views of it (see enter): its graph,
+    // its activation and segment state, and this core's cursor on it.
+    uint32_t tenant = 0;
+    const TaskGraph* g = nullptr;
+    ActState* astate = nullptr;
+    SegState* sstate = nullptr;
+    TraceStore::Cursor* cur = nullptr;
+    std::deque<Task> dq;  // stealable right children; back = bottom
+    FlatLru cache;  // private L1
+    FlatLru l2;     // L2 partition (§5.2)
+    CoreMetrics m;
+    // Profiling only (SimConfig::profile): last (word, task) this core
+    // touched per held data block — the victim side of an invalidation
+    // (contention.h).
+    FlatBlockMap<LastTouch> last_touch;
+  };
+
+  uint32_t depth_of(Task task) const {
+    return tenants_[task.tenant].g->acts[task.act].depth;
   }
 
   // ---- scheduling loop ----
@@ -295,8 +267,8 @@ class ShardReplayer {
       idle_step(c);
       return;
     }
-    const Activation& a = g_.acts[c.fr.act];
-    const Segment& seg = g_.segments[a.first_seg + c.fr.seg];
+    const Activation& a = c.g->acts[c.fr.act];
+    const Segment& seg = c.g->segments[a.first_seg + c.fr.seg];
     if (c.fr.acc < seg.acc_end) {
       const Access& acc = c.cur->at(c.fr.acc);
       if (replay_access(c, acc)) ++c.fr.acc;  // else: waiting on a hold
@@ -304,9 +276,9 @@ class ShardReplayer {
       return;
     }
     if (seg.has_fork()) {
-      do_fork(c, a, seg);
+      do_fork(c, seg);
     } else {
-      complete_act(c, c.fr.act);
+      complete_act(c);
     }
     c.last_productive = c.time;
   }
@@ -314,9 +286,9 @@ class ShardReplayer {
   void idle_step(Core& c) {
     // Work-first: resume own deque bottom before stealing.
     if (!c.dq.empty()) {
-      const uint32_t act = c.dq.back();
+      const Task task = c.dq.back();
       c.dq.pop_back();
-      start_act(c, act, /*stolen=*/false);
+      start_act(c, task, /*stolen=*/false);
       return;
     }
     attempt_steal(c);
@@ -330,7 +302,7 @@ class ShardReplayer {
       uint32_t best_depth = 0xFFFFFFFFu;
       for (const auto& v : cores_) {
         if (v.id == c.id || v.dq.empty()) continue;
-        const uint32_t d = g_.acts[v.dq.front()].depth;
+        const uint32_t d = depth_of(v.dq.front());
         if (d < best_depth) {
           best_depth = d;
           victim = v.id;
@@ -347,13 +319,13 @@ class ShardReplayer {
       return;
     }
     Core& v = cores_[victim];
-    const uint32_t act = v.dq.front();
+    const Task task = v.dq.front();
     v.dq.pop_front();
     c.time += sp_;
     c.m.steal_cycles += sp_;
     ++c.m.steals;
-    ++steals_per_priority_[g_.acts[act].depth];
-    start_act(c, act, /*stolen=*/true);
+    ++steals_per_priority_[depth_of(task)];
+    start_act(c, task, /*stolen=*/true);
   }
 
   void fail_steal(Core& c) {
@@ -377,55 +349,63 @@ class ShardReplayer {
 
   // ---- activation lifecycle ----
 
-  void start_act(Core& c, uint32_t act, bool stolen) {
-    ActState& st = ast(act);
+  /// Points c's hot-path views at `tenant`.  A core changes tenant only
+  /// when it takes a task off a deque; forks and joins stay in one.
+  void enter(Core& c, uint32_t tenant) {
+    Tenant& t = tenants_[tenant];
+    c.tenant = tenant;
+    c.g = t.g;
+    c.astate = t.astate.data();
+    c.sstate = t.sstate.data();
+    c.cur = &c.curs[tenant];
+  }
+
+  void start_act(Core& c, Task task, bool stolen) {
+    if (task.tenant != c.tenant) enter(c, task.tenant);
+    ActState& st = c.astate[task.act];
     RO_CHECK(!st.started);
     st.started = true;
-    const Activation& a = g_.acts[act];
+    const Activation& a = c.g->acts[task.act];
     if (stolen || a.parent == kNoAct) {
       c.cur_arena = arenas_.new_arena();  // fresh S_τ for a stolen kernel
     }
     RO_CHECK(c.cur_arena != kNoCore);
     st.token = arenas_.push(c.cur_arena, a.frame_words);
     c.busy = true;
-    c.fr = Frame{act, 0, g_.segments[a.first_seg].acc_begin,
-                 span_of_act(act)};
-    c.cur = &c.curs[c.fr.span];
-    c.act_index_off = spans_[c.fr.span].first_act - spans_[0].first_act;
+    c.fr = Frame{task.act, 0, c.g->segments[a.first_seg].acc_begin};
   }
 
-  void do_fork(Core& c, const Activation& /*parent*/, const Segment& seg) {
-    const uint32_t gseg =
-        static_cast<uint32_t>(&seg - g_.segments.data());
-    SegState& ss = sst(gseg);
+  void do_fork(Core& c, const Segment& seg) {
+    SegState& ss = c.sstate[&seg - c.g->segments.data()];
     ss.pending = 2;
     ss.fork_core = c.id;
     if (cfg_.inject_frame_traffic) {
-      const vaddr_t slots = fork_slot_addr(c.fr.act, c.fr.seg);
+      const vaddr_t slots = fork_slot_addr(c, c.fr.act, c.fr.seg);
       touch(c, slots, 1, /*write=*/true, /*stack=*/true);
       touch(c, slots + 1, 1, /*write=*/true, /*stack=*/true);
     }
-    c.dq.push_back(static_cast<uint32_t>(seg.right));
-    start_act(c, static_cast<uint32_t>(seg.left), /*stolen=*/false);
+    c.dq.push_back(Task{c.tenant, static_cast<uint32_t>(seg.right)});
+    start_act(c, Task{c.tenant, static_cast<uint32_t>(seg.left)},
+              /*stolen=*/false);
   }
 
-  void complete_act(Core& c, uint32_t act) {
-    const Activation& a = g_.acts[act];
-    ActState& st = ast(act);
-    arenas_.complete(st.token);
+  void complete_act(Core& c) {
+    const TaskGraph& g = *c.g;
+    const Activation& a = g.acts[c.fr.act];
+    arenas_.complete(c.astate[c.fr.act].token);
     if (a.parent == kNoAct) {
       if (--roots_left_ == 0) done_ = true;
       c.busy = false;
       return;
     }
-    const uint32_t gseg = g_.acts[a.parent].first_seg + a.parent_seg;
+    const Activation& pa = g.acts[a.parent];
     if (cfg_.inject_frame_traffic) {
       // Deposit this child's result into the parent's fork slot.
       const vaddr_t slot =
-          fork_slot_addr(a.parent, a.parent_seg) + a.child_slot;
+          fork_slot_addr(c, a.parent, a.parent_seg) + a.child_slot;
       touch(c, slot, 1, /*write=*/true, /*stack=*/true);
     }
-    SegState& ss = sst(gseg);
+    SegState& ss = c.sstate[pa.first_seg + a.parent_seg];
     RO_CHECK(ss.pending > 0);
     if (--ss.pending > 0) {
       // Sibling still outstanding: this kernel thread blocks here; the core
@@ -436,23 +416,24 @@ class ShardReplayer {
     // Last finisher continues the parent's next segment (up-pass).
     if (ss.fork_core != c.id) ++c.m.usurpations;
     if (cfg_.inject_frame_traffic) {
-      const vaddr_t slots = fork_slot_addr(a.parent, a.parent_seg);
+      const vaddr_t slots = fork_slot_addr(c, a.parent, a.parent_seg);
       touch(c, slots, 1, /*write=*/false, /*stack=*/true);
       touch(c, slots + 1, 1, /*write=*/false, /*stack=*/true);
     }
-    const Activation& pa = g_.acts[a.parent];
     const uint32_t next_seg = a.parent_seg + 1;
     RO_CHECK(next_seg < pa.num_segs);
     c.busy = true;
-    // The parent lives in the same span as its child.
+    // The parent belongs to the same tenant as its child.
     c.fr = Frame{a.parent, next_seg,
-                 g_.segments[pa.first_seg + next_seg].acc_begin, c.fr.span};
+                 g.segments[pa.first_seg + next_seg].acc_begin};
   }
 
-  vaddr_t fork_slot_addr(uint32_t act, uint32_t local_seg) const {
-    const Activation& a = g_.acts[act];
-    RO_CHECK(ast(act).token.base != kUnresolved);
-    return ast(act).token.base + a.fork_slot_base + 2 * local_seg;
+  /// Address of a fork slot of `act`, an activation of c's current tenant.
+  static vaddr_t fork_slot_addr(const Core& c, uint32_t act,
+                                uint32_t local_seg) {
+    const vaddr_t base = c.astate[act].token.base;
+    RO_CHECK(base != kUnresolved);
+    return base + c.g->acts[act].fork_slot_base + 2 * local_seg;
   }
 
   // ---- memory system ----
@@ -464,21 +445,20 @@ class ShardReplayer {
     vaddr_t addr;
     bool stack = false;
     if (acc.act != kNoAct) {
-      // A frame access: the record's id is part-local (see the class note).
-      const vaddr_t base = astate_[acc.act + c.act_index_off].token.base;
+      const vaddr_t base = c.astate[acc.act].token.base;
       RO_CHECK_MSG(base != kUnresolved, "frame access before frame allocation");
       addr = acc.addr + base;
       stack = true;
     } else {
-      // A task only ever touches its own shard's data (shards share no
-      // addresses), so the current frame's span owns this address.
-      const ShardSpan& sp = spans_[c.fr.span];
+      // A task only ever touches its own tenant's data (shards share no
+      // addresses), so the current frame's tenant owns this address.
+      const vaddr_t base = c.g->data_base;
       vaddr_t a = acc.addr;
       if (cfg_.remap != nullptr) {
         a = cfg_.remap->apply(a);
-        RO_CHECK_MSG(a >= sp.base, "remap moved an address below its shard");
+        RO_CHECK_MSG(a >= base, "remap moved an address below its shard");
       }
-      addr = layout_.off[c.fr.span] + span_rebase(a, sp.base);
+      addr = layout_.off[c.tenant] + span_rebase(a, base);
     }
     if (cfg_.write_hold != 0) {
       const uint64_t until = hold_barrier(c, addr, acc.len, acc.is_write());
@@ -519,7 +499,7 @@ class ShardReplayer {
                                     uint32_t act = kNoAct) {
     c.time += len;
     c.m.compute += len;
-    if (shares_) (*shares_)[c.fr.span].compute += len;
+    if (shares_) (*shares_)[c.tenant].compute += len;
     const uint64_t b0 = blk_.block_of(addr);
     const uint64_t b1 = blk_.block_of(addr + len - 1);
     for (uint64_t b = b0; b <= b1; ++b) {
@@ -572,7 +552,7 @@ class ShardReplayer {
       d.ever |= me;
       ++c.m.miss[stack ? 1 : 0][static_cast<int>(cls)];
       if (shares_) {
-        TenantShare& ts = (*shares_)[c.fr.span];
+        TenantShare& ts = (*shares_)[c.tenant];
         if (cls == MissClass::kCoherence) ++ts.block_misses;
         else ++ts.cache_misses;
       }
@@ -596,7 +576,7 @@ class ShardReplayer {
       }
       if (d.holders & ~me) {
         ++d.transfers;  // cache-to-cache move (Def 2.2)
-        if (shares_) ++(*shares_)[c.fr.span].transfers;
+        if (shares_) ++(*shares_)[c.tenant].transfers;
         if (prof) cfg_.profile->record_transfer(line_addr(block), word);
       }
       if (cfg_.M2) {
@@ -646,29 +626,25 @@ class ShardReplayer {
 
   /// Recorded (global) address of the line holding a rebased block —
   /// the ContentionProfile key, collision-free across shards.  Only called
-  /// for data blocks, which always lie inside some span's data image.
+  /// for data blocks, which always lie inside some tenant's data image.
   vaddr_t line_addr(uint64_t block) const {
     const vaddr_t a = block * cfg_.B;
-    size_t s = spans_.size() - 1;
-    while (s > 0 && a < layout_.off[s]) --s;
-    return spans_[s].base + (a - layout_.off[s]);
+    size_t t = tenants_.size() - 1;
+    while (t > 0 && a < layout_.off[t]) --t;
+    return tenants_[t].g->data_base + (a - layout_.off[t]);
   }
 
-  const TaskGraph& g_;
-  std::vector<ShardSpan> spans_;
   SchedKind kind_;
   SimConfig cfg_;
-  std::vector<StreamPart> parts_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
-  SpanLayout layout_;
+  TenantLayout layout_;
   ArenaSet arenas_;
   BlockIndex blk_;
   Rng rng_;
   Directory dir_;
+  std::vector<Tenant> tenants_;
   std::vector<Core> cores_;
-  std::vector<ActState> astate_;
-  std::vector<SegState> sstate_;
   std::map<uint32_t, uint32_t> steals_per_priority_;
   uint32_t roots_left_ = 0;
   bool done_ = false;
@@ -686,32 +662,23 @@ class ShardReplayer {
 /// traffic is injected in the order that machine charges it: the two slot
 /// writes at a fork, the left child's frame release and result write, the
 /// right child's, then the two join reads.  So the Metrics are, bit for
-/// bit, what the work-stealing rules give on one core.  Several spans
-/// (capacity-shared replay) run root after root in span order, sharing the
-/// cache, as roots seeded on one core's deque would.
+/// bit, what the work-stealing rules give on one core.  Several tenants
+/// (capacity-shared replay) run root after root in tenant order, sharing
+/// the cache, as roots seeded on one core's deque would.
 class OneCoreWalk {
  public:
-  OneCoreWalk(const TaskGraph& g, std::vector<ShardSpan> spans,
-              const SimConfig& cfg, std::vector<StreamPart> parts,
-              std::vector<TenantShare>* shares = nullptr)
-      : g_(g), spans_(std::move(spans)), cfg_(cfg), shares_(shares),
-        layout_(layout_spans(spans_, cfg, align_of(g))),
-        arenas_(layout_.data_top, align_of(g)), blk_(cfg.B),
+  OneCoreWalk(std::span<const TaskGraph> gs, const SimConfig& cfg,
+              std::vector<TenantShare>* shares)
+      : gs_(gs), cfg_(cfg), shares_(shares), layout_(layout_tenants(gs, cfg)),
+        arenas_(layout_.data_top, align_of(gs)), blk_(cfg.B),
         l1_(static_cast<uint32_t>(cfg.M / cfg.B)),
         l2_(std::max<uint32_t>(1, static_cast<uint32_t>(cfg.M2 / cfg.B))) {
     RO_CHECK_MSG(cfg_.p == 1, "the one-core walk needs p == 1");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
-    RO_CHECK_MSG(!spans_.empty() && spans_.size() == parts.size(),
-                 "one stream part per span");
-    curs_.reserve(parts.size());
-    for (const StreamPart& part : parts) {
-      curs_.emplace_back(*part.store, part.acc_base);
-    }
     frame_base_ = VecPool<vaddr_t>::take();
-    frame_base_.assign(span_extent(spans_).first, kUnresolved);
     ever_ = VecPool<uint64_t>::take();
     ever_.assign(blk_.block_of(layout_.data_top) / 64 + 1, 0);
-    if (shares_) shares_->assign(spans_.size(), TenantShare{});
+    if (shares_) shares_->assign(gs_.size(), TenantShare{});
   }
 
   ~OneCoreWalk() {
@@ -722,7 +689,7 @@ class OneCoreWalk {
   OneCoreWalk& operator=(const OneCoreWalk&) = delete;
 
   Metrics run() {
-    for (uint32_t s = 0; s < spans_.size(); ++s) walk_span(s);
+    for (uint32_t t = 0; t < gs_.size(); ++t) walk_tenant(t);
     Metrics m;
     m_.finish = time_;
     m.core.push_back(m_);
@@ -739,27 +706,28 @@ class OneCoreWalk {
     ArenaSet::FrameToken token;
   };
 
-  void walk_span(uint32_t s) {
-    const ShardSpan& sp = spans_[s];
-    TraceStore::Cursor& cur = curs_[s];
-    share_ = shares_ ? &(*shares_)[s] : nullptr;
-    // Records carry part-local activation ids; frame_base_ is indexed off
-    // the first span's.
-    const uint32_t act_off = sp.first_act - spans_[0].first_act;
-    const vaddr_t data_off = layout_.off[s] - sp.base;  // span rebase
+  /// Walks tenant t's recording to completion.  Its activations are done
+  /// before the next tenant's start, so frame_base_ is its own, by its ids.
+  void walk_tenant(uint32_t t) {
+    g_ = &gs_[t];
+    const TaskGraph& g = *g_;
+    TraceStore::Cursor cur(*g.store);
+    share_ = shares_ ? &(*shares_)[t] : nullptr;
+    frame_base_.assign(g.acts.size(), kUnresolved);
+    const vaddr_t data_off = layout_.off[t] - g.data_base;  // the rebase
     const bool frames = cfg_.inject_frame_traffic;
     arena_ = arenas_.new_arena();
-    open(sp.root);
+    open(g.root);
     while (!stack_.empty()) {
       const uint32_t act = stack_.back().act;
-      const Activation& a = g_.acts[act];
-      const Segment& seg = g_.segments[a.first_seg + stack_.back().seg];
+      const Activation& a = g.acts[act];
+      const Segment& seg = g.segments[a.first_seg + stack_.back().seg];
       for (uint64_t i = seg.acc_begin; i < seg.acc_end; ++i) {
         const Access& acc = cur.at(i);
         vaddr_t addr;
         bool stack = false;
         if (acc.act != kNoAct) {
-          const vaddr_t base = frame_base_[acc.act + act_off];
+          const vaddr_t base = frame_base_[acc.act];
           RO_CHECK_MSG(base != kUnresolved,
                        "frame access before frame allocation");
           addr = acc.addr + base;
@@ -768,7 +736,7 @@ class OneCoreWalk {
           vaddr_t x = acc.addr;
           if (cfg_.remap != nullptr) {
             x = cfg_.remap->apply(x);
-            RO_CHECK_MSG(x >= sp.base,
+            RO_CHECK_MSG(x >= g.data_base,
                          "remap moved an address below its shard");
           }
           addr = x + data_off;
@@ -786,11 +754,11 @@ class OneCoreWalk {
       }
       arenas_.complete(stack_.back().token);
       stack_.pop_back();
-      if (a.parent == kNoAct) continue;  // the span's root: done
+      if (a.parent == kNoAct) continue;  // the tenant's root: done
       // The parent, now on top of the stack, waits at the fork of `act`:
       // a left child hands over to its sibling, a right child joins.
-      const Activation& pa = g_.acts[a.parent];
-      const Segment& fork = g_.segments[pa.first_seg + a.parent_seg];
+      const Activation& pa = g.acts[a.parent];
+      const Segment& fork = g.segments[pa.first_seg + a.parent_seg];
       const bool left = act == static_cast<uint32_t>(fork.left);
       if (frames) {
         const vaddr_t slots = fork_slots(a.parent, a.parent_seg);
@@ -813,15 +781,15 @@ class OneCoreWalk {
   /// walk's stack, at its first segment.
   void open(uint32_t act) {
     const ArenaSet::FrameToken t =
-        arenas_.push(arena_, g_.acts[act].frame_words);
-    frame_base_[act - spans_[0].first_act] = t.base;
+        arenas_.push(arena_, g_->acts[act].frame_words);
+    frame_base_[act] = t.base;
     stack_.push_back(Open{act, 0, t});
   }
 
   vaddr_t fork_slots(uint32_t act, uint32_t local_seg) const {
-    const vaddr_t base = frame_base_[act - spans_[0].first_act];
+    const vaddr_t base = frame_base_[act];
     RO_CHECK(base != kUnresolved);
-    return base + g_.acts[act].fork_slot_base + 2 * local_seg;
+    return base + g_->acts[act].fork_slot_base + 2 * local_seg;
   }
 
   [[gnu::always_inline]] void touch(vaddr_t addr, uint16_t len, bool stack) {
@@ -877,41 +845,34 @@ class OneCoreWalk {
     if (share_) ++share_->cache_misses;
   }
 
-  const TaskGraph& g_;
-  std::vector<ShardSpan> spans_;
+  std::span<const TaskGraph> gs_;
+  const TaskGraph* g_ = nullptr;  // the tenant being walked
   SimConfig cfg_;
   std::vector<TenantShare>* shares_;
-  TenantShare* share_ = nullptr;  // the current span's, when shares_ is set
-  SpanLayout layout_;
+  TenantShare* share_ = nullptr;  // the current tenant's, when shares_ is set
+  TenantLayout layout_;
   ArenaSet arenas_;
   uint32_t arena_ = 0;  // the current root's stack
   BlockIndex blk_;
   FlatLru l1_;
   FlatLru l2_;  // L2 partition, used when M2 > 0
-  std::vector<TraceStore::Cursor> curs_;  // one per span
-  std::vector<vaddr_t> frame_base_;       // per activation
-  std::vector<uint64_t> ever_;            // one bit per block
+  std::vector<vaddr_t> frame_base_;  // per activation of the tenant
+  std::vector<uint64_t> ever_;       // one bit per block
   std::vector<Open> stack_;
   uint64_t mru_ = ~uint64_t{0};  // block touched last (M2 == 0 only)
   CoreMetrics m_;
   uint64_t time_ = 0;
 };
 
-/// One machine over `spans`: the one-core walk when it has one core (kSeq
+/// One machine over `gs`: the one-core walk when it has one core (kSeq
 /// always does), else the multi-core scheduler.
-Metrics replay_machine(const TaskGraph& g, std::vector<ShardSpan> spans,
-                       SchedKind kind, SimConfig cfg,
-                       std::vector<StreamPart> parts,
+Metrics replay_machine(std::span<const TaskGraph> gs, SchedKind kind,
+                       SimConfig cfg,
                        std::vector<TenantShare>* shares = nullptr) {
   if (kind == SchedKind::kSeq) cfg.p = 1;
   RO_CHECK_MSG(cfg.p >= 1 && cfg.p <= 64, "p must be in [1, 64]");
-  if (cfg.p == 1) {
-    return OneCoreWalk(g, std::move(spans), cfg, std::move(parts), shares)
-        .run();
-  }
-  return ShardReplayer(g, std::move(spans), kind, cfg, std::move(parts),
-                       shares)
-      .run();
+  if (cfg.p == 1) return OneCoreWalk(gs, cfg, shares).run();
+  return ShardReplayer(gs, kind, cfg, shares).run();
 }
 
 }  // namespace
@@ -926,24 +887,22 @@ uint32_t replay_host_threads(uint32_t requested, size_t units) {
 }
 
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
-  const std::vector<ShardSpan> spans = g.shard_spans();
-  const std::vector<StreamPart> parts = parts_of(g, spans);
-  // One machine per shard, walked in shard order: shards share no
-  // addresses, so each span's walk is exactly its standalone replay.
-  std::vector<Metrics> per;
-  per.reserve(spans.size());
-  for (size_t s = 0; s < spans.size(); ++s) {
-    per.push_back(replay_machine(g, {spans[s]}, kind, cfg, {parts[s]}));
-  }
-  if (per.size() == 1) return std::move(per[0]);
-  return merge_shard_metrics(per);
+  return replay_machine({&g, 1}, kind, cfg);
 }
 
-Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
+Metrics simulate_shared(std::span<const TaskGraph> tenants, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares) {
-  const std::vector<ShardSpan> spans = g.shard_spans();
-  return replay_machine(g, spans, kind, cfg, parts_of(g, spans), shares);
+  RO_CHECK_MSG(!tenants.empty(),
+               "capacity-shared replay needs at least one tenant");
+  std::unordered_set<uint32_t> shards;
+  for (const TaskGraph& g : tenants) {
+    RO_CHECK_MSG(g.align_words == tenants[0].align_words,
+                 "capacity-shared tenants must share an allocation alignment");
+    RO_CHECK_MSG(shards.insert(shard_of(g.data_base)).second,
+                 "capacity-shared tenants must occupy distinct shards");
+  }
+  return replay_machine(tenants, kind, cfg, shares);
 }
 
 }  // namespace ro

@@ -33,20 +33,19 @@
 //
 // ## Host parallelism
 //
-// One walk is a shard's full priority-round sequence on its own simulated
-// machine (own cores, caches, Directory, arenas), and it is inherently
-// sequential: every access consults the coherence directory, and any
-// finer-grained interleaving would change miss classification and
+// One walk is one recording's full priority-round sequence on its own
+// simulated machine (own cores, caches, Directory, arenas), and it is
+// inherently sequential: every access consults the coherence directory,
+// and any finer-grained interleaving would change miss classification and
 // transfer counts — exactly the false-sharing effects the simulator exists
-// to count.  simulate() is therefore one sequential walk; a merged batch
-// graph is walked span by span in shard order and merged with
-// merge_shard_metrics.  Host parallelism sits one level up, across
-// independent walks, and `SimConfig::replay_threads` sizes it: shards
-// share no addresses (vspace.h bit split) and no activations, so
-// Engine::run_batch runs one record -> analyze -> replay chain per shard
-// on that many host threads, and Engine::run / replay overlap a walk with
-// its p = 1 baseline.  No walk's Metrics depend on the thread that ran it
-// and the batch merge is in shard order, so every replay_threads value
+// to count.  simulate() is therefore one sequential walk of one graph.
+// Host parallelism sits one level up, across independent walks, and
+// `SimConfig::replay_threads` sizes it: shards share no addresses
+// (vspace.h bit split) and no activations, so Engine::run_batch runs one
+// record -> analyze -> replay chain per shard on that many host threads
+// and merges their Metrics in shard order (merge_shard_metrics), and
+// Engine::run / replay overlap a walk with its p = 1 baseline.  No walk's
+// Metrics depend on the thread that ran it, so every replay_threads value
 // (including 1, all walks on the caller) yields bit-identical Metrics.
 //
 // ## Record-while-replay pipelining
@@ -65,6 +64,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ro/core/graph.h"
@@ -132,14 +132,12 @@ struct SimConfig {
 };
 
 /// Replays `g` under the given scheduler; deterministic for kSeq/kPws and
-/// for kRws at fixed seed.  One sequential walk on the calling thread: a
-/// merged batch graph walks each shard span on its own machine, in shard
-/// order, and returns their merge_shard_metrics.
+/// for kRws at fixed seed.  One sequential walk on the calling thread.
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg);
 
 /// Per-tenant share of a capacity-shared replay (simulate_shared): every
-/// counter is attributed to the shard span whose task performed the event,
-/// so sums over tenants equal the machine-wide Metrics totals.
+/// counter is attributed to the tenant whose task performed the event, so
+/// sums over tenants equal the machine-wide Metrics totals.
 struct TenantShare {
   uint64_t compute = 0;       // words touched by this tenant's tasks
   uint64_t cache_misses = 0;  // cold + capacity misses (data + stack)
@@ -148,20 +146,22 @@ struct TenantShare {
   friend bool operator==(const TenantShare&, const TenantShare&) = default;
 };
 
-/// Capacity-shared replay: all shard components of `g` run on ONE simulated
+/// Capacity-shared replay: the tenants' recordings run on ONE simulated
 /// machine — shared cores, one set of private caches, one coherence
-/// directory — instead of a machine per shard.  Tenants (= shard spans)
-/// contend for cache capacity and steal across each other's task trees;
-/// per-span offsets keep their address ranges disjoint, so all contention
-/// is capacity and scheduling, never aliasing.  Span 0's root starts on
-/// core 0; the other roots are seeded round-robin onto core deques before
-/// the walk, stealable like any fork (one core runs them in span order).
-/// Deterministic for every SchedKind at fixed seed (the walk is one
-/// sequential unit; replay_threads does not apply).  When `shares` is
-/// non-null it is resized to the span count and filled with per-tenant
-/// attribution.  A single-span graph degenerates to exactly simulate()'s
-/// machine and Metrics.
-Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
+/// directory — instead of a machine each.  Tenants contend for cache
+/// capacity and steal across each other's task trees; per-tenant offsets
+/// keep their address ranges disjoint, so all contention is capacity and
+/// scheduling, never aliasing.  Tenant 0's root starts on core 0; the
+/// other roots are seeded round-robin onto core deques before the walk,
+/// stealable like any fork (one core runs them in tenant order).  The
+/// tenants must occupy distinct shards and share one allocation
+/// alignment; anything else aborts.  Deterministic for every SchedKind at
+/// fixed seed (the walk is one sequential unit; replay_threads does not
+/// apply).  When `shares` is non-null it is resized to the tenant count
+/// and filled with per-tenant attribution; a ContentionProfile keys tasks
+/// by their tenant's own activation ids.  One tenant degenerates to
+/// exactly simulate()'s machine and Metrics.
+Metrics simulate_shared(std::span<const TaskGraph> tenants, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares = nullptr);
 

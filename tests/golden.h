@@ -95,8 +95,8 @@ inline uint64_t digest(const ContentionProfile& p) {
   return f.value();
 }
 
-/// Every field of every activation and segment, every access record (read
-/// through AccessReader) and the graph's root and data range.
+/// Every field of every activation and segment, every access record and
+/// the graph's root and data range.
 inline uint64_t digest(const TaskGraph& g) {
   Fnv1a f;
   f.add(g.acts.size());
@@ -119,9 +119,9 @@ inline uint64_t digest(const TaskGraph& g) {
     f.add(static_cast<uint64_t>(static_cast<int64_t>(s.right)));
   }
   f.add(g.acc_count());
-  AccessReader rd(g);
+  TraceStore::Cursor rd(*g.store);
   for (uint64_t i = 0; i < g.acc_count(); ++i) {
-    const Access a = rd.at(i);
+    const Access& a = rd.at(i);
     f.add(a.addr);
     f.add(a.act);
     f.add(a.len);

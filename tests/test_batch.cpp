@@ -1,7 +1,7 @@
 // Sharded record/replay pipeline tests: shard address disjointness at the
-// context level, concurrent-vs-sequential recording equality, merged-graph
-// structure, parallel-replay metrics determinism (--replay-threads), and
-// the Engine::run_batch BatchReport.
+// context level, concurrent-vs-sequential recording equality, per-shard
+// and aggregate exactness, parallel-replay metrics determinism
+// (--replay-threads), and the Engine::run_batch BatchReport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,61 +167,10 @@ TEST(Batch, ConcurrentRecordingMatchesSequential) {
   }
 }
 
-TEST(Batch, MergeShardsRemapsIndices) {
-  const size_t n = 128;
-  Engine& eng = testing::engine();
-  std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  const size_t acts0 = parts[0].acts.size();
-  const size_t segs0 = parts[0].segments.size();
-  const size_t accs0 = parts[0].acc_count();
-  const TaskGraph snd = parts[1];  // copy for comparison after the move
-  TaskGraph m = merge_shards(std::move(parts));
-
-  ASSERT_EQ(m.shards.size(), 2u);
-  EXPECT_EQ(m.shards[0].shard, 0u);
-  EXPECT_EQ(m.shards[1].shard, 1u);
-  EXPECT_EQ(m.shards[1].first_act, acts0);
-  EXPECT_EQ(m.shards[1].first_seg, segs0);
-  EXPECT_EQ(m.root, m.shards[0].root);
-  ASSERT_EQ(m.acts.size(), acts0 + snd.acts.size());
-
-  // The second component must be the second input, shifted.
-  for (size_t i = 0; i < snd.acts.size(); ++i) {
-    const Activation& got = m.acts[acts0 + i];
-    const Activation& want = snd.acts[i];
-    if (want.parent == kNoAct) {
-      EXPECT_EQ(got.parent, kNoAct);
-    } else {
-      EXPECT_EQ(got.parent, want.parent + acts0);
-    }
-    EXPECT_EQ(got.first_seg, want.first_seg + segs0);
-    EXPECT_EQ(got.depth, want.depth);
-    EXPECT_EQ(got.frame_words, want.frame_words);
-  }
-  // Read through the merged graph's reader: the second part's records keep
-  // part-local activation ids in their shared store, and the reader must
-  // translate them into the merged id space.
-  const std::vector<Access> merged = testing::accesses_of(m);
-  const std::vector<Access> second = testing::accesses_of(snd);
-  ASSERT_EQ(merged.size(), accs0 + second.size());
-  for (size_t i = 0; i < second.size(); ++i) {
-    const Access& got = merged[accs0 + i];
-    const Access& want = second[i];
-    EXPECT_EQ(got.addr, want.addr);  // addresses survive the merge verbatim
-    if (want.act == kNoAct) {
-      EXPECT_EQ(got.act, kNoAct);
-    } else {
-      EXPECT_EQ(got.act, static_cast<uint32_t>(want.act + acts0));
-    }
-  }
-}
-
-TEST(Batch, MergedReplayEqualsStandaloneReplays) {
-  // Replaying the merged batch must give, per shard, exactly the metrics of
-  // replaying each recording on its own machine — the sharded accounting
-  // is exact, not approximate.
+TEST(Batch, BatchReplayEqualsStandaloneReplays) {
+  // A batch must give, per shard, exactly the metrics of replaying each
+  // recording on its own machine, and its aggregate must be their
+  // shard-order merge — the sharded accounting is exact, not approximate.
   const size_t n = 192;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
@@ -233,12 +182,7 @@ TEST(Batch, MergedReplayEqualsStandaloneReplays) {
   for (const TaskGraph& g : parts) {
     lone.push_back(simulate(g, SchedKind::kPws, cfg));
   }
-  const TaskGraph merged = merge_shards(std::move(parts));
-  EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg),
-            merge_shard_metrics(lone));
 
-  // The batch chains replay each shard on its own machine: every row is
-  // that shard's standalone replay.
   std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
@@ -251,12 +195,14 @@ TEST(Batch, MergedReplayEqualsStandaloneReplays) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(br.runs[i].sim, lone[i]) << "shard " << i;
   }
+  EXPECT_EQ(br.aggregate.sim, merge_shard_metrics(lone));
 }
 
 TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   // The acceptance criterion: --replay-threads in {1, 2, 8} yields
-  // bit-identical Metrics on route / listrank / SPMS traces, single-shard
-  // and merged-batch, under both PWS and (seeded) RWS.
+  // bit-identical Metrics on route / listrank / SPMS traces, one machine
+  // per shard and one capacity-shared machine, under both PWS and
+  // (seeded) RWS.
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
@@ -272,13 +218,14 @@ TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
             << sched_name(kind) << " threads=" << t;
       }
     }
-  }
-  const TaskGraph merged = merge_shards(std::move(parts));
-  for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-    const Metrics base = simulate(merged, kind, small_machine(1));
+    std::vector<TenantShare> base_shares;
+    const Metrics base =
+        simulate_shared(parts, kind, small_machine(1), &base_shares);
     for (const uint32_t t : {2u, 8u}) {
-      EXPECT_EQ(simulate(merged, kind, small_machine(t)), base)
-          << "merged " << sched_name(kind) << " threads=" << t;
+      std::vector<TenantShare> shares;
+      EXPECT_EQ(simulate_shared(parts, kind, small_machine(t), &shares), base)
+          << "shared " << sched_name(kind) << " threads=" << t;
+      EXPECT_EQ(shares, base_shares);
     }
   }
 }

@@ -57,7 +57,7 @@ TEST(TraceCtx, AccessesCarryVirtualAddresses) {
     (void)cx.get(s, 5);
   });
   ASSERT_EQ(g.acc_count(), 2u);
-  AccessReader rd(g);
+  TraceStore::Cursor rd(*g.store);
   EXPECT_EQ(rd.at(0).addr, a.vbase() + 5);
   EXPECT_TRUE(rd.at(0).is_write());
   EXPECT_FALSE(rd.at(1).is_write());
@@ -72,7 +72,7 @@ TEST(TraceCtx, LocalArraysAreFrameRelative) {
     cx.set(s, 2, i64{7});
   });
   ASSERT_EQ(g.acc_count(), 1u);
-  AccessReader rd(g);
+  TraceStore::Cursor rd(*g.store);
   EXPECT_EQ(rd.at(0).act, g.root);
   EXPECT_EQ(rd.at(0).addr, 2u);  // offset within the frame
   // Frame holds the 4 local words plus >= 2 fork slots.

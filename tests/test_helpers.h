@@ -54,12 +54,11 @@ inline void check_schedulers(const TaskGraph& g, uint32_t p = 4,
   // not hold for arbitrary tiny or heavily-sequenced computations.
 }
 
-/// Every access record of `g` in stream order, read through AccessReader
-/// (activation ids translated into the graph's global id space).
+/// Every access record of `g` in stream order.
 inline std::vector<Access> accesses_of(const TaskGraph& g) {
   std::vector<Access> out;
   out.reserve(g.acc_count());
-  AccessReader rd(g);
+  TraceStore::Cursor rd(*g.store);
   for (uint64_t i = 0; i < g.acc_count(); ++i) out.push_back(rd.at(i));
   return out;
 }

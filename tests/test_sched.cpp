@@ -42,7 +42,7 @@ TEST(Sched, SeqReplaysEveryAccess) {
   cfg.inject_frame_traffic = false;
   const Metrics m = simulate(g, SchedKind::kSeq, cfg);
   uint64_t trace_words = 0;
-  AccessReader rd(g);
+  TraceStore::Cursor rd(*g.store);
   for (uint64_t i = 0; i < g.acc_count(); ++i) trace_words += rd.at(i).len;
   EXPECT_EQ(m.compute(), trace_words);
   EXPECT_EQ(m.steals(), 0u);
@@ -338,7 +338,7 @@ TEST(Sched, OneCoreWalkSpecialMachinesMatchCommittedGoldens) {
   so.compress = true;
   const Recording streamed =
       eng.record_stream(make_workload("sort-spms", 1024, 0), so);
-  const TraceStore::Stats st = streamed.graph.streams[0].store->stats();
+  const TraceStore::Stats st = streamed.graph.store->stats();
   EXPECT_GT(st.spilled_bytes, 0u);
   EXPECT_LT(st.compressed_bytes, st.spilled_bytes);
   const Metrics ms = simulate(streamed.graph, SchedKind::kSeq, base_cfg(1));
@@ -348,7 +348,7 @@ TEST(Sched, OneCoreWalkSpecialMachinesMatchCommittedGoldens) {
   EXPECT_EQ(ms, simulate(resident, SchedKind::kSeq, base_cfg(1)));
 }
 
-// Two tenants on one core: the roots run in span order, and every share
+// Two tenants on one core: the roots run in tenant order, and every share
 // row holds all four TenantShare counters (its digest column is unused).
 TEST(Sched, OneCoreSharedWalkMatchesCommittedGoldens) {
   Engine& eng = testing::engine();
@@ -357,7 +357,6 @@ TEST(Sched, OneCoreSharedWalkMatchesCommittedGoldens) {
       eng.record(make_workload("ps", 512, 0), false, 4096, 0).graph);
   parts.push_back(
       eng.record(make_workload("sort-spms", 512, 1), false, 4096, 1).graph);
-  const TaskGraph merged = merge_shards(std::move(parts));
   testing::GoldenTable golden({
       {"shared/seq", 27116, 140, 44, 39425, 0xf24f27a3dc62ff3full},
       {"shared/seq/tenant0", 9202, 65, 0, 0, 0x0000000000000000ull},
@@ -365,7 +364,7 @@ TEST(Sched, OneCoreSharedWalkMatchesCommittedGoldens) {
   });
   std::vector<TenantShare> shares;
   const Metrics m =
-      simulate_shared(merged, SchedKind::kSeq, base_cfg(4), &shares);
+      simulate_shared(parts, SchedKind::kSeq, base_cfg(4), &shares);
   golden.check(one_core_row("shared/seq", m));
   ASSERT_EQ(shares.size(), 2u);
   for (size_t s = 0; s < shares.size(); ++s) {
@@ -391,7 +390,6 @@ TEST(Sched, CapacitySharedWalkMatchesCommittedGoldens) {
   parts.push_back(
       eng.record(make_workload("counters-packed", 256, 2), false, 4096, 2)
           .graph);
-  const TaskGraph merged = merge_shards(std::move(parts));
 
   SimConfig plain = base_cfg(4);  // small enough for the tenants to contend
   plain.M = 1024;
@@ -437,7 +435,7 @@ TEST(Sched, CapacitySharedWalkMatchesCommittedGoldens) {
       const std::string name =
           std::string("shared/") + sched_name(kind) + "/" + mname;
       std::vector<TenantShare> shares;
-      const Metrics m = simulate_shared(merged, kind, cfg, &shares);
+      const Metrics m = simulate_shared(parts, kind, cfg, &shares);
       golden.check(testing::golden_of(name, m));
       ASSERT_EQ(shares.size(), 3u);
       TenantShare sum;
@@ -462,36 +460,67 @@ TEST(Sched, CapacitySharedWalkMatchesCommittedGoldens) {
 // A one-core machine can never steal, so PWS and RWS at p = 1 walk
 // exactly as kSeq does, for one machine per shard and for a shared one;
 // an attached ContentionProfile sees no invalidation, coherence miss or
-// transfer and stays empty.
+// transfer and stays empty.  A one-tenant shared machine is simulate()'s.
 TEST(Sched, OneCoreSchedulersAgreeAndProfileStaysEmpty) {
   Engine& eng = testing::engine();
-  std::vector<TaskGraph> parts;
-  parts.push_back(
+  std::vector<TaskGraph> two;
+  two.push_back(
       eng.record(make_workload("msum", 512, 0), false, 4096, 0).graph);
-  parts.push_back(
+  two.push_back(
       eng.record(make_workload("counters-packed", 64, 0), false, 4096, 1)
           .graph);
-  const TaskGraph merged = merge_shards(std::move(parts));
-  const TaskGraph ps = eng.record(make_workload("ps", 1024, 0)).graph;
+  const std::vector<TaskGraph> ps = {
+      eng.record(make_workload("ps", 1024, 0)).graph};
   const SimConfig one = base_cfg(1);
-  for (const TaskGraph* g : {&ps, &merged}) {
-    const Metrics seq = simulate(*g, SchedKind::kSeq, one);
+  const std::vector<TaskGraph>* const lists[] = {&ps, &two};
+  for (const std::vector<TaskGraph>* tenants : lists) {
+    for (const TaskGraph& g : *tenants) {
+      const Metrics seq = simulate(g, SchedKind::kSeq, one);
+      for (const SchedKind k : {SchedKind::kPws, SchedKind::kRws}) {
+        EXPECT_EQ(simulate(g, k, one), seq) << sched_name(k);
+      }
+      ContentionProfile prof;
+      SimConfig profiled = one;
+      profiled.profile = &prof;
+      EXPECT_EQ(simulate(g, SchedKind::kSeq, profiled), seq);
+      EXPECT_EQ(simulate(g, SchedKind::kPws, profiled), seq);
+      EXPECT_TRUE(prof.empty());
+    }
     std::vector<TenantShare> seq_shares;
     const Metrics shared_seq =
-        simulate_shared(*g, SchedKind::kSeq, one, &seq_shares);
+        simulate_shared(*tenants, SchedKind::kSeq, one, &seq_shares);
+    if (tenants->size() == 1) {
+      EXPECT_EQ(shared_seq, simulate((*tenants)[0], SchedKind::kSeq, one));
+    }
     for (const SchedKind k : {SchedKind::kPws, SchedKind::kRws}) {
-      EXPECT_EQ(simulate(*g, k, one), seq) << sched_name(k);
       std::vector<TenantShare> shares;
-      EXPECT_EQ(simulate_shared(*g, k, one, &shares), shared_seq);
+      EXPECT_EQ(simulate_shared(*tenants, k, one, &shares), shared_seq);
       EXPECT_EQ(shares, seq_shares);
     }
-    ContentionProfile prof;
-    SimConfig profiled = one;
-    profiled.profile = &prof;
-    EXPECT_EQ(simulate(*g, SchedKind::kSeq, profiled), seq);
-    EXPECT_EQ(simulate(*g, SchedKind::kPws, profiled), seq);
-    EXPECT_TRUE(prof.empty());
   }
+}
+
+// simulate_shared refuses tenants it cannot place on one machine: two
+// recordings of one shard would alias, and tenants recorded with
+// different allocation alignments have no common arena alignment.
+TEST(SchedDeathTest, CapacitySharedReplayRefusesClashingTenants) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Engine& eng = testing::engine();
+  std::vector<TaskGraph> same_shard;
+  same_shard.push_back(
+      eng.record(make_workload("msum", 64, 0), false, 4096, 3).graph);
+  same_shard.push_back(
+      eng.record(make_workload("ps", 64, 0), false, 4096, 3).graph);
+  EXPECT_DEATH(simulate_shared(same_shard, SchedKind::kPws, base_cfg(4)),
+               "capacity-shared tenants must occupy distinct shards");
+
+  std::vector<TaskGraph> mixed_align;
+  mixed_align.push_back(
+      eng.record(make_workload("msum", 64, 0), false, 4096, 0).graph);
+  mixed_align.push_back(
+      eng.record(make_workload("ps", 64, 0), false, 1024, 1).graph);
+  EXPECT_DEATH(simulate_shared(mixed_align, SchedKind::kSeq, base_cfg(1)),
+               "capacity-shared tenants must share an allocation alignment");
 }
 
 // Level k forks level k - 1 (left) and a leaf (right) that reads the

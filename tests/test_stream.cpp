@@ -394,10 +394,10 @@ TEST(StreamRecord, MatchesInMemoryRecording) {
 
   // Both recordings are stores: the default one never spills, the
   // one-segment window spills every sealed segment but the last.
-  ASSERT_EQ(mem.graph.streams.size(), 1u);
-  ASSERT_EQ(str.graph.streams.size(), 1u);
-  EXPECT_EQ(mem.graph.streams[0].store->stats().spilled_bytes, 0u);
-  EXPECT_GT(str.graph.streams[0].store->stats().spilled_bytes, 0u);
+  ASSERT_NE(mem.graph.store, nullptr);
+  ASSERT_NE(str.graph.store, nullptr);
+  EXPECT_EQ(mem.graph.store->stats().spilled_bytes, 0u);
+  EXPECT_GT(str.graph.store->stats().spilled_bytes, 0u);
   // Identical skeleton...
   EXPECT_EQ(str.graph.acts, mem.graph.acts);
   EXPECT_EQ(str.graph.segments, mem.graph.segments);
@@ -406,7 +406,7 @@ TEST(StreamRecord, MatchesInMemoryRecording) {
   EXPECT_EQ(str.graph.data_top, mem.graph.data_top);
   // ...identical stream (spilled and reloaded, record by record)...
   ASSERT_EQ(str.graph.acc_count(), mem.graph.acc_count());
-  AccessReader rd(str.graph), mem_rd(mem.graph);
+  TraceStore::Cursor rd(*str.graph.store), mem_rd(*mem.graph.store);
   for (uint64_t i = 0; i < mem.graph.acc_count(); ++i) {
     ASSERT_EQ(rd.at(i), mem_rd.at(i)) << "access " << i;
   }
