@@ -489,6 +489,57 @@ TEST(Engine, SubmitRejectsHostCountsAboveTheCaps) {
   EXPECT_EQ(cj.error.find("threads"), std::string::npos) << cj.error;
 }
 
+TEST(Engine, RunIsTheOneShardChain) {
+  // A sim-backend run job records, analyzes and replays exactly as one
+  // chain of a batch does: its report equals the aggregate of a one-shard
+  // batch of the same spec, host times aside (the resident high-water of
+  // a streamed store depends on when spills and replay reloads overlap).
+  const auto masked = [](RunReport r) {
+    r.wall_ms = 0;
+    r.trace_peak_resident_bytes = 0;
+    return r.to_json();
+  };
+  struct Case {
+    uint32_t replay_threads;
+    uint64_t segment_tasks;
+    bool pipeline;
+  };
+  const Case cases[] = {
+      {1, 0, false}, {2, 0, false}, {1, 64, false}, {1, 64, true}};
+  Engine& eng = testing::engine();
+  for (const char* wl : {"ps", "sort-spms", "counters-packed"}) {
+    for (const Backend b : {Backend::kSimPws, Backend::kSimRws}) {
+      for (const Case& c : cases) {
+        JobSpec spec;
+        spec.workload = wl;
+        spec.n = 1 << 10;
+        spec.opt.backend = b;
+        spec.opt.label = wl;
+        spec.opt.sim.M = 1 << 10;
+        spec.opt.sim.B = 16;
+        spec.opt.sim.replay_threads = c.replay_threads;
+        spec.opt.trace.segment_tasks = c.segment_tasks;
+        spec.opt.trace.max_resident_segments = 2;
+        spec.opt.pipeline = c.pipeline;
+        const JobResult run = eng.submit(spec);
+        spec.kind = JobKind::kBatch;
+        const JobResult batch = eng.submit(spec);
+        const std::string what = std::string(wl) + "/" + backend_name(b) +
+                                 " threads=" +
+                                 std::to_string(c.replay_threads) +
+                                 " segment_tasks=" +
+                                 std::to_string(c.segment_tasks) +
+                                 " pipeline=" + std::to_string(c.pipeline);
+        ASSERT_TRUE(run.ok()) << what << ": " << run.error;
+        ASSERT_TRUE(batch.ok()) << what << ": " << batch.error;
+        ASSERT_EQ(batch.batch.shards, 1u) << what;
+        EXPECT_EQ(run.report.has_stream, c.segment_tasks > 0) << what;
+        EXPECT_EQ(masked(run.report), masked(batch.batch.aggregate)) << what;
+      }
+    }
+  }
+}
+
 TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
   Engine eng;
   JobSpec spec;
