@@ -158,7 +158,9 @@ void TraceStore::evict_excess_locked() {
         // Spilling here would race the worker's own pass over this seg.
         break;
       }
-      spill_locked(seg);
+      const SlabPtr slab = entries_[seg].resident;
+      RO_CHECK(slab != nullptr);
+      write_segment_locked(seg, *slab, nullptr);
     }
     window_.erase(window_.begin());
     // The strong ref is dropped, but a cursor pin may keep the buffer
@@ -180,27 +182,34 @@ void TraceStore::ensure_file_locked() {
   ::unlink(path.c_str());  // anonymous: the bytes vanish with the fd
 }
 
-void TraceStore::spill_locked(uint64_t seg) {
-  Entry& e = entries_[seg];
-  RO_CHECK(e.resident != nullptr && !e.spilled);
+void TraceStore::write_segment_locked(uint64_t seg,
+                                      const std::vector<Access>& recs,
+                                      std::unique_lock<std::mutex>* io_lk) {
+  const auto unlocked = [io_lk](auto&& io) {
+    if (io_lk != nullptr) io_lk->unlock();
+    io();
+    if (io_lk != nullptr) io_lk->lock();
+  };
   ensure_file_locked();
-  const std::vector<Access>& recs = *e.resident;
   const uint64_t raw = recs.size() * sizeof(Access);
   std::vector<uint8_t> enc;
   const uint8_t* src = reinterpret_cast<const uint8_t*>(recs.data());
   uint64_t nbytes = raw;
   if (opt_.compress) {
-    encode_accesses(recs.data(), recs.size(), enc);
+    unlocked([&] { encode_accesses(recs.data(), recs.size(), enc); });
     src = enc.data();
     nbytes = enc.size();
   }
-  e.file_off = file_end_;
-  e.file_bytes = nbytes;
+  const uint64_t off = file_end_;
   file_end_ += nbytes;
-  pwrite_full(fd_, src, nbytes, e.file_off);
+  unlocked([&] { pwrite_full(fd_, src, nbytes, off); });
+  // entries_ may have grown (and reallocated) while unlocked.
+  Entry& e = entries_[seg];
+  e.file_off = off;
+  e.file_bytes = nbytes;
+  e.spilled = true;
   spilled_bytes_ += raw;
   compressed_bytes_ += nbytes;
-  e.spilled = true;
 }
 
 void TraceStore::spill_worker_main() {
@@ -216,35 +225,12 @@ void TraceStore::spill_worker_main() {
       break;
     }
     const uint64_t seg = next++;
-    SlabPtr slab = entries_[seg].resident;
+    const SlabPtr slab = entries_[seg].resident;
     RO_CHECK_MSG(slab != nullptr && !entries_[seg].spilled,
                  "async spill raced segment eviction");
-    const uint64_t raw = slab->size() * sizeof(Access);
-    ensure_file_locked();
-    lk.unlock();
-    // Codec work runs outside the lock so the recorder's next seal (and
-    // pipelined readers) never wait on compression.
-    std::vector<uint8_t> enc;
-    const uint8_t* src = reinterpret_cast<const uint8_t*>(slab->data());
-    uint64_t nbytes = raw;
-    if (opt_.compress) {
-      encode_accesses(slab->data(), slab->size(), enc);
-      src = enc.data();
-      nbytes = enc.size();
-    }
-    lk.lock();
-    const uint64_t off = file_end_;
-    file_end_ += nbytes;
-    lk.unlock();
-    pwrite_full(fd_, src, nbytes, off);
-    lk.lock();
-    // entries_ may have grown (and reallocated) while unlocked.
-    Entry& e = entries_[seg];
-    e.file_off = off;
-    e.file_bytes = nbytes;
-    e.spilled = true;
-    spilled_bytes_ += raw;
-    compressed_bytes_ += nbytes;
+    // Codec work and the write run outside the lock, so the recorder's
+    // next seal (and pipelined readers) never wait on them.
+    write_segment_locked(seg, *slab, &lk);
     evict_excess_locked();
   }
 }

@@ -188,7 +188,11 @@ class TraceStore {
   SlabPtr make_slab(std::vector<Access> recs) const;
   void seal_open_locked();
   void evict_excess_locked();
-  void spill_locked(uint64_t seg);
+  // The one segment writer (eviction spill and write-behind worker):
+  // encode, take the next file extent, write, book the spill statistics.
+  // Holds mu_ throughout, or releases `io_lk` around the codec and write.
+  void write_segment_locked(uint64_t seg, const std::vector<Access>& recs,
+                            std::unique_lock<std::mutex>* io_lk);
   void insert_resident_locked(uint64_t seg, SlabPtr slab);
   SlabPtr segment(uint64_t seg);  // pin segment `seg`, loading if spilled
   SlabPtr load_segment_locked(uint64_t seg);

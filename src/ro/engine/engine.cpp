@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "ro/engine/workloads.h"
+#include "ro/sched/arena.h"
 #include "ro/sched/run.h"
 #include "ro/sim/contention.h"
 
@@ -25,9 +26,11 @@ void require_ok(const JobResult& jr, const char* what) {
 doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
                                       const SimConfig& sim,
                                       const doctor::DoctorOptions& opt,
-                                      const std::string& label) {
+                                      const std::string& label,
+                                      const GraphStats* stats) {
   RO_CHECK_MSG(backend_is_sim(backend),
                "diagnose replays a recorded trace; use sim-pws / sim-rws");
+  const GraphStats gs = stats != nullptr ? *stats : g.analyze();
   doctor::DoctorReport d;
   d.label = label;
   d.backend = backend;
@@ -40,7 +43,7 @@ doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
   SimConfig pcfg = sim;
   pcfg.profile = &profile;
   pcfg.remap = nullptr;
-  d.before = replay(g, backend, pcfg, /*seq_baseline=*/true, label);
+  d.before = replay(g, backend, pcfg, /*seq_baseline=*/true, label, &gs);
   d.before.has_contention = true;
   d.before.fs_false_events = profile.false_events();
   d.before.fs_true_events = profile.true_events();
@@ -57,7 +60,7 @@ doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
     rcfg.profile = nullptr;
     rcfg.remap = &d.plan.remap;
     d.after = replay(g, backend, rcfg, /*seq_baseline=*/true,
-                     label.empty() ? "repaired" : label + ":repaired");
+                     label.empty() ? "repaired" : label + ":repaired", &gs);
     d.has_after = true;
   }
   return d;
@@ -106,41 +109,6 @@ void set_replay(RunReport& r, SchedKind kind, const SimConfig& sim,
   }
 }
 
-void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
-                 const SimConfig& sim, bool seq_baseline) {
-  RO_CHECK_MSG(!backend_is_parallel(backend),
-               "parallel backends cannot replay a recorded trace");
-  const SchedKind kind = sched_kind_of(backend);
-  if (seq_baseline && kind != SchedKind::kSeq) {
-    // The main replay and its p=1 baseline are independent walks of the
-    // same trace: with replay_threads > 1 the baseline runs on one extra
-    // thread, metrics unchanged.  It must not record into the caller's
-    // profile: it is a different machine (p=1 has no coherence traffic to
-    // attribute), and the two walks may run concurrently.  The remap, if
-    // any, stays — the baseline then measures the repaired layout's
-    // Q(n,M,B).
-    SimConfig bcfg = sim;
-    bcfg.profile = nullptr;
-    Metrics base;
-    auto walk_base = [&] { base = simulate(g, SchedKind::kSeq, bcfg); };
-    std::thread overlap;
-    if (replay_host_threads(sim.replay_threads, 2) > 1) {
-      overlap = std::thread(walk_base);
-    }
-    const Metrics main = simulate(g, kind, sim);
-    if (overlap.joinable()) {
-      overlap.join();
-    } else {
-      walk_base();
-    }
-    set_replay(r, kind, sim, main, &base);
-    return;
-  }
-  // kSeq is its own baseline.
-  const Metrics m = simulate(g, kind, sim);
-  set_replay(r, kind, sim, m, seq_baseline ? &m : nullptr);
-}
-
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -161,31 +129,83 @@ void for_each_shard(uint32_t n, uint32_t replay_threads, F&& fn) {
   }
 }
 
-/// One shard's results, whichever batch path produced them.
+/// One chain's results: its recording, its walks and their host times.
 struct ShardResult {
   GraphStats stats;
   std::shared_ptr<TraceStore> store;  // the shard's recording
   Metrics main;
-  Metrics base;             // p=1 baseline (when the batch has one)
+  Metrics base;             // p=1 baseline (kSeq: main again)
   TenantShare share;        // capacity-shared attribution ...
   TenantShare base_share;   // ... and its share of the p=1 baseline
-  double record_ms = 0;     // chains: host time recording this shard
-  double replay_ms = 0;     // chains: host time replaying it (+ baseline)
+  double record_ms = 0;     // host time recording this shard
+  double replay_ms = 0;     // host time replaying it (+ baseline)
 };
 
-/// The one per-shard batch row.  On independent machines it carries the
-/// shard's Metrics against its p=1 baseline, its store's statistics and
-/// the host time spent replaying it.  Capacity-shared rows carry the
-/// tenant's attribution on the shared machine instead: the p=1 baseline
-/// (`machine_seq`) replays the same co-scheduled trace sequentially, so a
-/// tenant's q_seq share is its contention-free miss count and
-/// cache_excess the capacity/coherence cost of sharing.
-RunReport shard_row(const RunOptions& opt, size_t i, const ShardResult& s,
-                    const Metrics& machine_seq) {
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
+/// The record step of every recorded job: records `prog` into `vs` (one
+/// shard of the job's ShardedVSpace) and analyzes the recording, unless
+/// it overflowed the shard; the job then fails on its space's overflowed().
+TaskGraph record_shard(const AnyProg& prog, const StreamOptions& stream,
+                       const RunOptions& opt, VSpace& vs, ShardResult& s) {
+  const auto t0 = std::chrono::steady_clock::now();
+  TaskGraph g = detail::record_graph(prog, stream, opt.padded,
+                                     opt.align_words, 0, &vs);
+  s.record_ms = ms_since(t0);
+  if (!vs.overflowed()) {
+    s.stats = g.analyze();
+    s.store = g.store;
+  }
+  return g;
+}
+
+/// The replay step of every job: walks `g` on `sim`'s machine under
+/// `kind` and, with `seq_baseline`, on the p = 1 baseline machine (kSeq is
+/// its own baseline).  The walks are independent: in a one-chain job
+/// (`alone`: a run, a one-shard batch, a replay or a diagnose) whose
+/// replay_threads allows two walks, the baseline runs on a thread of its
+/// own, Metrics unchanged.  A multi-shard batch spends its threads on
+/// chains and walks main, then baseline, so one walk at a time reads each
+/// store's window and its resident high-water stays deterministic.  The
+/// baseline must not record into the caller's profile: it is a different
+/// machine (p=1 has no coherence traffic to attribute), and the two walks
+/// may run concurrently.  The remap, if any, stays — the baseline then
+/// measures the repaired layout's Q(n,M,B).
+void walk(const TaskGraph& g, SchedKind kind, const SimConfig& sim,
+          bool seq_baseline, bool alone, ShardResult& s) {
+  const auto t0 = std::chrono::steady_clock::now();
+  if (!seq_baseline || kind == SchedKind::kSeq) {
+    s.main = simulate(g, kind, sim);
+    if (seq_baseline) s.base = s.main;
+  } else {
+    SimConfig bcfg = sim;
+    bcfg.profile = nullptr;
+    auto walk_base = [&] { s.base = simulate(g, SchedKind::kSeq, bcfg); };
+    std::thread base_thread;
+    if (alone && replay_host_threads(sim.replay_threads, 2) > 1) {
+      base_thread = std::thread(walk_base);
+    }
+    s.main = simulate(g, kind, sim);
+    if (base_thread.joinable()) {
+      base_thread.join();
+    } else {
+      walk_base();
+    }
+  }
+  s.replay_ms = ms_since(t0);
+}
+
+/// The one per-chain report row: a batch's per-shard row, and the report
+/// of a sim-backend run job (the one-shard chain).  On independent
+/// machines it carries the chain's Metrics against its p=1 baseline, its
+/// store's statistics and the host time spent replaying it.
+/// Capacity-shared rows carry the tenant's attribution on the shared
+/// machine instead: the p=1 baseline (`machine_seq`) replays the same
+/// co-scheduled trace sequentially, so a tenant's q_seq share is its
+/// contention-free miss count and cache_excess the capacity/coherence
+/// cost of sharing.
+RunReport shard_row(const RunOptions& opt, std::string label,
+                    const ShardResult& s, const Metrics& machine_seq) {
   RunReport r;
-  r.label = opt.label + "#" + std::to_string(i);
+  r.label = std::move(label);
   r.backend = opt.backend;
   r.has_graph = true;
   r.graph = s.stats;
@@ -197,16 +217,15 @@ RunReport shard_row(const RunOptions& opt, size_t i, const ShardResult& s,
     r.tenant_block_misses = s.share.block_misses;
     r.tenant_transfers = s.share.transfers;
     if (opt.seq_baseline) {
-      const TenantShare& seq = with_baseline ? s.base_share : s.share;
       r.has_baseline = true;
-      r.q_seq = seq.cache_misses;  // p=1: no coherence share
+      r.q_seq = s.base_share.cache_misses;  // p=1: no coherence share
       r.seq_makespan = machine_seq.makespan;  // machine-wide (co-scheduled)
       r.cache_excess = excess(r.tenant_cache_misses, r.q_seq);
     }
     return r;
   }
-  set_replay(r, kind, opt.sim, s.main,
-             !opt.seq_baseline ? nullptr : with_baseline ? &s.base : &s.main);
+  set_replay(r, sched_kind_of(opt.backend), opt.sim, s.main,
+             opt.seq_baseline ? &s.base : nullptr);
   if (opt.trace.segment_tasks > 0) add_stream_stats(r, *s.store);
   r.wall_ms = s.replay_ms;
   return r;
@@ -223,8 +242,6 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
                          std::chrono::steady_clock::time_point t0,
                          const Metrics& shared = {},
                          const Metrics& shared_seq = {}) {
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   BatchReport br;
   br.label = opt.label;
   br.backend = opt.backend;
@@ -236,20 +253,21 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
   br.replay_ms = replay_ms;
 
   Metrics machine = shared;
-  Metrics machine_seq = with_baseline ? shared_seq : shared;
+  Metrics machine_seq = shared_seq;
   if (!opt.capacity_shared) {
     std::vector<Metrics> per, base;
     for (const ShardResult& s : sh) {
       per.push_back(s.main);
-      if (with_baseline) base.push_back(s.base);
+      base.push_back(s.base);
     }
     machine = merge_shard_metrics(per);
-    machine_seq = with_baseline ? merge_shard_metrics(base) : machine;
+    machine_seq = merge_shard_metrics(base);
   }
 
   br.runs.reserve(sh.size());
   for (size_t i = 0; i < sh.size(); ++i) {
-    br.runs.push_back(shard_row(opt, i, sh[i], machine_seq));
+    br.runs.push_back(shard_row(opt, opt.label + "#" + std::to_string(i),
+                                sh[i], machine_seq));
   }
   RunReport& agg = br.aggregate;
   agg.label = opt.label;
@@ -264,63 +282,47 @@ BatchReport finish_batch(const std::vector<ShardResult>& sh,
     agg.graph.leaves += s.stats.leaves;
     if (opt.trace.segment_tasks > 0) add_stream_stats(agg, *s.store);
   }
-  set_replay(agg, kind, opt.sim, machine,
+  set_replay(agg, sched_kind_of(opt.backend), opt.sim, machine,
              opt.seq_baseline ? &machine_seq : nullptr);
   br.wall_ms = ms_since(t0);
   agg.wall_ms = br.wall_ms;
   return br;
 }
 
-/// The batch path on independent machines: one record -> analyze ->
-/// replay chain per shard on a host pool, no phase barriers — shard i
-/// replays while shard j still records.  Shards share no addresses or
-/// activations, so each shard's own walk is exact and the batch aggregate
-/// is their merge_shard_metrics.  With opt.pipeline each store also
-/// compresses and spills behind its recorder (async_spill).  The phase
-/// timings are cumulative busy times.
-BatchReport run_batch_chains(const std::vector<AnyProg>& progs,
-                             const RunOptions& opt, std::string& error) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// The one record -> analyze -> replay path on independent machines:
+/// chain i records progs[i] into shard i of one ShardedVSpace, analyzes
+/// it and walks it on its own machine (plus its p=1 baseline), on a host
+/// pool with no phase barriers — shard i replays while shard j still
+/// records.  Shards share no addresses or activations, so each chain's
+/// walk is exact.  With opt.pipeline each store also compresses and
+/// spills behind its recorder (async_spill).  A run job is the one-shard
+/// chain.  Fills `sh`; a recording that overflowed its shard sets `error`
+/// instead.
+bool run_chains(std::span<const AnyProg> progs, const RunOptions& opt,
+                std::vector<ShardResult>& sh, std::string& error) {
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
   const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   StreamOptions stream = opt.trace;
   if (opt.pipeline) stream.async_spill = true;  // spill behind each recorder
   // A profile is written without a lock, so every chain records into its
   // own; they merge into the caller's in shard order after the barrier.
   std::vector<ContentionProfile> profiles(opt.sim.profile != nullptr ? n : 0);
-  std::vector<ShardResult> sh(n);
+  sh.assign(n, ShardResult{});
   for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
-    const auto c0 = std::chrono::steady_clock::now();
     VSpace& vs = ssp.shard(static_cast<uint32_t>(i));
-    const TaskGraph g = detail::record_graph(progs[i], stream, opt.padded,
-                                             opt.align_words, 0, &vs);
-    sh[i].record_ms = ms_since(c0);
-    if (vs.overflowed()) return;  // the batch fails below
-    sh[i].stats = g.analyze();
-    sh[i].store = g.store;
-    const auto c2 = std::chrono::steady_clock::now();
+    const TaskGraph g = record_shard(progs[i], stream, opt, vs, sh[i]);
+    if (vs.overflowed()) return;  // the job fails below
     SimConfig scfg = opt.sim;
     if (scfg.profile != nullptr) scfg.profile = &profiles[i];
-    sh[i].main = simulate(g, kind, scfg);
-    if (with_baseline) {
-      scfg.profile = nullptr;  // p=1: no coherence traffic to attribute
-      sh[i].base = simulate(g, SchedKind::kSeq, scfg);
-    }
-    sh[i].replay_ms = ms_since(c2);
+    walk(g, kind, scfg, opt.seq_baseline, /*alone=*/n == 1, sh[i]);
   });
   if (ssp.overflowed()) {
     error = kOverflowError;
-    return {};
+    return false;
   }
   for (const ContentionProfile& p : profiles) opt.sim.profile->merge(p);
-  double record_ms = 0, replay_ms = 0;
-  for (const ShardResult& s : sh) {
-    record_ms += s.record_ms;
-    replay_ms += s.replay_ms;
-  }
-  return finish_batch(sh, opt, record_ms, replay_ms, t0);
+  return true;
 }
 
 JobResult start_result(uint64_t id, const JobSpec& spec) {
@@ -344,16 +346,9 @@ JobResult& fail(JobResult& jr, const std::string& why) {
 /// which alg::spms / VSpace would otherwise RO_CHECK mid-record.
 bool check_spec(const JobSpec& spec, JobResult& jr) {
   if (!spec.schema_version.empty()) {
-    char* end = nullptr;
-    const unsigned long major =
-        std::strtoul(spec.schema_version.c_str(), &end, 10);
-    if (end == spec.schema_version.c_str() || *end != '.') {
-      fail(jr, "unparsable schema_version \"" + spec.schema_version + "\"");
-      return false;
-    }
-    if (major > kJobSchemaMajor) {
-      fail(jr, "schema_version " + spec.schema_version +
-                   " is newer than supported " + job_schema_version());
+    const std::string why = schema_version_error(spec.schema_version);
+    if (!why.empty()) {
+      fail(jr, why);
       return false;
     }
   }
@@ -377,6 +372,13 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
   }
   if (const char* bad = alignment_error(spec.opt.align_words)) {
     fail(jr, bad);
+    return false;
+  }
+  // Replay memory grows with the alignment: above the stack-chunk size
+  // every stack chunk pads to it as every allocation does, and the
+  // coherence directory's page table is sized by the highest block id.
+  if (spec.opt.align_words > kStackChunkWords) {
+    fail(jr, "align_words must be at most 2^14 (one replay stack chunk)");
     return false;
   }
   if (spec.opt.spms.has_value()) {
@@ -435,7 +437,7 @@ void set_pool(RunReport& r, const rt::Pool& pool, const rt::PoolStats& d) {
 
 TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
                                bool padded, uint64_t align_words,
-                               uint32_t shard, VSpace* vs, bool* overflowed) {
+                               uint32_t shard, VSpace* vs) {
   TraceCtx::Options topt;
   topt.padded = padded;
   topt.align_words = align_words;
@@ -443,19 +445,14 @@ TaskGraph detail::record_graph(const AnyProg& prog, const StreamOptions& stream,
   if (stream.segment_tasks > 0) {
     topt.store = std::make_shared<TraceStore>(stream.store_options());
   }
-  std::optional<VSpace> own;
-  if (vs == nullptr) {
-    RO_CHECK_MSG(shard < kMaxShards, "shard id out of range");
-    vs = &own.emplace(align_words, shard_base(shard));
+  std::optional<TraceCtx> cx;
+  if (vs != nullptr) {
+    cx.emplace(topt, *vs);
+  } else {
+    cx.emplace(topt);  // a private space: the context checks its overflow
   }
-  TraceCtx cx(topt, *vs);
-  detail::EngineCtx<TraceCtx> ec(cx);
+  detail::EngineCtx<TraceCtx> ec(*cx);
   prog(ec);
-  // An external space's owner checks it; a private one is checked here.
-  if (own.has_value() && own->overflowed()) {
-    RO_CHECK_MSG(overflowed != nullptr, kOverflowError);
-    *overflowed = true;
-  }
   return std::move(ec.graph());
 }
 
@@ -474,32 +471,9 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt,
     }
     case Backend::kSimPws:
     case Backend::kSimRws: {
-      StreamOptions st = opt.trace;
-      if (opt.pipeline) st.async_spill = true;  // spill behind recording
-      bool over = false;
-      const TaskGraph g = detail::record_graph(
-          prog, st, opt.padded, opt.align_words, opt.shard, nullptr, &over);
-      if (over) {
-        error = kOverflowError;
-        return r;
-      }
-      GraphStats gs;
-      if (opt.pipeline) {
-        // The analysis pass is a full walk of the stream; overlap it
-        // with the replay walks (all read-only on the sealed store):
-        // wall = record + max(analyze, replay) instead of their sum.
-        std::thread analyzer([&] { gs = g.analyze(); });
-        fill_replay(r, g, opt.backend, opt.sim, opt.seq_baseline);
-        analyzer.join();
-      } else {
-        gs = g.analyze();
-        fill_replay(r, g, opt.backend, opt.sim, opt.seq_baseline);
-      }
-      r.has_graph = true;
-      r.graph = gs;
-      if (st.segment_tasks > 0) {  // post-replay: loads included
-        add_stream_stats(r, *g.store);
-      }
+      std::vector<ShardResult> sh;
+      if (!run_chains({&prog, 1}, opt, sh, error)) return r;
+      r = shard_row(opt, opt.label, sh[0], Metrics{});
       break;
     }
     case Backend::kParRandom:
@@ -523,43 +497,46 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt,
 
 BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
                                   const RunOptions& opt, std::string& error) {
-  if (!opt.capacity_shared) return run_batch_chains(progs, opt, error);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<ShardResult> sh;
+  if (!opt.capacity_shared) {  // phase timings: cumulative busy times
+    if (!run_chains(progs, opt, sh, error)) return {};
+    double record_ms = 0, replay_ms = 0;
+    for (const ShardResult& s : sh) {
+      record_ms += s.record_ms;
+      replay_ms += s.replay_ms;
+    }
+    return finish_batch(sh, opt, record_ms, replay_ms, t0);
+  }
   // Capacity sharing replays every shard on ONE simulated machine — shared
   // cores, caches, coherence directory — with each miss/transfer charged
   // to the tenant whose task performed it (docs/serve.md).  That walk
   // co-schedules every shard's trace, so every shard records first.
-  const auto t0 = std::chrono::steady_clock::now();
   const uint32_t n = static_cast<uint32_t>(progs.size());
   ShardedVSpace ssp(n, opt.align_words);
   std::vector<TaskGraph> graphs(n);
+  sh.resize(n);
   for_each_shard(n, opt.sim.replay_threads, [&](size_t i) {
-    graphs[i] =
-        detail::record_graph(progs[i], opt.trace, opt.padded, opt.align_words,
-                             0, &ssp.shard(static_cast<uint32_t>(i)));
+    graphs[i] = record_shard(progs[i], opt.trace, opt,
+                             ssp.shard(static_cast<uint32_t>(i)), sh[i]);
   });
   const double record_ms = ms_since(t0);
   if (ssp.overflowed()) {
     error = kOverflowError;
     return {};
   }
-
-  std::vector<ShardResult> sh(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    sh[i].stats = graphs[i].analyze();
-    sh[i].store = graphs[i].store;
-  }
   const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
   const auto tr0 = std::chrono::steady_clock::now();
-  std::vector<TenantShare> shares, base_shares;
+  std::vector<TenantShare> shares;
   const Metrics main = simulate_shared(graphs, kind, opt.sim, &shares);
-  Metrics base;
-  if (with_baseline) {
+  std::vector<TenantShare> base_shares = shares;  // kSeq is its own baseline
+  Metrics base = main;
+  if (opt.seq_baseline && kind != SchedKind::kSeq) {
     base = simulate_shared(graphs, SchedKind::kSeq, opt.sim, &base_shares);
   }
   for (uint32_t i = 0; i < n; ++i) {
     sh[i].share = shares[i];
-    if (with_baseline) sh[i].base_share = base_shares[i];
+    sh[i].base_share = base_shares[i];
   }
   return finish_batch(sh, opt, record_ms, ms_since(tr0), t0, main, base);
 }
@@ -621,16 +598,16 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
   std::string error;
   if (spec.kind == JobKind::kRun) {
     jr.report = run_one(prog, spec.opt, error);
-  } else {  // kDiagnose: record here, then run the doctor loop
-    bool over = false;
-    const TaskGraph g = detail::record_graph(
-        prog, spec.opt.trace, spec.opt.padded, spec.opt.align_words,
-        spec.opt.shard, nullptr, &over);
-    if (over) {
+  } else {  // kDiagnose: a chain's record step, then the doctor loop
+    ShardedVSpace ssp(1, spec.opt.align_words);
+    ShardResult s;
+    const TaskGraph g =
+        record_shard(prog, spec.opt.trace, spec.opt, ssp.shard(0), s);
+    if (ssp.overflowed()) {
       error = kOverflowError;
     } else {
       jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
-                           spec.opt.label);
+                           spec.opt.label, &s.stats);
       jr.has_doctor = true;
     }
   }
@@ -667,14 +644,18 @@ JobResult Engine::execute(JobResult jr, const JobSpec& spec,
 RunReport Engine::replay(const TaskGraph& g, Backend backend,
                          const SimConfig& sim, bool seq_baseline,
                          const std::string& label, const GraphStats* stats) {
+  RO_CHECK_MSG(!backend_is_parallel(backend),
+               "parallel backends cannot replay a recorded trace");
+  const SchedKind kind = sched_kind_of(backend);
   RunReport r;
   r.label = label;
   r.backend = backend;
   r.has_graph = true;
   r.graph = stats ? *stats : g.analyze();
-  const auto t0 = std::chrono::steady_clock::now();
-  fill_replay(r, g, backend, sim, seq_baseline);
-  r.wall_ms = ms_since(t0);
+  ShardResult s;
+  walk(g, kind, sim, seq_baseline, /*alone=*/true, s);
+  set_replay(r, kind, sim, s.main, seq_baseline ? &s.base : nullptr);
+  r.wall_ms = s.replay_ms;
   return r;
 }
 

@@ -63,20 +63,19 @@ namespace detail {
 /// entry points promised RO_CHECK semantics, submit promises a status.
 void require_ok(const JobResult& jr, const char* what);
 
-/// The one recording set-up behind record / record_stream and every submit
-/// path: executes `prog` through a fresh TraceCtx and returns the raw graph
-/// *without* analyzing it, so pipelined callers can overlap the analysis
-/// pass with replay.  The context records into `vs` when given (one shard
-/// of a batch's ShardedVSpace), else into a private space at `shard` with
-/// `align_words`.  stream.segment_tasks > 0 selects a chunked TraceStore
-/// with `stream`'s options; 0 keeps TraceCtx's default store, which has no
-/// window and never spills.  An allocation that overflows the shard's
-/// address range (a huge `align_words`) makes the graph unusable: the
-/// owner of `vs` checks vs->overflowed(); a private space that overflows
-/// sets `*overflowed` to true when given, and aborts otherwise.
+/// The one recording set-up behind record / record_stream and every job's
+/// record step: executes `prog` through a fresh TraceCtx and returns the
+/// raw graph *without* analyzing it.  The context records into `vs` when
+/// given (one shard of a job's ShardedVSpace), else into a private space
+/// at `shard` with `align_words`.  stream.segment_tasks > 0 selects a
+/// chunked TraceStore with `stream`'s options; 0 keeps TraceCtx's default
+/// store, which has no window and never spills.  An allocation that
+/// overflows the shard's address range (a huge `align_words`) makes the
+/// graph unusable: the owner of `vs` checks vs->overflowed(), and a
+/// private space that overflows aborts.
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions& stream,
                        bool padded, uint64_t align_words, uint32_t shard,
-                       VSpace* vs = nullptr, bool* overflowed = nullptr);
+                       VSpace* vs = nullptr);
 
 }  // namespace detail
 
@@ -121,17 +120,19 @@ class Engine {
     return std::move(jr.report);
   }
 
-  /// Batch pipeline: one record -> analyze -> replay chain per shard.
-  /// Chain i records `progs[i]` into shard i of one ShardedVSpace, then
-  /// replays it (plus its p=1 baseline unless opt.seq_baseline is off) on
-  /// its own machine as opt.sim describes; opt.sim.replay_threads chains
-  /// run at once.  opt.backend must be kSeq / kSimPws / kSimRws.  The
-  /// BatchReport carries one RunReport per shard (labelled "label#i") and
-  /// the shard-order aggregate; both are bit-identical for every
+  /// Batch pipeline: one record -> analyze -> replay chain per shard (a
+  /// sim-backend run() is the one-shard chain).  Chain i records
+  /// `progs[i]` into shard i of one ShardedVSpace, then replays it (plus
+  /// its p=1 baseline unless opt.seq_baseline is off) on its own machine
+  /// as opt.sim describes; opt.sim.replay_threads chains run at once.
+  /// opt.backend must be kSeq / kSimPws / kSimRws.  The BatchReport
+  /// carries one RunReport per shard (labelled "label#i") and the
+  /// shard-order aggregate; both are bit-identical for every
   /// replay_threads value and either opt.pipeline.  With
   /// opt.capacity_shared every shard records first, then their graphs
   /// replay as a tenant list on ONE shared machine (simulate_shared) with
-  /// per-tenant attribution instead (docs/serve.md).  Equivalent to submit() with a kBatch spec.
+  /// per-tenant attribution instead (docs/serve.md).  Equivalent to
+  /// submit() with a kBatch spec.
   template <class Prog>
   BatchReport run_batch(const std::vector<Prog>& progs,
                         const RunOptions& opt = {}) {
@@ -185,8 +186,9 @@ class Engine {
   /// kSeq (p = 1 depth-first replay), kSimPws or kSimRws; parallel backends
   /// cannot replay a trace.  With `seq_baseline`, a p=1 replay is added so
   /// the report carries Q(n,M,B), the cache-miss excess and the simulated
-  /// speedup.  `stats` lets callers that replay one graph many times pass
-  /// the precomputed analysis instead of paying g.analyze() per call.
+  /// speedup (on a second thread when sim.replay_threads allows).  `stats`
+  /// lets callers that replay one graph many times pass the precomputed
+  /// analysis instead of paying g.analyze() per call.
   RunReport replay(const TaskGraph& g, Backend backend, const SimConfig& sim,
                    bool seq_baseline = true, const std::string& label = "",
                    const GraphStats* stats = nullptr);
@@ -205,16 +207,19 @@ class Engine {
   /// of the *same* trace under the remap.  The report carries bit-exact
   /// before/after metrics; `backend` must be a sim backend.  This is the
   /// seam kDiagnose submit() jobs land on after recording their workload.
+  /// Both replays reuse `stats`, or one g.analyze() when it is null.
   doctor::DoctorReport diagnose(const TaskGraph& g, Backend backend,
                                 const SimConfig& sim,
                                 const doctor::DoctorOptions& opt = {},
-                                const std::string& label = "");
+                                const std::string& label = "",
+                                const GraphStats* stats = nullptr);
 
+  /// Recording-aware overload: reuses the stats computed at record time.
   doctor::DoctorReport diagnose(const Recording& rec, Backend backend,
                                 const SimConfig& sim,
                                 const doctor::DoctorOptions& opt = {},
                                 const std::string& label = "") {
-    return diagnose(rec.graph, backend, sim, opt, label);
+    return diagnose(rec.graph, backend, sim, opt, label, &rec.stats);
   }
 
   /// Pools ever constructed by this engine's cache (tests/observability).
@@ -227,9 +232,9 @@ class Engine {
   }
 
  private:
-  /// kRun execution core (the old templated run()): dispatches on the
-  /// backend, drives record/replay or a leased pool, fills the report.
-  /// A recording that cannot be replayed sets `error` instead.
+  /// kRun execution core: a sim backend runs the one-shard batch chain, a
+  /// parallel one a leased pool.  A recording that cannot be replayed
+  /// sets `error` instead.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt,
                     std::string& error);
 

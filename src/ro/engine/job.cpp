@@ -53,20 +53,23 @@ bool parse_job_status(const std::string& name, JobStatus& out) {
   return true;
 }
 
-namespace {
-
-/// Parses "major.minor".  Returns false on anything else.
-bool parse_version(const std::string& v, uint32_t& major, uint32_t& minor) {
+std::string schema_version_error(const std::string& v) {
+  // "major.minor": two decimal numbers and nothing after the minor.
+  const std::string unparsable = "unparsable schema_version \"" + v + "\"";
   char* end = nullptr;
-  const unsigned long maj = std::strtoul(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '.') return false;
-  const char* rest = end + 1;
-  const unsigned long min = std::strtoul(rest, &end, 10);
-  if (end == rest || *end != '\0') return false;
-  major = static_cast<uint32_t>(maj);
-  minor = static_cast<uint32_t>(min);
-  return true;
+  const unsigned long major = std::strtoul(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '.') return unparsable;
+  const char* minor = end + 1;
+  std::strtoul(minor, &end, 10);
+  if (end == minor || *end != '\0') return unparsable;
+  if (major > kJobSchemaMajor) {
+    return "schema_version " + v + " is newer than supported " +
+           job_schema_version();
+  }
+  return "";
 }
+
+namespace {
 
 std::string spms_to_json(const alg::SpmsTuning& t) {
   std::string s = "{";
@@ -164,13 +167,8 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
   JobSpec spec;
   for (const auto& [k, v] : kvs) {
     if (k != "schema_version") continue;
-    uint32_t major = 0, minor = 0;
-    if (!parse_version(v, major, minor))
-      return fail("unparsable schema_version \"" + v + "\"");
-    if (major > kJobSchemaMajor) {
-      return fail("schema_version " + v + " is newer than supported " +
-                  job_schema_version());
-    }
+    const std::string why = schema_version_error(v);
+    if (!why.empty()) return fail(why);
     spec.schema_version = v;
   }
   if (spec.schema_version.empty()) spec.schema_version = job_schema_version();

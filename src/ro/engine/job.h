@@ -30,6 +30,11 @@ inline constexpr uint32_t kJobSchemaMinor = 0;
 /// The version string this build writes ("1.0").
 std::string job_schema_version();
 
+/// Why this build cannot read a spec of schema version `v`: "" when it
+/// can (any "major.minor" of a known major), else a one-line reason
+/// naming schema_version (unparsable, or a newer major).
+std::string schema_version_error(const std::string& v);
+
 enum class JobKind : uint8_t {
   kRun = 0,       // one program, one RunReport
   kBatch = 1,     // `shards` programs through the batch pipeline

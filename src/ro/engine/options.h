@@ -53,20 +53,17 @@ struct RunOptions {
                                 // incl. replay_threads, the host-parallel
                                 // record/replay knob (1 = sequential)
   bool padded = false;          // padded BP/HBP frames (Def 3.3)
-  uint64_t align_words = 4096;  // VSpace allocation alignment
-  uint32_t shard = 0;           // address shard to record into (vspace.h)
+  uint64_t align_words = 4096;  // VSpace allocation alignment (jobs: at
+                                // most 2^14, the replay stack-chunk size)
   bool seq_baseline = true;     // also replay at p=1 for Q(n,M,B) + excess
   StreamOptions trace;          // streaming trace pipeline (off by default)
-  // Record-while-replay pipelining.  Engine::run overlaps the stream
-  // analysis pass with the replay walks and spills/compresses trace
-  // segments behind the recorder (TraceStore async_spill), so the wall
-  // clock approaches record + max(analyze, replay) instead of their sum.
-  // Batches always run one record -> analyze -> replay chain per shard;
-  // pipelining adds the same write-behind spilling to every chain.
-  // Metrics stay bit-identical either way (asserted in
-  // tests/test_stream.cpp); the spill byte counts then cover every sealed
-  // segment, and trace_peak_resident_bytes becomes timing-dependent,
-  // since spilling and replay reloads now overlap.
+  // Write-behind spilling: every record -> analyze -> replay chain (a
+  // run is the one-shard chain) compresses and spills sealed segments
+  // behind its recorder (TraceStore async_spill).  Metrics stay
+  // bit-identical either way (asserted in tests/test_stream.cpp); the
+  // spill byte counts then cover every sealed segment, and
+  // trace_peak_resident_bytes becomes timing-dependent, since spilling
+  // and replay reloads now overlap.
   bool pipeline = false;
 
   // ---- batch submissions only ----

@@ -25,10 +25,14 @@
 
 namespace ro {
 
+/// Default words per stack chunk (a larger allocation alignment pads it).
+inline constexpr uint64_t kStackChunkWords = uint64_t{1} << 14;
+
 class ArenaSet {
  public:
   /// `base`: first vaddr available for stacks; `align`: chunk alignment.
-  ArenaSet(vaddr_t base, uint64_t align, uint64_t chunk_words = 1 << 14)
+  ArenaSet(vaddr_t base, uint64_t align,
+           uint64_t chunk_words = kStackChunkWords)
       : bump_(round_up_pow2(base, align)), align_(align),
         chunk_words_(chunk_words) {}
 

@@ -43,8 +43,9 @@
 // `SimConfig::replay_threads` sizes it: shards share no addresses
 // (vspace.h bit split) and no activations, so Engine::run_batch runs one
 // record -> analyze -> replay chain per shard on that many host threads
-// and merges their Metrics in shard order (merge_shard_metrics), and
-// Engine::run / replay overlap a walk with its p = 1 baseline.  No walk's
+// and merges their Metrics in shard order (merge_shard_metrics); a
+// one-chain job (a run, Engine::replay) overlaps its walk with its p = 1
+// baseline instead.  No walk's
 // Metrics depend on the thread that ran it, so every replay_threads value
 // (including 1, all walks on the caller) yields bit-identical Metrics.
 //
@@ -57,9 +58,9 @@
 // for recording to finish — start_act charges the activation's
 // frame_words, which the recorder only knows at the activation's end —
 // so Engine-level pipelining (RunOptions::pipeline) overlaps at coarser
-// grain instead: write-behind segment spilling in every chain of
-// run_batch (whose shards already replay while others record), plus an
-// analyze-vs-replay overlap in run.  Metrics are unaffected: every walk
+// grain instead: write-behind segment spilling in every record -> analyze
+// -> replay chain (a batch's shards already replay while others record;
+// a run is the one-shard chain).  Metrics are unaffected: every walk
 // consumes the same sealed records.
 #pragma once
 
@@ -102,10 +103,10 @@ struct SimConfig {
   uint32_t write_hold = 0;
 
   // Host threads for independent walks: a batch's shard chains, or a
-  // run's main replay and its p = 1 baseline (see header comment).  1 = all
-  // walks on the caller (default), 0 = hardware concurrency.  A host knob,
-  // not a machine parameter: it never appears in Metrics, and every value
-  // produces bit-identical results.
+  // one-chain job's main replay and its p = 1 baseline (see header
+  // comment).  1 = all walks on the caller (default), 0 = hardware
+  // concurrency.  A host knob, not a machine parameter: it never appears
+  // in Metrics, and every value produces bit-identical results.
   uint32_t replay_threads = 1;
 
   // Optional per-line coherence attribution (sim/contention.h): when

@@ -561,15 +561,16 @@ TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
   EXPECT_EQ(hr.report.trace_segments, 1u);
   EXPECT_EQ(hr.report.trace_spilled_bytes, 0u);
 
-  // VSpace needs a power-of-two alignment no larger than a shard, and
-  // every allocation must fit the shard's 2^40-word range: run and batch
-  // jobs alike get a status naming the field instead of an RO_CHECK abort.
-  // 2^40 passes validation and overflows at the program's second
-  // allocation; 2^63 is refused up front.
+  // VSpace needs a power-of-two alignment, and a job's replay memory grows
+  // with it (stack chunks pad to it above 2^14 words): run, batch and
+  // diagnose jobs alike get a status naming the field instead of an
+  // RO_CHECK abort or an out-of-memory host.  2^14 is the largest
+  // accepted.
   for (const JobKind kind :
        {JobKind::kRun, JobKind::kBatch, JobKind::kDiagnose}) {
-    for (const uint64_t align : {uint64_t{0}, uint64_t{3}, uint64_t{1} << 40,
-                                 uint64_t{1} << 63}) {
+    for (const uint64_t align :
+         {uint64_t{0}, uint64_t{3}, uint64_t{1} << 15, uint64_t{1} << 33,
+          uint64_t{1} << 40, uint64_t{1} << 63}) {
       JobSpec bad = spec;
       bad.kind = kind;
       bad.opt.align_words = align;
@@ -577,7 +578,28 @@ TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
       EXPECT_EQ(jr.status, JobStatus::kError) << align;
       EXPECT_NE(jr.error.find("align_words"), std::string::npos) << jr.error;
     }
+    JobSpec widest = spec;
+    widest.kind = kind;
+    widest.opt.align_words = uint64_t{1} << 14;
+    const JobResult jr = eng.submit(widest);
+    EXPECT_TRUE(jr.ok()) << jr.error;
   }
+}
+
+TEST(Engine, MalformedSchemaVersionsReturnErrors) {
+  // A programmatic spec's schema_version is read by the wire reader's
+  // rule: "major.minor" with nothing after the minor, no newer major.
+  Engine& eng = testing::engine();
+  JobSpec spec;
+  const AnyProg prog = make_workload("msum", 1 << 8, 0);
+  for (const char* v : {"1.", "1.0x", "2.0", "x.0"}) {
+    spec.schema_version = v;
+    const JobResult jr = eng.submit(spec, prog);
+    EXPECT_EQ(jr.status, JobStatus::kError) << v;
+    EXPECT_NE(jr.error.find("schema_version"), std::string::npos) << jr.error;
+  }
+  spec.schema_version = "1.7";  // a newer minor of a known major
+  EXPECT_TRUE(eng.submit(spec, prog).ok());
 }
 
 TEST(Engine, ResidentRunReportHasNoTraceKeys) {
