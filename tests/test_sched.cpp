@@ -215,6 +215,148 @@ TEST(Sched, HighStealMachinesMatchCommittedGoldens) {
   }
 }
 
+// The multi-core walk across machine widths: p = 2, 4, 8 and 64 under PWS
+// and seeded RWS, four workloads on B = 24 (the block index's division
+// branch) and B = 64 (its shift), each row showing makespan, block
+// misses, steals and stack_words next to the digest.  A 1024-word cache
+// keeps misses, evictions and invalidations frequent.  The write-hold
+// (§5.1) and L2 (§5.2) machines follow at p = 4.  Every walk is repeated
+// with a ContentionProfile attached, which must leave its Metrics
+// unchanged: profiling walks the full per-block path on every access.
+TEST(Sched, MultiCoreGridMatchesCommittedGoldens) {
+  const std::pair<const char*, uint64_t> workloads[] = {
+      {"ps", 1024}, {"msum", 1024}, {"sort-spms", 1024},
+      {"counters-packed", 256}};
+  std::vector<TaskGraph> graphs;
+  for (const auto& [w, n] : workloads) {
+    graphs.push_back(testing::engine().record(make_workload(w, n, 0)).graph);
+  }
+  testing::GoldenTable golden({
+      {"ps/PWS/p2/B24", 15099, 9, 7, 133121, 0xb626ffc67f1b66c2ull},
+      {"ps/RWS/p2/B24", 15099, 9, 7, 133121, 0xb626ffc67f1b66c2ull},
+      {"ps/PWS/p4/B24", 8949, 18, 25, 428033, 0x8ba1833d1818e386ull},
+      {"ps/RWS/p4/B24", 10316, 17, 35, 591873, 0x565232aab601cefcull},
+      {"ps/PWS/p8/B24", 6771, 52, 66, 1099777, 0xe088d63372bdccd1ull},
+      {"ps/RWS/p8/B24", 7489, 51, 56, 935937, 0x70adf42377a1e525ull},
+      {"ps/PWS/p64/B24", 5969, 497, 530, 8701953, 0x474fb5eee4b4fa4aull},
+      {"ps/RWS/p64/B24", 7133, 35, 117, 1935361, 0x68398bc6c8fc4289ull},
+      {"ps/PWS/p2/B64", 11825, 4, 6, 116737, 0x8a92511cabcaee09ull},
+      {"ps/RWS/p2/B64", 11825, 4, 6, 116737, 0x8a92511cabcaee09ull},
+      {"ps/PWS/p4/B64", 7861, 32, 27, 460801, 0x20367e76a6d074c7ull},
+      {"ps/RWS/p4/B64", 8076, 13, 25, 428033, 0xa82b81d38722775bull},
+      {"ps/PWS/p8/B64", 6378, 147, 76, 1263617, 0x4c368a933d929a1eull},
+      {"ps/RWS/p8/B64", 6306, 44, 59, 985089, 0x1c72d7df2724ce7dull},
+      {"ps/PWS/p64/B64", 6263, 917, 485, 7964673, 0x3668d86779fcded2ull},
+      {"ps/RWS/p64/B64", 6316, 63, 103, 1705985, 0x2de5e85f3c262b52ull},
+      {"msum/PWS/p2/B24", 4541, 0, 2, 53247, 0x9aa563bf78ce0871ull},
+      {"msum/RWS/p2/B24", 4541, 0, 2, 53247, 0x9aa563bf78ce0871ull},
+      {"msum/PWS/p4/B24", 3034, 0, 14, 249855, 0xa0244619bb221435ull},
+      {"msum/RWS/p4/B24", 3463, 3, 21, 364543, 0xd13d85be1512b5b6ull},
+      {"msum/PWS/p8/B24", 2643, 4, 34, 577535, 0x24d4be64248bd736ull},
+      {"msum/RWS/p8/B24", 2499, 3, 23, 397311, 0xde77f47c68ec0e11ull},
+      {"msum/PWS/p64/B24", 2954, 15, 240, 3952639, 0x6b6a6db436e244c7ull},
+      {"msum/RWS/p64/B24", 2788, 0, 30, 511999, 0x411f6b48d4d83538ull},
+      {"msum/PWS/p2/B64", 4179, 0, 3, 69631, 0x585bb5c1d3df398cull},
+      {"msum/RWS/p2/B64", 4179, 0, 3, 69631, 0x585bb5c1d3df398cull},
+      {"msum/PWS/p4/B64", 2890, 1, 13, 233471, 0xd84408e739d6c878ull},
+      {"msum/RWS/p4/B64", 3126, 2, 14, 249855, 0xb3c6883196aec220ull},
+      {"msum/PWS/p8/B64", 2451, 1, 31, 528383, 0x00f1a511cbc874cfull},
+      {"msum/RWS/p8/B64", 2074, 0, 18, 315391, 0x3a7c18517476cc67ull},
+      {"msum/PWS/p64/B64", 2696, 8, 259, 4263935, 0x51bdf2c965f922a1ull},
+      {"msum/RWS/p64/B64", 2529, 0, 27, 462847, 0xddea262ebf531f34ull},
+      {"sort-spms/PWS/p2/B24", 24926, 32, 9, 166912, 0x1898d213826d7da1ull},
+      {"sort-spms/RWS/p2/B24", 24926, 32, 9, 166912, 0x1898d213826d7da1ull},
+      {"sort-spms/PWS/p4/B24", 16840, 105, 50, 838656, 0x0801e90bf046a565ull},
+      {"sort-spms/RWS/p4/B24", 18695, 64, 56, 936960, 0x454a5aab8233244aull},
+      {"sort-spms/PWS/p8/B24", 13199, 118, 121, 2001920, 0x65540ffb0599894aull},
+      {"sort-spms/RWS/p8/B24", 16330, 215, 114, 1887232, 0xa0551e73b8619cdeull},
+      {"sort-spms/PWS/p64/B24", 15292, 1445, 993, 16288768, 0x7a241e0f2efc60ddull},
+      {"sort-spms/RWS/p64/B24", 18074, 144, 203, 3345408, 0xfaa33970d7f0200aull},
+      {"sort-spms/PWS/p2/B64", 21533, 50, 10, 183296, 0x68bcbe9bd9ba3b47ull},
+      {"sort-spms/RWS/p2/B64", 21533, 50, 10, 183296, 0x68bcbe9bd9ba3b47ull},
+      {"sort-spms/PWS/p4/B64", 14964, 161, 51, 855040, 0x91c98308f21315f6ull},
+      {"sort-spms/RWS/p4/B64", 17957, 229, 72, 1199104, 0xb68d6faa32a8b1daull},
+      {"sort-spms/PWS/p8/B64", 13926, 615, 147, 2427904, 0xaefa69e152a1e894ull},
+      {"sort-spms/RWS/p8/B64", 14372, 302, 99, 1641472, 0x5750ba18853c5e11ull},
+      {"sort-spms/PWS/p64/B64", 15059, 3414, 981, 16092160, 0x01683546b1cf4c7dull},
+      {"sort-spms/RWS/p64/B64", 18161, 403, 183, 3017728, 0x42f3dd349125f6d9ull},
+      {"counters-packed/PWS/p2/B24", 5181, 0, 1, 36608, 0xf43d393e659bb64bull},
+      {"counters-packed/RWS/p2/B24", 5181, 0, 1, 36608, 0xf43d393e659bb64bull},
+      {"counters-packed/PWS/p4/B24", 3165, 2, 9, 167680, 0x7b4c226350d9f573ull},
+      {"counters-packed/RWS/p4/B24", 7567, 523, 12, 216832, 0x2609c2f84baa143bull},
+      {"counters-packed/PWS/p8/B24", 5799, 859, 24, 413440, 0x3b8d7cb64e721d19ull},
+      {"counters-packed/RWS/p8/B24", 4799, 482, 24, 413440, 0x71ff05bd0a77b6e2ull},
+      {"counters-packed/PWS/p64/B24", 4799, 5075, 137, 2264832, 0x627ea6cd42d598deull},
+      {"counters-packed/RWS/p64/B24", 3908, 1328, 70, 1167104, 0x8d54e8c27663d7d1ull},
+      {"counters-packed/PWS/p2/B64", 5141, 0, 2, 52992, 0xdaaf386e0ae20c06ull},
+      {"counters-packed/RWS/p2/B64", 5141, 0, 2, 52992, 0xdaaf386e0ae20c06ull},
+      {"counters-packed/PWS/p4/B64", 3173, 1, 10, 184064, 0xfac8dd9bdf490b95ull},
+      {"counters-packed/RWS/p4/B64", 12397, 1149, 12, 216832, 0x8dcb84f7f76d2dc9ull},
+      {"counters-packed/PWS/p8/B64", 14938, 3144, 26, 446208, 0xd608f3fbf4429dafull},
+      {"counters-packed/RWS/p8/B64", 14395, 2879, 30, 511744, 0x63483b7c0fc21936ull},
+      {"counters-packed/PWS/p64/B64", 5670, 6660, 130, 2150144, 0x67900a58fbfaac0aull},
+      {"counters-packed/RWS/p64/B64", 7210, 6144, 130, 2150144, 0x90d596ea77950ab4ull},
+      {"ps/PWS/write_hold", 9131, 20, 23, 395265, 0x1cf73262c0483c24ull},
+      {"ps/PWS/l2", 8910, 25, 25, 428033, 0x043a1eb374210452ull},
+      {"ps/RWS/write_hold", 10535, 15, 41, 690177, 0xdee067d0ba15b457ull},
+      {"ps/RWS/l2", 10169, 17, 39, 657409, 0x5584f04db55c804eull},
+      {"msum/PWS/write_hold", 3034, 0, 14, 249855, 0xa0244619bb221435ull},
+      {"msum/PWS/l2", 3034, 0, 14, 249855, 0xa0244619bb221435ull},
+      {"msum/RWS/write_hold", 3463, 3, 21, 364543, 0xd13d85be1512b5b6ull},
+      {"msum/RWS/l2", 3463, 3, 21, 364543, 0xd13d85be1512b5b6ull},
+      {"sort-spms/PWS/write_hold", 16716, 49, 50, 838656, 0x894b90fa60155816ull},
+      {"sort-spms/PWS/l2", 16291, 59, 48, 805888, 0x922e2f213a071e83ull},
+      {"sort-spms/RWS/write_hold", 19325, 45, 66, 1100800, 0x1eb8ab92b21d03a6ull},
+      {"sort-spms/RWS/l2", 18576, 65, 60, 1002496, 0x65dd0a69b7ae45cdull},
+      {"counters-packed/PWS/write_hold", 3183, 2, 9, 167680, 0x7a57ea9fca90a5d3ull},
+      {"counters-packed/PWS/l2", 3165, 2, 9, 167680, 0x7b4c226350d9f573ull},
+      {"counters-packed/RWS/write_hold", 4098, 7, 17, 298752, 0x986fdcd854984a61ull},
+      {"counters-packed/RWS/l2", 7567, 523, 12, 216832, 0x2609c2f84baa143bull},
+  });
+  auto check = [&](const std::string& name, const TaskGraph& g,
+                   SchedKind kind, const SimConfig& cfg) {
+    const Metrics m = simulate(g, kind, cfg);
+    golden.check(testing::Golden{name, m.makespan, m.block_misses(),
+                                 m.steals(), m.stack_words,
+                                 testing::digest(m)});
+    ContentionProfile prof;
+    SimConfig profiled = cfg;
+    profiled.profile = &prof;
+    EXPECT_EQ(simulate(g, kind, profiled), m) << name << " profiled";
+  };
+  for (size_t w = 0; w < graphs.size(); ++w) {
+    for (const uint32_t B : {24u, 64u}) {
+      for (const uint32_t p : {2u, 4u, 8u, 64u}) {
+        for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
+          SimConfig cfg = base_cfg(p);
+          cfg.M = 1 << 10;
+          cfg.B = B;
+          cfg.seed = 7;
+          check(std::string(workloads[w].first) + "/" + sched_name(kind) +
+                    "/p" + std::to_string(p) + "/B" + std::to_string(B),
+                graphs[w], kind, cfg);
+        }
+      }
+    }
+  }
+  for (size_t w = 0; w < graphs.size(); ++w) {
+    for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
+      SimConfig hold = base_cfg(4);
+      hold.M = 1 << 10;
+      hold.B = 24;
+      hold.seed = 7;
+      hold.write_hold = 24;
+      SimConfig l2 = hold;  // 42-line L1s over 170-line L2 partitions
+      l2.write_hold = 0;
+      l2.M2 = 1 << 14;
+      const std::string name =
+          std::string(workloads[w].first) + "/" + sched_name(kind);
+      check(name + "/write_hold", graphs[w], kind, hold);
+      check(name + "/l2", graphs[w], kind, l2);
+    }
+  }
+}
+
 // ---- one-core walks ----
 //
 // Every p = 1 replay (kSeq, and kPws / kRws at p = 1) is the sequential
