@@ -5,7 +5,8 @@ CI's correctness now rests on check_regression.py (the exact-metric and
 wall-clock gates) and history.py (the cross-run trajectory artifact), so
 they are tested like any other component: exact-metric drift detection,
 fail-closed behavior when a gate would compare nothing, history
-append/replace semantics, and the SVG plotter.
+append/replace semantics, the SVG plotter, and the A/B tool's per-layer
+summary.
 
     $ python3 bench/test_tooling.py        # or via ctest: test_bench_tooling
 """
@@ -20,6 +21,9 @@ import unittest
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 CHECK = os.path.join(BENCH_DIR, "check_regression.py")
 HISTORY = os.path.join(BENCH_DIR, "history.py")
+
+sys.path.insert(0, BENCH_DIR)
+import ab_compare  # noqa: E402  (a sibling script, imported for summarize)
 
 
 def run(script, *args):
@@ -298,6 +302,45 @@ class HistoryShowAndPlot(ToolingCase):
         code, _ = run(HISTORY, "plot", "--history", self.path("none.json"),
                       "--out", self.path("out.svg"))
         self.assertEqual(code, 2)
+
+
+class AbCompareSummary(unittest.TestCase):
+    """ab_compare.py's per-layer summary of the driver's JSON lines."""
+
+    @staticmethod
+    def lines(layer, pairs):
+        out = ['{"layer": "%s", "digest": "00ff"}' % layer]
+        for r, (a, b) in enumerate(pairs):
+            out.append(json.dumps({"round": r, "layer": layer,
+                                   "a_ms": a, "b_ms": b}))
+        return out
+
+    def test_equal_sides_are_unresolved(self):
+        pairs = [(1.0, 1.1), (1.1, 1.0), (1.0, 1.0), (2.0, 2.0), (1.0, 0.9)]
+        [row] = ab_compare.summarize(self.lines("pws", pairs))
+        self.assertEqual(row["layer"], "pws")
+        self.assertEqual(row["rounds"], 5)
+        self.assertAlmostEqual(row["ratio"], 1.0)
+        self.assertLessEqual(row["q1"], 1.0)
+        self.assertGreaterEqual(row["q3"], 1.0)
+        self.assertEqual(row["verdict"], "unresolved")
+
+    def test_faster_and_slower_sides_resolve(self):
+        faster = [(10.0, 8.0 + 0.1 * r) for r in range(8)]
+        slower = [(10.0, 12.0 - 0.1 * r) for r in range(8)]
+        rows = ab_compare.summarize(self.lines("pws", faster) +
+                                    self.lines("submit", slower))
+        self.assertEqual([r["layer"] for r in rows], ["pws", "submit"])
+        self.assertEqual(rows[0]["verdict"], "B faster")
+        self.assertLess(rows[0]["q3"], 1.0)
+        self.assertAlmostEqual(rows[0]["a_ms"], 10.0)
+        self.assertEqual(rows[1]["verdict"], "B slower")
+        self.assertGreater(rows[1]["q1"], 1.0)
+
+    def test_one_round_is_its_own_interval(self):
+        [row] = ab_compare.summarize(self.lines("rws", [(4.0, 3.0)]))
+        self.assertEqual((row["q1"], row["ratio"], row["q3"]),
+                         (0.75, 0.75, 0.75))
 
 
 if __name__ == "__main__":

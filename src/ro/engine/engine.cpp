@@ -9,6 +9,7 @@
 #include "ro/engine/workloads.h"
 #include "ro/sched/arena.h"
 #include "ro/sched/run.h"
+#include "ro/sim/cache.h"
 #include "ro/sim/contention.h"
 
 namespace ro {
@@ -362,13 +363,25 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     fail(jr, "shards must be at most 2^24");
     return false;
   }
-  if (spec.opt.sim.p < 1 || spec.opt.sim.p > 64) {
+  const SimConfig& sim = spec.opt.sim;
+  if (sim.p < 1 || sim.p > 64) {
     fail(jr, "sim p must be in [1, 64]");
     return false;
   }
-  if (spec.opt.sim.B == 0 || spec.opt.sim.M / spec.opt.sim.B < 1) {
+  if (sim.B == 0 || sim.M / sim.B < 1) {
     fail(jr, "sim cache must hold >= 1 block");
     return false;
+  }
+  if (sim.M / sim.B > kMaxCacheLines) {
+    fail(jr, "sim M / B must be at most 2^20 lines");
+    return false;
+  }
+  if (sim.M2 != 0) {
+    const uint64_t l2_lines = sim.M2 / (uint64_t{sim.p} * sim.B);
+    if (l2_lines < 1 || l2_lines > kMaxCacheLines) {
+      fail(jr, "sim M2 / (p * B) must be in [1, 2^20] lines");
+      return false;
+    }
   }
   if (const char* bad = alignment_error(spec.opt.align_words)) {
     fail(jr, bad);

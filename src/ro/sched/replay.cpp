@@ -39,6 +39,7 @@ namespace {
 
 constexpr uint32_t kNoCore = 0xFFFFFFFFu;
 constexpr vaddr_t kUnresolved = ~vaddr_t{0};
+constexpr uint64_t kNoBlock = ~uint64_t{0};
 
 /// Words of a tenant's data region (one past the recorded top, rebased):
 /// a remap may relocate lines above the recorded data top, and the stack
@@ -125,9 +126,11 @@ class ShardReplayer {
   ShardReplayer(std::span<const TaskGraph> gs, SchedKind kind,
                 const SimConfig& cfg, std::vector<TenantShare>* shares)
       : kind_(kind), cfg_(cfg), shares_(shares),
-        sp_(cfg.effective_steal_latency()), layout_(layout_tenants(gs, cfg)),
+        sp_(cfg.effective_steal_latency()),
+        mru_on_(cfg.M2 == 0 && cfg.profile == nullptr),
+        layout_(layout_tenants(gs, cfg)),
         arenas_(layout_.data_top, align_of(gs)), blk_(cfg.B),
-        rng_(cfg.seed) {
+        rng_(cfg.seed), clock_(cfg.p, 0) {
     RO_CHECK_MSG(cfg_.p >= 2 && cfg_.p <= 64,
                  "the multi-core machine needs p in [2, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
@@ -198,15 +201,17 @@ class ShardReplayer {
   };
 
   struct Frame {
+    const Segment* seg = nullptr;  // the tenant's segment being run
     uint32_t act = 0;
-    uint32_t seg = 0;  // local segment index
-    uint64_t acc = 0;  // index into the tenant's access stream
+    uint32_t local_seg = 0;  // seg's index within act
+    uint64_t acc = 0;        // index into the tenant's access stream
   };
 
   struct ActState {
-    ArenaSet::FrameToken token{0, 0, kUnresolved};  // base set at start
-    bool started = false;
+    // base stays kUnresolved until the activation starts.
+    ArenaSet::FrameToken token{0, 0, kUnresolved};
   };
+  static_assert(sizeof(ActState) == 16, "one activation's frame token");
 
   struct SegState {
     uint8_t pending = 0;
@@ -223,8 +228,7 @@ class ShardReplayer {
   struct Core {
     Core(uint32_t id_, uint32_t lines, uint32_t l2_lines)
         : id(id_), cache(lines), l2(l2_lines ? l2_lines : 1) {}
-    uint32_t id;
-    uint64_t time = 0;
+    uint32_t id;  // its clock is clock_[id]
     uint64_t last_productive = 0;
     bool busy = false;
     Frame fr;
@@ -241,6 +245,11 @@ class ShardReplayer {
     std::deque<Task> dq;  // stealable right children; back = bottom
     FlatLru cache;  // private L1
     FlatLru l2;     // L2 partition (§5.2)
+    // The L1's MRU line and its directory entry (mru_on_ only): a repeat
+    // touch of it is a hit that moves nothing in the LRU order.  Another
+    // core's write that invalidates the line resets it to kNoBlock.
+    uint64_t mru = kNoBlock;
+    Directory::Entry* mru_entry = nullptr;
     CoreMetrics m;
     // Profiling only (SimConfig::profile): last (word, task) this core
     // touched per held data block — the victim side of an invalidation
@@ -254,25 +263,32 @@ class ShardReplayer {
 
   // ---- scheduling loop ----
 
+  /// The core with the earliest clock; ties go to the lowest core id.
   Core& pick_core() {
-    Core* best = &cores_[0];
-    for (auto& c : cores_) {
-      if (c.time < best->time) best = &c;
+    const uint64_t* t = clock_.data();
+    uint32_t best = 0;
+    uint64_t best_t = t[0];
+    for (uint32_t i = 1; i < cfg_.p; ++i) {
+      if (t[i] < best_t) {
+        best_t = t[i];
+        best = i;
+      }
     }
-    return *best;
+    return cores_[best];
   }
+
+  uint64_t& now(const Core& c) { return clock_[c.id]; }
 
   void step(Core& c) {
     if (!c.busy) {
       idle_step(c);
       return;
     }
-    const Activation& a = c.g->acts[c.fr.act];
-    const Segment& seg = c.g->segments[a.first_seg + c.fr.seg];
+    const Segment& seg = *c.fr.seg;
     if (c.fr.acc < seg.acc_end) {
       const Access& acc = c.cur->at(c.fr.acc);
       if (replay_access(c, acc)) ++c.fr.acc;  // else: waiting on a hold
-      c.last_productive = c.time;
+      c.last_productive = now(c);
       return;
     }
     if (seg.has_fork()) {
@@ -280,7 +296,7 @@ class ShardReplayer {
     } else {
       complete_act(c);
     }
-    c.last_productive = c.time;
+    c.last_productive = now(c);
   }
 
   void idle_step(Core& c) {
@@ -321,7 +337,7 @@ class ShardReplayer {
     Core& v = cores_[victim];
     const Task task = v.dq.front();
     v.dq.pop_front();
-    c.time += sp_;
+    now(c) += sp_;
     c.m.steal_cycles += sp_;
     ++c.m.steals;
     ++steals_per_priority_[depth_of(task)];
@@ -331,20 +347,20 @@ class ShardReplayer {
   void fail_steal(Core& c) {
     // Wait one steal period; jump ahead to the next busy core's time if the
     // whole machine is further along (avoids micro-polling).
-    uint64_t target = c.time + sp_;
+    uint64_t target = now(c) + sp_;
     uint64_t min_busy = ~uint64_t{0};
     bool any_busy = false;
     for (const auto& o : cores_) {
       if (o.id != c.id && (o.busy || !o.dq.empty())) {
         any_busy = true;
-        min_busy = std::min(min_busy, o.time);
+        min_busy = std::min(min_busy, now(o));
       }
     }
     RO_CHECK_MSG(any_busy || done_, "deadlock: all cores idle");
     if (any_busy && min_busy > target) target = min_busy;
-    c.m.idle += target - c.time;
+    c.m.idle += target - now(c);
     c.m.steal_cycles += sp_;
-    c.time = target;
+    now(c) = target;
   }
 
   // ---- activation lifecycle ----
@@ -363,8 +379,7 @@ class ShardReplayer {
   void start_act(Core& c, Task task, bool stolen) {
     if (task.tenant != c.tenant) enter(c, task.tenant);
     ActState& st = c.astate[task.act];
-    RO_CHECK(!st.started);
-    st.started = true;
+    RO_CHECK(st.token.base == kUnresolved);  // each activation starts once
     const Activation& a = c.g->acts[task.act];
     if (stolen || a.parent == kNoAct) {
       c.cur_arena = arenas_.new_arena();  // fresh S_τ for a stolen kernel
@@ -372,7 +387,8 @@ class ShardReplayer {
     RO_CHECK(c.cur_arena != kNoCore);
     st.token = arenas_.push(c.cur_arena, a.frame_words);
     c.busy = true;
-    c.fr = Frame{task.act, 0, c.g->segments[a.first_seg].acc_begin};
+    const Segment& first = c.g->segments[a.first_seg];
+    c.fr = Frame{&first, task.act, 0, first.acc_begin};
   }
 
   void do_fork(Core& c, const Segment& seg) {
@@ -380,7 +396,7 @@ class ShardReplayer {
     ss.pending = 2;
     ss.fork_core = c.id;
     if (cfg_.inject_frame_traffic) {
-      const vaddr_t slots = fork_slot_addr(c, c.fr.act, c.fr.seg);
+      const vaddr_t slots = fork_slot_addr(c, c.fr.act, c.fr.local_seg);
       touch(c, slots, 1, /*write=*/true, /*stack=*/true);
       touch(c, slots + 1, 1, /*write=*/true, /*stack=*/true);
     }
@@ -424,8 +440,8 @@ class ShardReplayer {
     RO_CHECK(next_seg < pa.num_segs);
     c.busy = true;
     // The parent belongs to the same tenant as its child.
-    c.fr = Frame{a.parent, next_seg,
-                 g.segments[pa.first_seg + next_seg].acc_begin};
+    const Segment& next = g.segments[pa.first_seg + next_seg];
+    c.fr = Frame{&next, a.parent, next_seg, next.acc_begin};
   }
 
   /// Address of a fork slot of `act`, an activation of c's current tenant.
@@ -462,9 +478,9 @@ class ShardReplayer {
     }
     if (cfg_.write_hold != 0) {
       const uint64_t until = hold_barrier(c, addr, acc.len, acc.is_write());
-      if (until > c.time) {
-        c.m.hold_waits += until - c.time;
-        c.time = until;
+      if (until > now(c)) {
+        c.m.hold_waits += until - now(c);
+        now(c) = until;
         return false;
       }
     }
@@ -481,7 +497,7 @@ class ShardReplayer {
     for (uint64_t b = blk_.block_of(addr); b <= b1; ++b) {
       const Directory::Entry& d = dir_.at(b);
       if (d.hold_owner == 0xFF || d.hold_owner == c.id) continue;
-      if (d.hold_until <= c.time) continue;
+      if (d.hold_until <= now(c)) continue;
       // A hold only gates actions that would disturb the holder: taking a
       // copy we do not have, or invalidating the holder with a write.
       if (!c.cache.contains(b) || write) {
@@ -497,7 +513,7 @@ class ShardReplayer {
   [[gnu::always_inline]] void touch(Core& c, vaddr_t addr, uint16_t len,
                                     bool write, bool stack,
                                     uint32_t act = kNoAct) {
-    c.time += len;
+    now(c) += len;
     c.m.compute += len;
     if (shares_) (*shares_)[c.tenant].compute += len;
     const uint64_t b0 = blk_.block_of(addr);
@@ -510,6 +526,12 @@ class ShardReplayer {
 
   void touch_block(Core& c, uint64_t block, uint16_t word, bool write,
                    bool stack, uint32_t act) {
+    if (block == c.mru) {
+      // A hit on the L1's MRU line: the LRU order and the directory stay
+      // as they are, unless the touch is a write.
+      if (write) write_block(c, *c.mru_entry, block, word, act, false);
+      return;
+    }
     Directory::Entry& d = dir_.at(block);
     // Attribution is for data lines only: stack frames are padded per
     // arena (Lemma 3.1), so their sharing is by design, not a bug to fix.
@@ -561,9 +583,9 @@ class ShardReplayer {
       if (cfg_.M2 && c.l2.contains(block)) {
         c.l2.touch(block);
         ++c.m.l2_hits;
-        c.time += cfg_.l2_latency;
+        now(c) += cfg_.l2_latency;
       } else {
-        c.time += cfg_.miss_latency;
+        now(c) += cfg_.miss_latency;
         if (cfg_.M2) {
           if (auto l2res = c.l2.access(block); l2res.evicted) {
             // Inclusive hierarchy: dropping from L2 drops from L1 too.
@@ -593,35 +615,48 @@ class ShardReplayer {
       }
       d.holders |= me;
     }
-    if (write) {
-      uint64_t others = d.holders & ~me;
-      d.invalid |= others;
-      while (others) {
-        const uint32_t h = static_cast<uint32_t>(std::countr_zero(others));
-        others &= others - 1;
-        cores_[h].cache.invalidate(block);
-        cores_[h].l2.invalidate(block);
-        if (prof) {
-          // The victim's side of the event is its last touch of the line:
-          // a different word makes this false sharing (a contention-graph
-          // edge), the same word is true sharing a remap cannot remove.
-          uint16_t vword = word;
-          uint32_t vact = act;
-          if (const LastTouch* lt = cores_[h].last_touch.find(block)) {
-            vword = lt->word;
-            vact = lt->act;
-          }
-          cfg_.profile->record_invalidation(line_addr(block), word, act,
-                                            vword, vact);
+    if (write) write_block(c, d, block, word, act, prof);
+    if (prof) c.last_touch.put(block, LastTouch{word, act});
+    if (mru_on_) {
+      c.mru = block;
+      c.mru_entry = &d;
+    }
+  }
+
+  /// The write half of a touch: invalidates every other holder's copy
+  /// (§2.2), leaves c the sole holder and, on a §5.1 machine, starts c's
+  /// hold on the block.
+  void write_block(Core& c, Directory::Entry& d, uint64_t block,
+                   uint16_t word, uint32_t act, bool prof) {
+    const uint64_t me = uint64_t{1} << c.id;
+    uint64_t others = d.holders & ~me;
+    d.invalid |= others;
+    while (others) {
+      const uint32_t h = static_cast<uint32_t>(std::countr_zero(others));
+      others &= others - 1;
+      Core& v = cores_[h];
+      v.cache.invalidate(block);
+      v.l2.invalidate(block);
+      if (v.mru == block) v.mru = kNoBlock;
+      if (prof) {
+        // The victim's side of the event is its last touch of the line:
+        // a different word makes this false sharing (a contention-graph
+        // edge), the same word is true sharing a remap cannot remove.
+        uint16_t vword = word;
+        uint32_t vact = act;
+        if (const LastTouch* lt = v.last_touch.find(block)) {
+          vword = lt->word;
+          vact = lt->act;
         }
-      }
-      d.holders = me;
-      if (cfg_.write_hold) {
-        d.hold_owner = static_cast<uint8_t>(c.id);
-        d.hold_until = c.time + cfg_.write_hold;
+        cfg_.profile->record_invalidation(line_addr(block), word, act,
+                                          vword, vact);
       }
     }
-    if (prof) c.last_touch.put(block, LastTouch{word, act});
+    d.holders = me;
+    if (cfg_.write_hold) {
+      d.hold_owner = static_cast<uint8_t>(c.id);
+      d.hold_until = now(c) + cfg_.write_hold;
+    }
   }
 
   /// Recorded (global) address of the line holding a rebased block —
@@ -638,6 +673,7 @@ class ShardReplayer {
   SimConfig cfg_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
+  bool mru_on_;  // the per-core MRU shortcut: L1-only and unprofiled
   TenantLayout layout_;
   ArenaSet arenas_;
   BlockIndex blk_;
@@ -645,6 +681,7 @@ class ShardReplayer {
   Directory dir_;
   std::vector<Tenant> tenants_;
   std::vector<Core> cores_;
+  std::vector<uint64_t> clock_;  // per core, by id: pick_core scans it
   std::map<uint32_t, uint32_t> steals_per_priority_;
   uint32_t roots_left_ = 0;
   bool done_ = false;

@@ -1,5 +1,5 @@
-// Convenience layer tying recording and simulation together, plus the
-// excess definitions used throughout §4 of the paper.
+// The excess definition used throughout §4 of the paper.  The schedulers
+// themselves are in replay.h.
 #pragma once
 
 #include <cstdint>
@@ -8,19 +8,6 @@
 #include "ro/sched/replay.h"
 
 namespace ro {
-
-/// Result of running one graph under all three schedulers at one config.
-struct SchedComparison {
-  Metrics seq;  // p = 1 -> Q(n, M, B) in cold+capacity misses
-  Metrics pws;
-  Metrics rws;
-};
-
-SchedComparison compare_schedulers(const TaskGraph& g, const SimConfig& cfg);
-
-/// Sequential cache complexity Q(n, M, B): cold + capacity misses of the
-/// depth-first single-core execution (coherence misses are zero there).
-uint64_t q_seq(const TaskGraph& g, const SimConfig& cfg);
 
 /// The paper's excess: how much a scheduled cost exceeds c·Q for c = O(1)
 /// (we use c = 1 and report the raw difference, clamped at 0).

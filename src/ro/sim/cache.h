@@ -26,6 +26,12 @@
 
 namespace ro {
 
+/// Largest cache, in lines, a job may ask for (M / B, and M2 / (p B) for
+/// an L2 partition).  A FlatLru takes its line count as 32 bits and
+/// allocates its table up front, so Engine refuses larger caches at
+/// submit instead of truncating or exhausting memory.
+inline constexpr uint64_t kMaxCacheLines = uint64_t{1} << 20;
+
 /// Outcome of one combined cache access: a hit was marked MRU; a miss was
 /// inserted, evicting `victim` when the cache was full.
 struct CacheAccess {

@@ -7,7 +7,7 @@
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
-#include "ro/sched/run.h"
+#include "test_helpers.h"
 
 using namespace ro;
 using namespace ro::alg;
@@ -51,7 +51,7 @@ int main() {
   cfg.p = 8;
   cfg.M = 1 << 12;
   cfg.B = 32;
-  auto cmp = compare_schedulers(g, cfg);
+  auto cmp = ro::testing::compare_schedulers(g, cfg);
   std::printf("SEQ: %s\n", cmp.seq.summary().c_str());
   std::printf("PWS: %s\n", cmp.pws.summary().c_str());
   std::printf("RWS: %s\n", cmp.rws.summary().c_str());

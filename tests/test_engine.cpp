@@ -584,6 +584,39 @@ TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
     const JobResult jr = eng.submit(widest);
     EXPECT_TRUE(jr.ok()) << jr.error;
   }
+
+  // A cache table holds at most 2^20 lines.  M = 2^32 words of B = 1 used
+  // to truncate the line count to 0 and abort the process; 2^32 + 1
+  // simulated a one-line cache.  An L2 partition, M2 / (p B) lines, must
+  // hold between 1 and 2^20 lines.
+  for (const JobKind kind :
+       {JobKind::kRun, JobKind::kBatch, JobKind::kDiagnose}) {
+    for (const uint64_t M : {uint64_t{1} << 32, (uint64_t{1} << 32) + 1,
+                             (uint64_t{1} << 20) + 1}) {
+      JobSpec bad = spec;
+      bad.kind = kind;
+      bad.opt.sim.M = M;
+      bad.opt.sim.B = 1;
+      const JobResult jr = eng.submit(bad);
+      EXPECT_EQ(jr.status, JobStatus::kError) << M;
+      EXPECT_NE(jr.error.find("M / B"), std::string::npos) << jr.error;
+    }
+    for (const uint64_t M2 :
+         {uint64_t{1}, uint64_t{4 * 64 - 1}, ((uint64_t{1} << 20) + 1) * 4 * 64,
+          uint64_t{1} << 40}) {
+      JobSpec bad = spec;  // p = 4, B = 64
+      bad.kind = kind;
+      bad.opt.sim.M2 = M2;
+      const JobResult jr = eng.submit(bad);
+      EXPECT_EQ(jr.status, JobStatus::kError) << M2;
+      EXPECT_NE(jr.error.find("M2"), std::string::npos) << jr.error;
+    }
+    JobSpec one_line_l2 = spec;
+    one_line_l2.kind = kind;
+    one_line_l2.opt.sim.M2 = 4 * 64;
+    const JobResult jr = eng.submit(one_line_l2);
+    EXPECT_TRUE(jr.ok()) << jr.error;
+  }
 }
 
 TEST(Engine, MalformedSchemaVersionsReturnErrors) {

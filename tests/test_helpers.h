@@ -1,7 +1,8 @@
 // Shared helpers for the algorithm test suites: run an algorithm under
 // SeqCtx for the golden output, re-run under TraceCtx, check equality, and
 // optionally replay under every scheduler (through the shared Engine) to
-// assert engine invariants.
+// assert engine invariants; plus the schedule oracles the tests compare
+// against (all three schedulers on one graph, and Q(n, M, B)).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
 #include "ro/engine/engine.h"
-#include "ro/sched/run.h"
+#include "ro/sched/replay.h"
 
 namespace ro::testing {
 
@@ -52,6 +53,25 @@ inline void check_schedulers(const TaskGraph& g, uint32_t p = 4,
   // Note: makespan <= seq and the per-priority steal bound (Obs 4.3) are
   // asserted in test_sched on single-BP graphs with n >> overheads; they do
   // not hold for arbitrary tiny or heavily-sequenced computations.
+}
+
+/// One graph under all three schedulers at one config.
+struct SchedComparison {
+  Metrics seq;  // p = 1 -> Q(n, M, B) in cold+capacity misses
+  Metrics pws;
+  Metrics rws;
+};
+
+inline SchedComparison compare_schedulers(const TaskGraph& g,
+                                          const SimConfig& cfg) {
+  return {simulate(g, SchedKind::kSeq, cfg), simulate(g, SchedKind::kPws, cfg),
+          simulate(g, SchedKind::kRws, cfg)};
+}
+
+/// Sequential cache complexity Q(n, M, B): cold + capacity misses of the
+/// depth-first single-core execution (coherence misses are zero there).
+inline uint64_t q_seq(const TaskGraph& g, const SimConfig& cfg) {
+  return simulate(g, SchedKind::kSeq, cfg).cache_misses();
 }
 
 /// Every access record of `g` in stream order.

@@ -60,7 +60,7 @@ TEST(Lemma21Shape, BigStolenTasksHaveNoExcess) {
   cfg.p = 4;
   cfg.M = 1 << 10;
   cfg.B = 32;  // n = 32 K >> M p = 4 K
-  const uint64_t q = q_seq(g, cfg);
+  const uint64_t q = testing::q_seq(g, cfg);
   const Metrics pws = simulate(g, SchedKind::kPws, cfg);
   EXPECT_LT(pws.cache_misses(), 2 * q)
       << "PWS cache misses should be dominated by Q when n >> Mp";
