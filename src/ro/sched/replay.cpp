@@ -215,8 +215,9 @@ class ShardReplayer {
 
   struct SegState {
     uint8_t pending = 0;
-    uint32_t fork_core = kNoCore;
+    uint8_t fork_core = 0;  // set by do_fork before a join reads it
   };
+  static_assert(sizeof(SegState) == 2, "p <= 64 fits a core id in a byte");
 
   /// One tenant's recording and its walk state, by its own ids.
   struct Tenant {
@@ -394,7 +395,7 @@ class ShardReplayer {
   void do_fork(Core& c, const Segment& seg) {
     SegState& ss = c.sstate[&seg - c.g->segments.data()];
     ss.pending = 2;
-    ss.fork_core = c.id;
+    ss.fork_core = static_cast<uint8_t>(c.id);
     if (cfg_.inject_frame_traffic) {
       const vaddr_t slots = fork_slot_addr(c, c.fr.act, c.fr.local_seg);
       touch(c, slots, 1, /*write=*/true, /*stack=*/true);
