@@ -1,9 +1,9 @@
 // ro-serve tests: admission-control determinism, the JobSpec wire schema
-// (forward compatibility, garbage rejection), every wire parser under
-// truncation and byte mutation (refusals, never aborts), the line
-// protocol over a real Unix socket (malformed input must produce error
-// lines, never aborts), escaped labels on the wire, and served-vs-one-shot
-// metric identity.
+// (forward compatibility, garbage rejection), the byte goldens of every
+// wire object, every wire parser under truncation and byte mutation
+// (refusals, never aborts), the line protocol over a real Unix socket
+// (malformed input must produce error lines, never aborts), escaped labels
+// on the wire, and served-vs-one-shot metric identity.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -256,6 +256,266 @@ TEST(JobSchema, BatchReportRoundTrips) {
   ASSERT_TRUE(batch_from_json(jr.batch.to_json(), back));
   EXPECT_EQ(back.to_json(), jr.batch.to_json());
   EXPECT_TRUE(back.capacity_shared);
+}
+
+// ---- wire byte goldens ----
+//
+// The exact to_json bytes of every wire object, with every optional part
+// present where the object has one: a client reading these never sees a
+// change of key order, number format or omission rule.  The objects are
+// built by hand, so the goldens pin the codecs, not the simulator.  Each
+// golden also reads back into the same bytes.
+
+RunReport every_section_report() {
+  RunReport r;
+  r.label = "wire \"golden\"\\";
+  r.backend = Backend::kSimRws;
+  r.wall_ms = 12.5;
+  r.has_graph = true;
+  r.graph = GraphStats{101, 23, 7, 15, 64, 8};
+  r.has_sim = true;
+  r.p = 4;
+  r.M = 4096;
+  r.B = 32;
+  CoreMetrics c;
+  c.compute = 106;
+  c.miss[0][static_cast<int>(MissClass::kCold)] = 5;
+  c.miss[0][static_cast<int>(MissClass::kCapacity)] = 2;
+  c.miss[0][static_cast<int>(MissClass::kCoherence)] = 1;
+  c.miss[1][static_cast<int>(MissClass::kCold)] = 3;
+  c.miss[1][static_cast<int>(MissClass::kCapacity)] = 1;
+  c.miss[1][static_cast<int>(MissClass::kCoherence)] = 2;
+  c.steals = 4;
+  c.steal_attempts = 14;
+  c.usurpations = 3;
+  c.idle = 960;
+  c.steal_cycles = 1344;
+  c.finish = 439;
+  c.l2_hits = 6;
+  c.hold_waits = 11;
+  r.sim.core = {c, c};
+  r.sim.makespan = 439;
+  r.sim.total_block_transfers = 7;
+  r.sim.max_block_transfers = 2;
+  r.sim.stack_words = 85959;
+  r.has_baseline = true;
+  r.q_seq = 3;
+  r.seq_makespan = 202;
+  r.cache_excess = 19;
+  r.has_pool = true;
+  r.threads = 4;
+  r.pool_steals = 9;
+  r.pool_failed_steals = 3;
+  r.pool_groups = 2;
+  r.pool_local_steals = 5;
+  r.pool_remote_steals = 4;
+  r.pool_group_local_steals = {3, 2};
+  r.pool_group_remote_steals = {1, 3};
+  r.has_contention = true;
+  r.fs_false_events = 3;
+  r.fs_true_events = 1;
+  r.fs_hot_lines = 2;
+  r.has_tenant = true;
+  r.tenant = "t1";
+  r.tenant_compute = 50;
+  r.tenant_cache_misses = 6;
+  r.tenant_block_misses = 2;
+  r.tenant_transfers = 3;
+  r.has_stream = true;
+  r.trace_segments = 5;
+  r.trace_spilled_bytes = 4096;
+  r.trace_compressed_bytes = 1000;
+  r.trace_peak_resident_bytes = 2048;
+  return r;
+}
+
+constexpr char kEverySectionReport[] =
+    "{\"label\":\"wire \\\"golden\\\"\\\\\",\"backend\":\"sim-rws\","
+    "\"wall_ms\":12.5000,\"work\":101,\"span\":23,\"max_depth\":7,"
+    "\"activations\":15,\"accesses\":64,\"leaves\":8,\"p\":4,\"M\":4096,"
+    "\"B\":32,\"makespan\":439,\"compute\":212,\"cache_misses\":22,"
+    "\"block_misses\":6,\"stack_misses\":12,\"steals\":8,"
+    "\"steal_attempts\":28,\"steal_cycles\":2688,\"usurpations\":6,"
+    "\"idle\":1920,\"l2_hits\":12,\"hold_waits\":22,"
+    "\"total_block_transfers\":7,\"max_block_transfers\":2,"
+    "\"stack_words\":85959,\"q_seq\":3,\"seq_makespan\":202,"
+    "\"cache_excess\":19,\"sim_speedup\":0.4601,\"threads\":4,"
+    "\"pool_steals\":9,\"pool_failed_steals\":3,\"pool_groups\":2,"
+    "\"pool_local_steals\":5,\"pool_remote_steals\":4,"
+    "\"pool_group_local_steals\":[3,2],\"pool_group_remote_steals\":[1,3],"
+    "\"fs_false_events\":3,\"fs_true_events\":1,\"fs_hot_lines\":2,"
+    "\"tenant\":\"t1\",\"tenant_compute\":50,\"tenant_cache_misses\":6,"
+    "\"tenant_block_misses\":2,\"tenant_transfers\":3,\"trace_segments\":5,"
+    "\"trace_spilled_bytes\":4096,\"trace_compressed_bytes\":1000,"
+    "\"trace_peak_resident_bytes\":2048,\"trace_compression_ratio\":4.0960}";
+
+TEST(WireBytes, JobSpecWithDefaultFieldsMatchesGolden) {
+  const char* golden =
+      "{\"schema_version\":\"1.0\",\"tenant\":\"\",\"kind\":\"run\","
+      "\"workload\":\"\",\"n\":4096,\"seed\":0,\"shards\":1,"
+      "\"backend\":\"seq\",\"p\":4,\"M\":16384,\"B\":64,\"miss_latency\":32,"
+      "\"steal_latency\":0,\"sim_seed\":24301,\"M2\":0,\"l2_latency\":8,"
+      "\"write_hold\":0,\"replay_threads\":1,\"padded\":0,"
+      "\"align_words\":4096,\"seq_baseline\":1,\"pipeline\":0,"
+      "\"capacity_shared\":0,\"segment_tasks\":0,\"max_resident_segments\":4,"
+      "\"compress\":1,\"threads\":0,\"serial_below\":4096,"
+      "\"doc_max_lines\":64,\"doc_min_false_events\":1}";
+  EXPECT_EQ(JobSpec{}.to_json(), golden);
+  JobSpec back;
+  std::string err;
+  ASSERT_TRUE(jobspec_from_json(golden, back, &err)) << err;
+  EXPECT_EQ(back.to_json(), golden);
+}
+
+TEST(WireBytes, JobSpecWithEveryFieldSetMatchesGolden) {
+  JobSpec s;
+  s.schema_version = "1.3";
+  s.tenant = "tenant-a";
+  s.tag = "tag \"7\"";
+  s.kind = JobKind::kDiagnose;
+  s.workload = "sort-spms";
+  s.n = 1 << 14;
+  s.seed = 9;
+  s.shards = 3;
+  s.opt.backend = Backend::kSimRws;
+  s.opt.label = "every-field";
+  s.opt.sim.p = 8;
+  s.opt.sim.M = 1 << 12;
+  s.opt.sim.B = 16;
+  s.opt.sim.miss_latency = 40;
+  s.opt.sim.steal_latency = 100;
+  s.opt.sim.seed = 77;
+  s.opt.sim.M2 = 1 << 16;
+  s.opt.sim.l2_latency = 6;
+  s.opt.sim.write_hold = 5;
+  s.opt.sim.replay_threads = 2;
+  s.opt.padded = true;
+  s.opt.align_words = 64;
+  s.opt.seq_baseline = false;
+  s.opt.pipeline = true;
+  s.opt.capacity_shared = true;
+  s.opt.trace.segment_tasks = 256;
+  s.opt.trace.max_resident_segments = 2;
+  s.opt.trace.compress = false;
+  s.opt.threads = 3;
+  s.opt.serial_below = 512;
+  s.doc.max_lines = 16;
+  s.doc.min_false_events = 2;
+  alg::SpmsTuning t;
+  t.merge_base = 40;
+  t.merge2_min = 2000;
+  t.stride_mul = 5;
+  t.seq_cap_div = 3;
+  t.stride_per_seq = 12;
+  t.multisearch_leaf = 50;
+  t.sample_sort_seq = 300;
+  t.machinery_min = 4000;
+  t.kernels = false;
+  s.opt.spms = t;
+  const char* golden =
+      "{\"schema_version\":\"1.3\",\"tenant\":\"tenant-a\","
+      "\"tag\":\"tag \\\"7\\\"\",\"kind\":\"diagnose\","
+      "\"workload\":\"sort-spms\",\"n\":16384,\"seed\":9,\"shards\":3,"
+      "\"backend\":\"sim-rws\",\"label\":\"every-field\",\"p\":8,\"M\":4096,"
+      "\"B\":16,\"miss_latency\":40,\"steal_latency\":100,\"sim_seed\":77,"
+      "\"M2\":65536,\"l2_latency\":6,\"write_hold\":5,\"replay_threads\":2,"
+      "\"padded\":1,\"align_words\":64,\"seq_baseline\":0,\"pipeline\":1,"
+      "\"capacity_shared\":1,\"segment_tasks\":256,"
+      "\"max_resident_segments\":2,\"compress\":0,\"threads\":3,"
+      "\"serial_below\":512,\"doc_max_lines\":16,\"doc_min_false_events\":2,"
+      "\"spms\":{\"merge_base\":40,\"merge2_min\":2000,\"stride_mul\":5,"
+      "\"seq_cap_div\":3,\"stride_per_seq\":12,\"multisearch_leaf\":50,"
+      "\"sample_sort_seq\":300,\"machinery_min\":4000,\"kernels\":0}}";
+  EXPECT_EQ(s.to_json(), golden);
+  JobSpec back;
+  std::string err;
+  ASSERT_TRUE(jobspec_from_json(golden, back, &err)) << err;
+  EXPECT_EQ(back.to_json(), golden);
+  EXPECT_EQ(back.opt.spms, s.opt.spms);
+}
+
+TEST(WireBytes, RunReportWithEverySectionMatchesGolden) {
+  EXPECT_EQ(every_section_report().to_json(), kEverySectionReport);
+  RunReport back;
+  ASSERT_TRUE(report_from_json(kEverySectionReport, back));
+  EXPECT_EQ(back.to_json(), kEverySectionReport);
+}
+
+TEST(WireBytes, BatchReportMatchesGolden) {
+  BatchReport b;
+  b.label = "batch";
+  b.backend = Backend::kSimPws;
+  b.shards = 2;
+  b.replay_threads = 0;
+  b.pipelined = true;
+  b.capacity_shared = true;
+  b.wall_ms = 3.25;
+  b.record_ms = 1.5;
+  b.replay_ms = 1.0625;
+  b.aggregate = every_section_report();
+  RunReport shard;
+  shard.label = "batch#0";
+  shard.backend = Backend::kSimPws;
+  shard.has_tenant = true;
+  shard.tenant = "t0";
+  shard.tenant_compute = 17;
+  b.runs = {shard, shard};
+  b.runs[1].label = "batch#1";
+  const std::string golden =
+      "{\"label\":\"batch\",\"backend\":\"sim-pws\",\"shards\":2,"
+      "\"replay_threads\":0,\"pipelined\":1,\"capacity_shared\":1,"
+      "\"wall_ms\":3.2500,\"record_ms\":1.5000,\"replay_ms\":1.0625,"
+      "\"aggregate\":" +
+      std::string(kEverySectionReport) +
+      ",\"runs\":[{\"label\":\"batch#0\",\"backend\":\"sim-pws\","
+      "\"wall_ms\":0.0000,\"tenant\":\"t0\",\"tenant_compute\":17,"
+      "\"tenant_cache_misses\":0,\"tenant_block_misses\":0,"
+      "\"tenant_transfers\":0},{\"label\":\"batch#1\","
+      "\"backend\":\"sim-pws\",\"wall_ms\":0.0000,\"tenant\":\"t0\","
+      "\"tenant_compute\":17,\"tenant_cache_misses\":0,"
+      "\"tenant_block_misses\":0,\"tenant_transfers\":0}]}";
+  EXPECT_EQ(b.to_json(), golden);
+  BatchReport back;
+  ASSERT_TRUE(batch_from_json(golden, back));
+  EXPECT_EQ(back.to_json(), golden);
+}
+
+TEST(WireBytes, OkJobResultMatchesGolden) {
+  JobResult jr;
+  jr.job_id = 42;
+  jr.tenant = "tenant-a";
+  jr.tag = "t-42";
+  jr.kind = JobKind::kRun;
+  jr.queue_ms = 0.5;
+  jr.exec_ms = 2.75;
+  jr.report = every_section_report();
+  const std::string golden =
+      "{\"schema_version\":\"1.0\",\"job_id\":42,\"tenant\":\"tenant-a\","
+      "\"tag\":\"t-42\",\"kind\":\"run\",\"status\":\"ok\","
+      "\"queue_ms\":0.5000,\"exec_ms\":2.7500,\"report\":" +
+      std::string(kEverySectionReport) + "}";
+  EXPECT_EQ(jr.to_json(), golden);
+  JobResult back;
+  ASSERT_TRUE(jobresult_from_json(golden, back));
+  EXPECT_EQ(back.to_json(), golden);
+}
+
+TEST(WireBytes, RejectedJobResultMatchesGolden) {
+  JobResult jr;
+  jr.job_id = 43;
+  jr.tenant = "tenant-b";
+  jr.kind = JobKind::kBatch;
+  jr.status = JobStatus::kRejected;
+  jr.error = "over budget: \"tenant-b\"";
+  const char* golden =
+      "{\"schema_version\":\"1.0\",\"job_id\":43,\"tenant\":\"tenant-b\","
+      "\"kind\":\"batch\",\"status\":\"rejected\","
+      "\"error\":\"over budget: \\\"tenant-b\\\"\",\"queue_ms\":0.0000,"
+      "\"exec_ms\":0.0000}";
+  EXPECT_EQ(jr.to_json(), golden);
+  JobResult back;
+  ASSERT_TRUE(jobresult_from_json(golden, back));
+  EXPECT_EQ(back.to_json(), golden);
 }
 
 // ---- wire parsers under mutation ----
