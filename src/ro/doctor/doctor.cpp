@@ -7,23 +7,26 @@
 #include "ro/util/check.h"
 #include "ro/util/flatjson.h"
 
-namespace ro::doctor {
+namespace ro {
 
-const char* pattern_name(Pattern p) {
-  switch (p) {
-    case Pattern::kFalseSharing: return "false-sharing";
-    case Pattern::kTrueSharing: return "true-sharing";
-    case Pattern::kMixed: return "mixed";
-  }
-  return "?";
+template <class V>
+void fields(RemapRule& r, V& v) {
+  v("src", r.src);
+  v("len", r.len);
+  v("dst", r.dst);
+  v("stride", r.stride);
 }
 
-bool parse_pattern(const std::string& name, Pattern& out) {
-  if (name == "false-sharing") out = Pattern::kFalseSharing;
-  else if (name == "true-sharing") out = Pattern::kTrueSharing;
-  else if (name == "mixed") out = Pattern::kMixed;
-  else return false;
-  return true;
+}  // namespace ro
+
+namespace ro::doctor {
+
+json::EnumNames<Pattern> wire_names(Pattern) {
+  static constexpr json::EnumName<Pattern> kNames[] = {
+      {Pattern::kFalseSharing, "false-sharing"},
+      {Pattern::kTrueSharing, "true-sharing"},
+      {Pattern::kMixed, "mixed"}};
+  return {"pattern", kNames};
 }
 
 std::vector<LineFinding> classify(const ContentionProfile& profile,
@@ -106,150 +109,62 @@ double DoctorReport::transfer_reduction() const {
 // the embedded reports round-trip through report_from_json /
 // RunReport::to_json verbatim.
 
+template <class V>
+void fields(LineFinding& f, V& v) {
+  v("line", f.line);
+  v("pattern", f.pattern);
+  v("false_events", f.false_events);
+  v("true_events", f.true_events);
+  v("transfers", f.transfers);
+  v("coherence_misses", f.coherence_misses);
+  v("tasks", f.tasks);
+  v("hot_words", f.hot_words);
+}
+
 namespace {
 
-using json::as_u64;
-using json::kv;
-using json::kv_raw;
-using json::kv_str;
-
-std::string finding_json(const LineFinding& f) {
-  std::string s = "{";
-  kv(s, "line", f.line);
-  kv_str(s, "pattern", pattern_name(f.pattern));
-  kv(s, "false_events", f.false_events);
-  kv(s, "true_events", f.true_events);
-  kv(s, "transfers", f.transfers);
-  kv(s, "coherence_misses", f.coherence_misses);
-  kv(s, "tasks", static_cast<uint64_t>(f.tasks));
-  kv(s, "hot_words",
-     std::vector<uint64_t>(f.hot_words.begin(), f.hot_words.end()));
-  s += "}";
-  return s;
+std::string rules_json(const AddressRemap& remap) {
+  return json::write_list(remap.rules());
 }
 
-std::string rule_json(const RemapRule& r) {
-  std::string s = "{";
-  kv(s, "src", r.src);
-  kv(s, "len", r.len);
-  kv(s, "dst", r.dst);
-  kv(s, "stride", r.stride);
-  s += "}";
-  return s;
-}
-
-bool parse_finding(const std::string& j, LineFinding& f) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(j, kvs)) return false;
-  for (const auto& [k, v] : kvs) {
-    if (k == "line") f.line = as_u64(v);
-    else if (k == "pattern") {
-      if (!parse_pattern(v, f.pattern)) return false;
-    } else if (k == "false_events") f.false_events = as_u64(v);
-    else if (k == "true_events") f.true_events = as_u64(v);
-    else if (k == "transfers") f.transfers = as_u64(v);
-    else if (k == "coherence_misses") f.coherence_misses = as_u64(v);
-    else if (k == "tasks") f.tasks = static_cast<uint32_t>(as_u64(v));
-    else if (k == "hot_words") {
-      for (const uint64_t w : json::as_u64_list(v)) {
-        f.hot_words.push_back(static_cast<uint16_t>(w));
-      }
-    }
-  }
-  return true;
-}
-
-bool parse_plan(const std::string& j, RepairPlan& plan) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(j, kvs)) return false;
+bool rules_from_json(const std::string& text, AddressRemap& remap) {
   std::vector<RemapRule> rules;
-  for (const auto& [k, v] : kvs) {
-    if (k == "lines_padded") plan.lines_padded = as_u64(v);
-    else if (k == "predicted_avoided_events") {
-      plan.predicted_avoided_events = as_u64(v);
-    } else if (k == "rules") {
-      for (const std::string& e : json::as_object_list(v)) {
-        std::vector<std::pair<std::string, std::string>> rkv;
-        if (!json::scan_object(e, rkv)) return false;
-        RemapRule r;
-        for (const auto& [rk, rv] : rkv) {
-          if (rk == "src") r.src = as_u64(rv);
-          else if (rk == "len") r.len = as_u64(rv);
-          else if (rk == "dst") r.dst = as_u64(rv);
-          else if (rk == "stride") r.stride = as_u64(rv);
-        }
-        rules.push_back(r);
-      }
-    }
-  }
+  if (!json::read_list(text, rules)) return false;
   // Rules off the wire are untrusted: refuse what AddressRemap would abort on.
   if (remap_rules_error(rules) != nullptr) return false;
-  plan.remap = AddressRemap(std::move(rules));
+  remap = AddressRemap(std::move(rules));
   return true;
 }
 
 }  // namespace
 
-std::string DoctorReport::to_json() const {
-  std::string s = "{";
-  kv_str(s, "label", label);
-  kv_str(s, "doctor_backend", backend_name(backend));
-  kv(s, "p", static_cast<uint64_t>(p));
-  kv(s, "M", M);
-  kv(s, "B", static_cast<uint64_t>(B));
-  std::string arr = "[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    if (i) arr += ",";
-    arr += finding_json(findings[i]);
-  }
-  arr += "]";
-  kv_raw(s, "findings", arr);
-  std::string pl = "{";
-  kv(pl, "lines_padded", plan.lines_padded);
-  kv(pl, "predicted_avoided_events", plan.predicted_avoided_events);
-  std::string rs = "[";
-  for (size_t i = 0; i < plan.remap.rules().size(); ++i) {
-    if (i) rs += ",";
-    rs += rule_json(plan.remap.rules()[i]);
-  }
-  rs += "]";
-  kv_raw(pl, "rules", rs);
-  pl += "}";
-  kv_raw(s, "plan", pl);
-  kv_raw(s, "before", before.to_json());
-  if (has_after) kv_raw(s, "after", after.to_json());
-  s += "}";
-  return s;
+template <class V>
+void fields(RepairPlan& plan, V& v) {
+  v("lines_padded", plan.lines_padded);
+  v("predicted_avoided_events", plan.predicted_avoided_events);
+  v("rules", plan.remap, rules_json, rules_from_json);
 }
 
+template <class V>
+void fields(DoctorReport& d, V& v) {
+  v("label", d.label);
+  v("doctor_backend", d.backend);
+  v("p", d.p);
+  v("M", d.M);
+  v("B", d.B);
+  v("findings", d.findings);
+  v("plan", d.plan);
+  v("before", d.before, &RunReport::to_json, report_from_json);
+  v.section(d.has_after, [&] {
+    v("after", d.after, &RunReport::to_json, report_from_json);
+  });
+}
+
+std::string DoctorReport::to_json() const { return json::write_object(*this); }
+
 bool doctor_report_from_json(const std::string& text, DoctorReport& out) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(text, kvs)) return false;
   out = DoctorReport{};
-  for (const auto& [k, v] : kvs) {
-    if (k == "label") out.label = v;
-    else if (k == "doctor_backend") {
-      if (!parse_backend(v, out.backend)) return false;
-    } else if (k == "p") out.p = static_cast<uint32_t>(as_u64(v));
-    else if (k == "M") out.M = as_u64(v);
-    else if (k == "B") out.B = static_cast<uint32_t>(as_u64(v));
-    else if (k == "findings") {
-      for (const std::string& e : json::as_object_list(v)) {
-        LineFinding f;
-        if (!parse_finding(e, f)) return false;
-        out.findings.push_back(std::move(f));
-      }
-    } else if (k == "plan") {
-      if (!parse_plan(v, out.plan)) return false;
-    } else if (k == "before") {
-      if (!report_from_json(v, out.before)) return false;
-    } else if (k == "after") {
-      if (!report_from_json(v, out.after)) return false;
-      out.has_after = true;
-    }
-    // Unknown keys skip, like report_from_json: newer writers stay readable.
-  }
-  return true;
+  return json::read_object(text, out);
 }
 
 }  // namespace ro::doctor

@@ -45,8 +45,12 @@ enum class Pattern : uint8_t {
   kMixed = 2,         // both; padding removes only the false part
 };
 
-const char* pattern_name(Pattern p);
-bool parse_pattern(const std::string& name, Pattern& out);
+// "false-sharing", "true-sharing", "mixed".
+json::EnumNames<Pattern> wire_names(Pattern);
+inline const char* pattern_name(Pattern p) { return json::enum_name(p); }
+inline bool parse_pattern(const std::string& name, Pattern& out) {
+  return json::parse_enum(name, out);
+}
 
 /// One contended cache line, ranked (classify sorts by false_events desc,
 /// then transfers, then address — a deterministic total order).

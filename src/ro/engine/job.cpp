@@ -1,56 +1,30 @@
 #include "ro/engine/job.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
 #include "ro/util/flatjson.h"
 
 namespace ro {
 
-using json::as_double;
-using json::as_u64;
-using json::kv;
-using json::kv_raw;
-using json::kv_str;
+json::EnumNames<JobKind> wire_names(JobKind) {
+  static constexpr json::EnumName<JobKind> kNames[] = {
+      {JobKind::kRun, "run"},
+      {JobKind::kBatch, "batch"},
+      {JobKind::kDiagnose, "diagnose"}};
+  return {"job kind", kNames};
+}
+
+json::EnumNames<JobStatus> wire_names(JobStatus) {
+  static constexpr json::EnumName<JobStatus> kNames[] = {
+      {JobStatus::kOk, "ok"},
+      {JobStatus::kRejected, "rejected"},
+      {JobStatus::kError, "error"}};
+  return {"job status", kNames};
+}
 
 std::string job_schema_version() {
   return std::to_string(kJobSchemaMajor) + "." + std::to_string(kJobSchemaMinor);
-}
-
-const char* job_kind_name(JobKind k) {
-  switch (k) {
-    case JobKind::kRun: return "run";
-    case JobKind::kBatch: return "batch";
-    case JobKind::kDiagnose: return "diagnose";
-  }
-  return "?";
-}
-
-bool parse_job_kind(const std::string& name, JobKind& out) {
-  if (name == "run") out = JobKind::kRun;
-  else if (name == "batch") out = JobKind::kBatch;
-  else if (name == "diagnose") out = JobKind::kDiagnose;
-  else return false;
-  return true;
-}
-
-const char* job_status_name(JobStatus s) {
-  switch (s) {
-    case JobStatus::kOk: return "ok";
-    case JobStatus::kRejected: return "rejected";
-    case JobStatus::kError: return "error";
-  }
-  return "?";
-}
-
-bool parse_job_status(const std::string& name, JobStatus& out) {
-  if (name == "ok") out = JobStatus::kOk;
-  else if (name == "rejected") out = JobStatus::kRejected;
-  else if (name == "error") out = JobStatus::kError;
-  else return false;
-  return true;
 }
 
 std::string schema_version_error(const std::string& v) {
@@ -69,89 +43,65 @@ std::string schema_version_error(const std::string& v) {
   return "";
 }
 
-namespace {
+namespace alg {
 
-std::string spms_to_json(const alg::SpmsTuning& t) {
-  std::string s = "{";
-  kv(s, "merge_base", static_cast<uint64_t>(t.merge_base));
-  kv(s, "merge2_min", static_cast<uint64_t>(t.merge2_min));
-  kv(s, "stride_mul", static_cast<uint64_t>(t.stride_mul));
-  kv(s, "seq_cap_div", static_cast<uint64_t>(t.seq_cap_div));
-  kv(s, "stride_per_seq", static_cast<uint64_t>(t.stride_per_seq));
-  kv(s, "multisearch_leaf", static_cast<uint64_t>(t.multisearch_leaf));
-  kv(s, "sample_sort_seq", static_cast<uint64_t>(t.sample_sort_seq));
-  kv(s, "machinery_min", static_cast<uint64_t>(t.machinery_min));
-  kv(s, "kernels", static_cast<uint64_t>(t.kernels ? 1 : 0));
-  s += "}";
-  return s;
+template <class V>
+void fields(SpmsTuning& t, V& v) {
+  v("merge_base", t.merge_base);
+  v("merge2_min", t.merge2_min);
+  v("stride_mul", t.stride_mul);
+  v("seq_cap_div", t.seq_cap_div);
+  v("stride_per_seq", t.stride_per_seq);
+  v("multisearch_leaf", t.multisearch_leaf);
+  v("sample_sort_seq", t.sample_sort_seq);
+  v("machinery_min", t.machinery_min);
+  v("kernels", t.kernels);
 }
 
-bool spms_from_json(const std::string& text, alg::SpmsTuning& t) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(text, kvs)) return false;
-  for (const auto& [k, v] : kvs) {
-    if (k == "merge_base") t.merge_base = static_cast<size_t>(as_u64(v));
-    else if (k == "merge2_min") t.merge2_min = static_cast<size_t>(as_u64(v));
-    else if (k == "stride_mul") t.stride_mul = static_cast<size_t>(as_u64(v));
-    else if (k == "seq_cap_div") t.seq_cap_div = static_cast<size_t>(as_u64(v));
-    else if (k == "stride_per_seq")
-      t.stride_per_seq = static_cast<size_t>(as_u64(v));
-    else if (k == "multisearch_leaf")
-      t.multisearch_leaf = static_cast<size_t>(as_u64(v));
-    else if (k == "sample_sort_seq")
-      t.sample_sort_seq = static_cast<size_t>(as_u64(v));
-    else if (k == "machinery_min")
-      t.machinery_min = static_cast<size_t>(as_u64(v));
-    else if (k == "kernels") t.kernels = as_u64(v) != 0;
-  }
-  return true;
-}
+}  // namespace alg
 
-}  // namespace
-
-std::string JobSpec::to_json() const {
-  std::string s = "{";
-  kv_str(s, "schema_version",
-         schema_version.empty() ? job_schema_version() : schema_version);
-  kv_str(s, "tenant", tenant);
-  if (!tag.empty()) kv_str(s, "tag", tag);
-  kv_str(s, "kind", job_kind_name(kind));
-  kv_str(s, "workload", workload);
-  kv(s, "n", n);
-  kv(s, "seed", seed);
-  kv(s, "shards", static_cast<uint64_t>(shards));
-
-  kv_str(s, "backend", backend_name(opt.backend));
-  if (!opt.label.empty()) kv_str(s, "label", opt.label);
-  kv(s, "p", static_cast<uint64_t>(opt.sim.p));
-  kv(s, "M", opt.sim.M);
-  kv(s, "B", static_cast<uint64_t>(opt.sim.B));
-  kv(s, "miss_latency", static_cast<uint64_t>(opt.sim.miss_latency));
-  kv(s, "steal_latency", static_cast<uint64_t>(opt.sim.steal_latency));
+template <class V>
+void fields(JobSpec& s, V& v) {
+  // Written filled in; read first, by jobspec_from_json.
+  v.emit("schema_version",
+         s.schema_version.empty() ? job_schema_version() : s.schema_version);
+  v("tenant", s.tenant);
+  v.when(!s.tag.empty(), [&] { v("tag", s.tag); });
+  v("kind", s.kind);
+  v("workload", s.workload);
+  v("n", s.n);
+  v("seed", s.seed);
+  v("shards", s.shards);
+  RunOptions& o = s.opt;
+  v("backend", o.backend);
+  v.when(!o.label.empty(), [&] { v("label", o.label); });
+  v("p", o.sim.p);
+  v("M", o.sim.M);
+  v("B", o.sim.B);
+  v("miss_latency", o.sim.miss_latency);
+  v("steal_latency", o.sim.steal_latency);
   // "sim_seed", not "seed": the workload input salt above owns that key.
-  kv(s, "sim_seed", opt.sim.seed);
-  kv(s, "M2", opt.sim.M2);
-  kv(s, "l2_latency", static_cast<uint64_t>(opt.sim.l2_latency));
-  kv(s, "write_hold", static_cast<uint64_t>(opt.sim.write_hold));
-  kv(s, "replay_threads", static_cast<uint64_t>(opt.sim.replay_threads));
-  kv(s, "padded", static_cast<uint64_t>(opt.padded ? 1 : 0));
-  kv(s, "align_words", opt.align_words);
-  kv(s, "seq_baseline", static_cast<uint64_t>(opt.seq_baseline ? 1 : 0));
-  kv(s, "pipeline", static_cast<uint64_t>(opt.pipeline ? 1 : 0));
-  kv(s, "capacity_shared",
-     static_cast<uint64_t>(opt.capacity_shared ? 1 : 0));
-  kv(s, "segment_tasks", opt.trace.segment_tasks);
-  kv(s, "max_resident_segments",
-     static_cast<uint64_t>(opt.trace.max_resident_segments));
-  kv(s, "compress", static_cast<uint64_t>(opt.trace.compress ? 1 : 0));
-  kv(s, "threads", static_cast<uint64_t>(opt.threads));
-  kv(s, "serial_below", opt.serial_below);
-  kv(s, "doc_max_lines", static_cast<uint64_t>(doc.max_lines));
-  kv(s, "doc_min_false_events", doc.min_false_events);
-  if (opt.spms.has_value()) kv_raw(s, "spms", spms_to_json(*opt.spms));
-  s += "}";
-  return s;
+  v("sim_seed", o.sim.seed);
+  v("M2", o.sim.M2);
+  v("l2_latency", o.sim.l2_latency);
+  v("write_hold", o.sim.write_hold);
+  v("replay_threads", o.sim.replay_threads);
+  v("padded", o.padded);
+  v("align_words", o.align_words);
+  v("seq_baseline", o.seq_baseline);
+  v("pipeline", o.pipeline);
+  v("capacity_shared", o.capacity_shared);
+  v("segment_tasks", o.trace.segment_tasks);
+  v("max_resident_segments", o.trace.max_resident_segments);
+  v("compress", o.trace.compress);
+  v("threads", o.threads);
+  v("serial_below", o.serial_below);
+  v("doc_max_lines", s.doc.max_lines);
+  v("doc_min_false_events", s.doc.min_false_events);
+  v("spms", o.spms, "spms tuning");
 }
+
+std::string JobSpec::to_json() const { return json::write_object(*this); }
 
 bool jobspec_from_json(const std::string& text, JobSpec& out,
                        std::string* error) {
@@ -159,7 +109,7 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
     if (error != nullptr) *error = why;
     return false;
   };
-  std::vector<std::pair<std::string, std::string>> kvs;
+  json::Reader::Pairs kvs;
   if (!json::scan_object(text, kvs)) return fail("malformed JSON object");
 
   // Version first: a newer major may have changed the meaning of any key,
@@ -173,110 +123,44 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
   }
   if (spec.schema_version.empty()) spec.schema_version = job_schema_version();
 
-  for (const auto& [k, v] : kvs) {
-    if (k == "schema_version") continue;
-    else if (k == "tenant") spec.tenant = v;
-    else if (k == "tag") spec.tag = v;
-    else if (k == "kind") {
-      if (!parse_job_kind(v, spec.kind))
-        return fail("unknown job kind \"" + v + "\"");
-    } else if (k == "workload") spec.workload = v;
-    else if (k == "n") spec.n = as_u64(v);
-    else if (k == "seed") spec.seed = as_u64(v);
-    else if (k == "shards") spec.shards = static_cast<uint32_t>(as_u64(v));
-    else if (k == "backend") {
-      if (!parse_backend(v, spec.opt.backend))
-        return fail("unknown backend \"" + v + "\"");
-    } else if (k == "label") spec.opt.label = v;
-    else if (k == "p") spec.opt.sim.p = static_cast<uint32_t>(as_u64(v));
-    else if (k == "M") spec.opt.sim.M = as_u64(v);
-    else if (k == "B") spec.opt.sim.B = static_cast<uint32_t>(as_u64(v));
-    else if (k == "miss_latency")
-      spec.opt.sim.miss_latency = static_cast<uint32_t>(as_u64(v));
-    else if (k == "steal_latency")
-      spec.opt.sim.steal_latency = static_cast<uint32_t>(as_u64(v));
-    else if (k == "sim_seed") spec.opt.sim.seed = as_u64(v);
-    else if (k == "M2") spec.opt.sim.M2 = as_u64(v);
-    else if (k == "l2_latency")
-      spec.opt.sim.l2_latency = static_cast<uint32_t>(as_u64(v));
-    else if (k == "write_hold")
-      spec.opt.sim.write_hold = static_cast<uint32_t>(as_u64(v));
-    else if (k == "replay_threads")
-      spec.opt.sim.replay_threads = static_cast<uint32_t>(as_u64(v));
-    else if (k == "padded") spec.opt.padded = as_u64(v) != 0;
-    else if (k == "align_words") spec.opt.align_words = as_u64(v);
-    else if (k == "seq_baseline") spec.opt.seq_baseline = as_u64(v) != 0;
-    else if (k == "pipeline") spec.opt.pipeline = as_u64(v) != 0;
-    else if (k == "capacity_shared")
-      spec.opt.capacity_shared = as_u64(v) != 0;
-    else if (k == "segment_tasks") spec.opt.trace.segment_tasks = as_u64(v);
-    else if (k == "max_resident_segments")
-      spec.opt.trace.max_resident_segments =
-          static_cast<uint32_t>(as_u64(v));
-    else if (k == "compress") spec.opt.trace.compress = as_u64(v) != 0;
-    else if (k == "threads")
-      spec.opt.threads = static_cast<unsigned>(as_u64(v));
-    else if (k == "serial_below") spec.opt.serial_below = as_u64(v);
-    else if (k == "doc_max_lines")
-      spec.doc.max_lines = static_cast<uint32_t>(as_u64(v));
-    else if (k == "doc_min_false_events") spec.doc.min_false_events = as_u64(v);
-    else if (k == "spms") {
-      alg::SpmsTuning t;
-      if (!spms_from_json(v, t)) return fail("malformed spms tuning object");
-      spec.opt.spms = t;
-    }
-    // Unknown keys: skipped by design (a newer minor added them).
+  json::Reader r;
+  if (!r.read(kvs, [&](json::Reader& v) { fields(spec, v); })) {
+    return fail(r.error());
   }
   out = std::move(spec);
   return true;
 }
 
-std::string JobResult::to_json() const {
-  std::string s = "{";
-  kv_str(s, "schema_version", job_schema_version());
-  kv(s, "job_id", job_id);
-  kv_str(s, "tenant", tenant);
-  if (!tag.empty()) kv_str(s, "tag", tag);
-  kv_str(s, "kind", job_kind_name(kind));
-  kv_str(s, "status", job_status_name(status));
-  if (!error.empty()) kv_str(s, "error", error);
-  kv(s, "queue_ms", queue_ms);
-  kv(s, "exec_ms", exec_ms);
-  if (status == JobStatus::kOk) {
-    if (kind == JobKind::kRun) kv_raw(s, "report", report.to_json());
-    if (has_batch) kv_raw(s, "batch", batch.to_json());
-    if (has_doctor) kv_raw(s, "doctor", doctor.to_json());
-  }
-  s += "}";
-  return s;
+template <class V>
+void fields(JobResult& r, V& v) {
+  v.emit("schema_version", job_schema_version());
+  v("job_id", r.job_id);
+  v("tenant", r.tenant);
+  v.when(!r.tag.empty(), [&] { v("tag", r.tag); });
+  v("kind", r.kind);
+  v("status", r.status);
+  v.when(!r.error.empty(), [&] { v("error", r.error); });
+  v("queue_ms", r.queue_ms);
+  v("exec_ms", r.exec_ms);
+  v.when(r.status == JobStatus::kOk, [&] {
+    v.when(r.kind == JobKind::kRun, [&] {
+      v("report", r.report, &RunReport::to_json, report_from_json);
+    });
+    v.section(r.has_batch, [&] {
+      v("batch", r.batch, &BatchReport::to_json, batch_from_json);
+    });
+    v.section(r.has_doctor, [&] {
+      v("doctor", r.doctor, &doctor::DoctorReport::to_json,
+        doctor::doctor_report_from_json);
+    });
+  });
 }
 
+std::string JobResult::to_json() const { return json::write_object(*this); }
+
 bool jobresult_from_json(const std::string& text, JobResult& out) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(text, kvs)) return false;
   out = JobResult{};
-  for (const auto& [k, v] : kvs) {
-    if (k == "job_id") out.job_id = as_u64(v);
-    else if (k == "tenant") out.tenant = v;
-    else if (k == "tag") out.tag = v;
-    else if (k == "kind") {
-      if (!parse_job_kind(v, out.kind)) return false;
-    } else if (k == "status") {
-      if (!parse_job_status(v, out.status)) return false;
-    } else if (k == "error") out.error = v;
-    else if (k == "queue_ms") out.queue_ms = as_double(v);
-    else if (k == "exec_ms") out.exec_ms = as_double(v);
-    else if (k == "report") {
-      if (!report_from_json(v, out.report)) return false;
-    } else if (k == "batch") {
-      out.has_batch = true;
-      if (!batch_from_json(v, out.batch)) return false;
-    } else if (k == "doctor") {
-      out.has_doctor = true;
-      if (!doctor::doctor_report_from_json(v, out.doctor)) return false;
-    }
-  }
-  return true;
+  return json::read_object(text, out);
 }
 
 }  // namespace ro

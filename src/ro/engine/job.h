@@ -41,8 +41,11 @@ enum class JobKind : uint8_t {
   kDiagnose = 2,  // record once, run the ro-doctor loop
 };
 
-const char* job_kind_name(JobKind k);
-bool parse_job_kind(const std::string& name, JobKind& out);
+json::EnumNames<JobKind> wire_names(JobKind);  // "run", "batch", "diagnose"
+inline const char* job_kind_name(JobKind k) { return json::enum_name(k); }
+inline bool parse_job_kind(const std::string& name, JobKind& out) {
+  return json::parse_enum(name, out);
+}
 
 struct JobSpec {
   std::string schema_version;  // "" = current (job_schema_version())
@@ -77,8 +80,11 @@ enum class JobStatus : uint8_t {
   kError = 2,     // invalid spec or execution failure
 };
 
-const char* job_status_name(JobStatus s);
-bool parse_job_status(const std::string& name, JobStatus& out);
+json::EnumNames<JobStatus> wire_names(JobStatus);  // "ok", "rejected", "error"
+inline const char* job_status_name(JobStatus s) { return json::enum_name(s); }
+inline bool parse_job_status(const std::string& name, JobStatus& out) {
+  return json::parse_enum(name, out);
+}
 
 struct JobResult {
   uint64_t job_id = 0;

@@ -16,6 +16,7 @@
 
 #include "ro/core/graph.h"
 #include "ro/sim/metrics.h"
+#include "ro/util/flatjson.h"
 
 namespace ro {
 
@@ -32,16 +33,22 @@ inline constexpr Backend kAllBackends[] = {Backend::kSeq, Backend::kSimPws,
                                            Backend::kParRandom,
                                            Backend::kParPriority};
 
-const char* backend_name(Backend b);
+/// The Backend wire names: "seq" / "sim-pws" / "sim-rws" / "par-random" /
+/// "par-priority", and the aliases readers accept: "pws", "rws", "random",
+/// "priority", and the retired "par-numa-random" / "par-numa-priority"
+/// (and "numa-random" / "numa-priority"), which parse as par-random /
+/// par-priority: every pool now groups its workers by the host topology,
+/// so old specs keep running.
+json::EnumNames<Backend> wire_names(Backend);
+
+inline const char* backend_name(Backend b) { return json::enum_name(b); }
 bool backend_is_sim(Backend b);       // replays a recorded trace
 bool backend_is_parallel(Backend b);  // runs on real threads
-/// Parses "seq" / "sim-pws" / "sim-rws" / "par-random" / "par-priority"
-/// (also accepts the short aliases "pws", "rws", "random", "priority").
-/// The retired "par-numa-random" / "par-numa-priority" (and "numa-random" /
-/// "numa-priority") still parse, as par-random / par-priority: every pool
-/// now groups its workers by the host topology, so old specs keep running.
-/// Returns false and leaves `out` untouched on unknown names.
-bool parse_backend(const std::string& name, Backend& out);
+/// Parses a canonical name or an alias (wire_names above).  Returns false
+/// and leaves `out` untouched on unknown names.
+inline bool parse_backend(const std::string& name, Backend& out) {
+  return json::parse_enum(name, out);
+}
 
 struct RunReport {
   std::string label;                  // caller-chosen workload name

@@ -84,4 +84,23 @@ class Admission {
   bool shutdown_ = false;
 };
 
+/// The reply to a "stats" request: the admission counters and the jobs
+/// served.  The server writes it and Client::stats reads it by this one
+/// field list (util/flatjson.h).
+struct StatsReply {
+  Admission::Stats st;
+  uint64_t jobs = 0;
+};
+
+template <class V>
+void fields(StatsReply& r, V& v) {
+  v("admitted", r.st.admitted);
+  v("rejected", r.st.rejected);
+  v("queued", r.st.queued);
+  v("inflight", r.st.inflight);
+  v("inflight_peak", r.st.inflight_peak);
+  v("resident_bytes", r.st.resident_bytes);
+  v("jobs", r.jobs);
+}
+
 }  // namespace ro::serve

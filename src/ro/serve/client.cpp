@@ -85,19 +85,10 @@ bool Client::submit(const JobSpec& spec, JobResult& out) {
 bool Client::stats(Admission::Stats& out, uint64_t* jobs) {
   std::string reply;
   if (!exchange("{\"op\":\"stats\"}", reply)) return false;
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!json::scan_object(reply, kvs)) return false;
-  out = Admission::Stats{};
-  for (const auto& [k, v] : kvs) {
-    if (k == "admitted") out.admitted = json::as_u64(v);
-    else if (k == "rejected") out.rejected = json::as_u64(v);
-    else if (k == "queued") out.queued = json::as_u64(v);
-    else if (k == "inflight") out.inflight = static_cast<uint32_t>(json::as_u64(v));
-    else if (k == "inflight_peak")
-      out.inflight_peak = static_cast<uint32_t>(json::as_u64(v));
-    else if (k == "resident_bytes") out.resident_bytes = json::as_u64(v);
-    else if (k == "jobs" && jobs != nullptr) *jobs = json::as_u64(v);
-  }
+  StatsReply r;
+  if (!json::read_object(reply, r)) return false;
+  out = r.st;
+  if (jobs != nullptr) *jobs = r.jobs;
   return true;
 }
 

@@ -193,17 +193,7 @@ std::string Server::handle_line(const std::string& line) {
     else if (k == "spec") spec_raw = v;
   }
   if (op == "stats") {
-    const Admission::Stats st = admission_.stats();
-    std::string s = "{";
-    json::kv(s, "admitted", st.admitted);
-    json::kv(s, "rejected", st.rejected);
-    json::kv(s, "queued", st.queued);
-    json::kv(s, "inflight", uint64_t{st.inflight});
-    json::kv(s, "inflight_peak", uint64_t{st.inflight_peak});
-    json::kv(s, "resident_bytes", st.resident_bytes);
-    json::kv(s, "jobs", jobs_served_.load());
-    s += "}";
-    return s;
+    return json::write_object(StatsReply{admission_.stats(), jobs_served()});
   }
   if (op == "shutdown") {
     stopping_.store(true);

@@ -6,11 +6,18 @@
 // strings, numbers, flat numeric arrays, or nested objects / object arrays
 // captured raw (and scanned again by the reader that owns them).
 // Not a general JSON parser — exactly the shapes this repo writes.
+// Wire objects name each key once, in a field list that a Writer and a
+// Reader both walk (the end of this file).
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,12 +66,12 @@ inline void kv(std::string& s, const char* key, double v) {
   append_kv(s, key, buf, false);
 }
 
-inline void kv(std::string& s, const char* key,
-               const std::vector<uint64_t>& v) {
+template <class T>
+void kv(std::string& s, const char* key, const std::vector<T>& v) {
   std::string arr = "[";
   for (size_t i = 0; i < v.size(); ++i) {
     if (i) arr += ",";
-    arr += std::to_string(v[i]);
+    arr += std::to_string(uint64_t{v[i]});
   }
   arr += "]";
   append_kv(s, key, arr, false);
@@ -76,11 +83,7 @@ inline void kv_str(std::string& s, const char* key, const std::string& v) {
 
 /// Appends pre-serialized JSON (a nested object or array) verbatim.
 inline void kv_raw(std::string& s, const char* key, const std::string& raw) {
-  if (s.size() > 1) s += ",";
-  s += "\"";
-  s += key;
-  s += "\":";
-  s += raw;
+  append_kv(s, key, raw, false);
 }
 
 /// Reads the string literal at j[i] into `out` (unescaped) and advances i
@@ -176,14 +179,6 @@ inline bool scan_object(const std::string& j,
   }
 }
 
-inline uint64_t as_u64(const std::string& v) {
-  return std::strtoull(v.c_str(), nullptr, 10);
-}
-
-inline double as_double(const std::string& v) {
-  return std::strtod(v.c_str(), nullptr);
-}
-
 /// Parses a raw "[1,2,3]" capture into numbers ("[]" -> empty).
 inline std::vector<uint64_t> as_u64_list(const std::string& v) {
   std::vector<uint64_t> out;
@@ -199,22 +194,243 @@ inline std::vector<uint64_t> as_u64_list(const std::string& v) {
   return out;
 }
 
-/// Splits a raw "[{...},{...}]" capture into the element objects (a
-/// cut-off object ends the list).
-inline std::vector<std::string> as_object_list(const std::string& v) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  std::string elem;
-  while (i < v.size()) {
-    if (v[i] != '{') {
-      ++i;
-    } else if (capture_balanced(v, i, elem)) {
-      out.push_back(std::move(elem));
+// ---- enum names ----
+
+/// One wire name of an enum value.  A value may have several: the first
+/// in its table is written, the others are aliases readers accept.
+template <class E>
+struct EnumName {
+  E value;
+  const char* name;
+};
+
+/// An enum's names and the noun a refusal calls it by.  Each wire enum E
+/// provides `EnumNames<E> wire_names(E)`, found by argument-dependent
+/// lookup.
+template <class E>
+struct EnumNames {
+  const char* noun;
+  std::span<const EnumName<E>> names;
+};
+
+template <class E>
+const char* enum_name(E e) {
+  for (const EnumName<E>& n : wire_names(e).names)
+    if (n.value == e) return n.name;
+  return "?";
+}
+
+/// False, leaving `out` untouched, on a name the table does not list.
+template <class E>
+bool parse_enum(const std::string& name, E& out) {
+  for (const EnumName<E>& n : wire_names(E{}).names)
+    if (name == n.name) return out = n.value, true;
+  return false;
+}
+
+// ---- field lists ----
+//
+// A wire object S has one `template <class V> void fields(S& s, V& v)`,
+// in the namespace of S, that names each key once, in written order:
+//
+//   v(key, field)       a string, unsigned integer, bool (0 / 1), double
+//                       (%.4f), enum (by name), struct with a field list,
+//                       or a vector of unsigned integers or of structs
+//   v(key, opt, noun)   an optional struct, written when set; a reader
+//                       refuses a bad one as "malformed <noun> object"
+//   v(key, obj, write, read)  an object (or vector of them) with its own
+//                       codec: write(obj) gives the JSON, read(json, obj)
+//                       parses it back
+//   v.when(cond, body)  body's keys are written only when cond holds
+//   v.section(has, body)  ... only when `has`; reading any of them sets it
+//   v.emit(key, value)  written, never read back
+//
+// A Writer appends the keys in that order.  A Reader takes the document's
+// keys in their order, each into the field it names, and skips unknown
+// keys, so newer writers stay readable.  A new field is one line.
+
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+template <class S>
+std::string write_object(const S& s);
+template <class S>
+bool read_object(const std::string& text, S& s);
+
+/// The element codec of a struct with a field list.
+struct ObjectCodec {
+  template <class T>
+  std::string operator()(const T& t) const { return write_object(t); }
+  template <class T>
+  bool operator()(const std::string& j, T& t) const {
+    return read_object(j, t);
+  }
+};
+
+/// `v` as an array of objects, each written by `one(e)`.
+template <class T, class F = ObjectCodec>
+std::string write_list(const std::vector<T>& v, F one = {}) {
+  std::string arr = "[";
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i) arr += ",";
+    arr += std::invoke(one, v[i]);
+  }
+  return arr + "]";
+}
+
+/// Appends one element per object of the array `text`, each read by
+/// `one(json, e)`; false at the first element refused (a cut-off object
+/// ends the list).
+template <class T, class F = ObjectCodec>
+bool read_list(const std::string& text, std::vector<T>& out, F one = {}) {
+  std::string e;
+  for (size_t i = 0; i < text.size();) {
+    if (text[i] != '{') ++i;
+    else if (!capture_balanced(text, i, e)) break;
+    else if (!one(e, out.emplace_back())) return false;
+  }
+  return true;
+}
+
+class Writer {
+ public:
+  /// The object so far, closed.
+  std::string take() && { return std::move(s_ += "}"); }
+
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) kv_str(s_, key, v);
+    else if constexpr (std::is_enum_v<T>) kv_str(s_, key, enum_name(v));
+    else if constexpr (std::is_unsigned_v<T>) kv(s_, key, uint64_t{v});
+    else if constexpr (std::is_same_v<T, double>) kv(s_, key, v);
+    else if constexpr (!kIsVector<T>) kv_raw(s_, key, write_object(v));
+    else if constexpr (std::is_unsigned_v<typename T::value_type>)
+      kv(s_, key, v);
+    else kv_raw(s_, key, write_list(v));
+  }
+  template <class T>
+  void operator()(const char* key, const std::optional<T>& v, const char*) {
+    if (v) (*this)(key, *v);
+  }
+  template <class T, class W, class R>
+  void operator()(const char* key, const T& v, W write, R) {
+    if constexpr (kIsVector<T>) kv_raw(s_, key, write_list(v, write));
+    else kv_raw(s_, key, std::invoke(write, v));
+  }
+  template <class F>
+  void when(bool cond, F&& body) { if (cond) body(); }
+  template <class F>
+  void section(bool has, F&& body) { if (has) body(); }
+  template <class T>
+  void emit(const char* key, const T& v) { (*this)(key, v); }
+
+ private:
+  std::string s_ = "{";
+};
+
+class Reader {
+ public:
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+  /// Hands each pair to the field `walk(*this)` names by its key.  False
+  /// when a value is refused; error() then says why, where the refusal
+  /// has a message.
+  template <class Walk>
+  bool read(const Pairs& kvs, Walk&& walk) {
+    for (const auto& [k, v] : kvs) {
+      key_ = k.c_str();
+      val_ = &v;
+      found_ = false;
+      walk(*this);
+      if (!ok_) return false;
+    }
+    return true;
+  }
+  const std::string& error() const { return error_; }
+
+  template <class T>
+  void operator()(const char* key, T& f) {
+    if (!hit(key)) return;
+    const std::string& v = *val_;
+    if constexpr (std::is_same_v<T, std::string>) {
+      f = v;
+    } else if constexpr (std::is_enum_v<T>) {
+      if (!parse_enum(v, f))
+        fail("unknown " + std::string(wire_names(f).noun) + " \"" + v + "\"");
+    } else if constexpr (std::is_unsigned_v<T>) {
+      f = static_cast<T>(std::strtoull(v.c_str(), nullptr, 10));
+    } else if constexpr (std::is_same_v<T, double>) {
+      f = std::strtod(v.c_str(), nullptr);
+    } else if constexpr (!kIsVector<T>) {
+      ok_ = read_object(v, f);
+    } else if constexpr (std::is_unsigned_v<typename T::value_type>) {
+      const std::vector<uint64_t> xs = as_u64_list(v);
+      f.assign(xs.begin(), xs.end());
     } else {
-      break;
+      ok_ = read_list(v, f);
     }
   }
-  return out;
+  template <class T>
+  void operator()(const char* key, std::optional<T>& f, const char* noun) {
+    if (hit(key) && !read_object(*val_, f.emplace()))
+      fail("malformed " + std::string(noun) + " object");
+  }
+  template <class T, class W, class R>
+  void operator()(const char* key, T& f, W, R read) {
+    if (!hit(key)) return;
+    if constexpr (kIsVector<T>) ok_ = read_list(*val_, f, read);
+    else ok_ = read(*val_, f);
+  }
+  template <class F>
+  void when(bool, F&& body) { body(); }
+  template <class F>
+  void section(bool& has, F&& body) {
+    const bool before = found_;
+    body();
+    if (found_ && !before) has = true;
+  }
+  template <class T>
+  void emit(const char* key, const T&) { hit(key); }
+
+ private:
+  /// True for the first field named `key`: the current pair's field.
+  bool hit(const char* key) {
+    if (found_ || std::strcmp(key, key_) != 0) return false;
+    return found_ = true;
+  }
+  void fail(std::string why) {
+    ok_ = false;
+    error_ = std::move(why);
+  }
+
+  const char* key_ = "";
+  const std::string* val_ = nullptr;
+  bool found_ = false;
+  bool ok_ = true;
+  std::string error_;
+};
+
+/// Reads the object `text` into the fields `walk(Reader&)` visits.
+template <class Walk>
+bool read(const std::string& text, Walk&& walk) {
+  Reader::Pairs kvs;
+  return scan_object(text, kvs) && Reader().read(kvs, walk);
+}
+
+/// `s` as one object by its field list.  fields() takes `s` mutable so
+/// one list serves both directions; a Writer only reads through it.
+template <class S>
+std::string write_object(const S& s) {
+  Writer w;
+  fields(const_cast<S&>(s), w);
+  return std::move(w).take();
+}
+
+template <class S>
+bool read_object(const std::string& text, S& s) {
+  return read(text, [&](Reader& r) { fields(s, r); });
 }
 
 }  // namespace ro::json
