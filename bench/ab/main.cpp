@@ -3,10 +3,11 @@
 // same calls in alternating order.
 //
 //   ab_driver [--workload=ps] [--n=8192] [--p=4] [--rounds=30]
-//             [--layers=pws,rws,submit]
+//             [--layers=pws,rws,submit,wire]
 //
 // Each side records the workload once.  Every layer then runs once on
-// each side untimed, and the two Metrics digests must agree: otherwise
+// each side untimed, and the two digests (of Metrics, or of JSON bytes for
+// the wire layer) must agree: otherwise
 // the driver names the layer on stderr and exits 3 without timing
 // anything.  Each round times every layer once per side, A first in even
 // rounds and B first in odd ones, checks both digests again and prints
@@ -31,12 +32,13 @@ struct LayerName {
 };
 constexpr LayerName kLayers[] = {{ab::Layer::kPws, "pws"},
                                  {ab::Layer::kRws, "rws"},
-                                 {ab::Layer::kSubmit, "submit"}};
+                                 {ab::Layer::kSubmit, "submit"},
+                                 {ab::Layer::kWire, "wire"}};
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
                "ab_driver: %s\nusage: ab_driver [--workload=W] [--n=N] "
-               "[--p=P] [--rounds=R] [--layers=pws,rws,submit]\n",
+               "[--p=P] [--rounds=R] [--layers=pws,rws,submit,wire]\n",
                why);
   std::exit(2);
 }
@@ -82,7 +84,7 @@ double timed(ab::Side& side, const LayerName& l, uint64_t want,
 int main(int argc, char** argv) {
   ab::Options o;
   long rounds = 30;
-  std::vector<LayerName> layers = parse_layers("pws,rws,submit");
+  std::vector<LayerName> layers = parse_layers("pws,rws,submit,wire");
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* eq = std::strchr(arg, '=');
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
     const uint64_t db = b->run(l.layer);
     if (da != db) {
       std::fprintf(stderr,
-                   "ab_driver: %s Metrics differ between A and B "
+                   "ab_driver: %s digests differ between A and B "
                    "(digest %016llx vs %016llx); no timing printed\n",
                    l.name, static_cast<unsigned long long>(da),
                    static_cast<unsigned long long>(db));

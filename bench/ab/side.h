@@ -16,6 +16,7 @@ enum class Layer {
   kPws,     // simulate() under PWS of the recorded workload
   kRws,     // simulate() under RWS (default seed) of the same recording
   kSubmit,  // Engine::submit of a resident sim-pws run with its baseline
+  kWire,    // to_json -> jobresult_from_json -> to_json of three results
 };
 
 struct Options {

@@ -8,16 +8,18 @@ Exports src/ro of the revision (A) with `git archive`, builds it and the
 working tree's src/ro (B) each in its own namespace (-Dro=ro_a,
 -Dro=ro_b), links both into one driver (bench/ab/) and alternates the
 same calls on the same recording: simulate() under PWS and RWS at the
-requested p, and Engine::submit of a resident sim-pws run with its p = 1
-baseline (the run-resident job of BENCHMARK.json at n and p).  One
+requested p, Engine::submit of a resident sim-pws run with its p = 1
+baseline (the run-resident job of BENCHMARK.json at n and p), and the
+wire codec: to_json -> jobresult_from_json -> to_json of a run, a
+capacity-shared batch and a diagnose result, built once.  One
 process removes the run-to-run noise that separate processes carry, so
 small per-layer differences resolve.  The side linked and constructed
 first reads 1-3 % slower whichever build it is, so half the rounds run in
 a second driver that places B first, and the two halves are pooled.
 
-Before timing, the driver checks that A and B give identical Metrics
-digests on every layer; if they differ it names the layer and no timing
-is printed.  Per layer the table shows the median time of each side, the
+Before timing, the driver checks that A and B give identical digests on
+every layer (of the Metrics, or of the JSON bytes for the wire layer); if
+they differ it names the layer and no timing is printed.  Per layer the table shows the median time of each side, the
 median of the per-round ratios B/A and their interquartile range.  A
 layer is "B faster" or "B slower" only when that range excludes 1.00;
 an A/A run reads 1.00 within it.
@@ -117,8 +119,8 @@ def main():
     ap.add_argument("--n", type=int, default=1 << 13)
     ap.add_argument("--p", type=int, default=4)
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--layers", default="pws,rws,submit",
-                    help="comma-separated subset of pws,rws,submit")
+    ap.add_argument("--layers", default="pws,rws,submit,wire",
+                    help="comma-separated subset of pws,rws,submit,wire")
     ap.add_argument("--build-dir", default=os.path.join(ROOT, "build-ab"))
     ap.add_argument("--jobs", type=int,
                     default=max(1, min(4, os.cpu_count() or 1)))
