@@ -127,7 +127,6 @@ class ShardReplayer {
                 const SimConfig& cfg, std::vector<TenantShare>* shares)
       : kind_(kind), cfg_(cfg), shares_(shares),
         sp_(cfg.effective_steal_latency()),
-        mru_on_(cfg.M2 == 0 && cfg.profile == nullptr),
         layout_(layout_tenants(gs, cfg)),
         arenas_(layout_.data_top, align_of(gs)), blk_(cfg.B),
         rng_(cfg.seed), clock_(cfg.p, 0) {
@@ -246,9 +245,11 @@ class ShardReplayer {
     std::deque<Task> dq;  // stealable right children; back = bottom
     FlatLru cache;  // private L1
     FlatLru l2;     // L2 partition (§5.2)
-    // The L1's MRU line and its directory entry (mru_on_ only): a repeat
-    // touch of it is a hit that moves nothing in the LRU order.  Another
-    // core's write that invalidates the line resets it to kNoBlock.
+    // The L1's MRU line and its directory entry: a repeat touch of it is a
+    // hit that moves nothing in the LRU order.  Only this core's own miss
+    // (which makes the missed line the MRU one) or another core's write
+    // that invalidates the line (which resets this to kNoBlock) can drop
+    // it from the L1, with or without an inclusive L2.
     uint64_t mru = kNoBlock;
     Directory::Entry* mru_entry = nullptr;
     CoreMetrics m;
@@ -527,16 +528,17 @@ class ShardReplayer {
 
   void touch_block(Core& c, uint64_t block, uint16_t word, bool write,
                    bool stack, uint32_t act) {
-    if (block == c.mru) {
-      // A hit on the L1's MRU line: the LRU order and the directory stay
-      // as they are, unless the touch is a write.
-      if (write) write_block(c, *c.mru_entry, block, word, act, false);
-      return;
-    }
-    Directory::Entry& d = dir_.at(block);
     // Attribution is for data lines only: stack frames are padded per
     // arena (Lemma 3.1), so their sharing is by design, not a bug to fix.
     const bool prof = cfg_.profile != nullptr && !stack;
+    if (block == c.mru) {
+      // A hit on the L1's MRU line: the LRU order and the directory stay
+      // as they are, unless the touch is a write.
+      if (write) write_block(c, *c.mru_entry, block, word, act, prof);
+      if (prof) c.last_touch.put(block, LastTouch{word, act});
+      return;
+    }
+    Directory::Entry& d = dir_.at(block);
     const uint64_t me = uint64_t{1} << c.id;
     bool hit;
     bool evicted = false;
@@ -618,10 +620,8 @@ class ShardReplayer {
     }
     if (write) write_block(c, d, block, word, act, prof);
     if (prof) c.last_touch.put(block, LastTouch{word, act});
-    if (mru_on_) {
-      c.mru = block;
-      c.mru_entry = &d;
-    }
+    c.mru = block;
+    c.mru_entry = &d;
   }
 
   /// The write half of a touch: invalidates every other holder's copy
@@ -674,7 +674,6 @@ class ShardReplayer {
   SimConfig cfg_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
-  bool mru_on_;  // the per-core MRU shortcut: L1-only and unprofiled
   TenantLayout layout_;
   ArenaSet arenas_;
   BlockIndex blk_;
@@ -839,11 +838,12 @@ class OneCoreWalk {
   }
 
   void touch_block(uint64_t block, bool stack) {
+    // Only a miss, which makes the missed line the MRU one, removes a line
+    // from the L1 (an inclusive L2's eviction included), so the block
+    // touched last is still its MRU line: a hit that changes nothing.
+    if (block == mru_) return;
+    mru_ = block;
     if (cfg_.M2 == 0) {
-      // Nothing removes a line from a lone L1 but eviction, so the block
-      // touched last is still its MRU line: a hit that changes nothing.
-      if (block == mru_) return;
-      mru_ = block;
       if (l1_.access(block).hit) return;
       count_miss(block, stack);
       time_ += cfg_.miss_latency;
@@ -897,7 +897,7 @@ class OneCoreWalk {
   std::vector<vaddr_t> frame_base_;  // per activation of the tenant
   std::vector<uint64_t> ever_;       // one bit per block
   std::vector<Open> stack_;
-  uint64_t mru_ = ~uint64_t{0};  // block touched last (M2 == 0 only)
+  uint64_t mru_ = ~uint64_t{0};  // block touched last
   CoreMetrics m_;
   uint64_t time_ = 0;
 };
