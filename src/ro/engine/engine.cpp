@@ -383,6 +383,11 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
       return false;
     }
   }
+  if (uint64_t{sim.p} * (sim.M / sim.B) + sim.M2 / sim.B > kMaxMachineLines) {
+    fail(jr, "sim caches must total at most 2^22 lines: "
+             "p * (M / B) + M2 / B");
+    return false;
+  }
   if (const char* bad = alignment_error(spec.opt.align_words)) {
     fail(jr, bad);
     return false;

@@ -32,6 +32,10 @@ namespace ro {
 /// submit instead of truncating or exhausting memory.
 inline constexpr uint64_t kMaxCacheLines = uint64_t{1} << 20;
 
+/// Largest machine, in lines over all its caches (p * (M / B) + M2 / B),
+/// a job may ask for: at about 24 bytes per line up front, about 100 MB.
+inline constexpr uint64_t kMaxMachineLines = uint64_t{1} << 22;
+
 /// Outcome of one combined cache access: a hit was marked MRU; a miss was
 /// inserted, evicting `victim` when the cache was full.
 struct CacheAccess {

@@ -617,6 +617,31 @@ TEST(Engine, HostileStoreAndAlignmentSpecsReturnStatuses) {
     const JobResult jr = eng.submit(one_line_l2);
     EXPECT_TRUE(jr.ok()) << jr.error;
   }
+
+  // The machine's caches together hold at most 2^22 lines, counting
+  // p * (M / B) + M2 / B: p = 64 cores of 2^20 lines each would commit
+  // about 1.6 GB of cache tables per job.  Refused before anything is
+  // allocated, so these cost nothing to run.
+  struct Machine {
+    uint32_t p;
+    uint64_t M, M2;
+  };
+  for (const JobKind kind :
+       {JobKind::kRun, JobKind::kBatch, JobKind::kDiagnose}) {
+    for (const Machine m : {Machine{64, uint64_t{1} << 20, 0},
+                            Machine{64, (uint64_t{1} << 16) + 1, 0},
+                            Machine{4, uint64_t{1} << 20, 4}}) {
+      JobSpec bad = spec;
+      bad.kind = kind;
+      bad.opt.sim.p = m.p;
+      bad.opt.sim.M = m.M;
+      bad.opt.sim.M2 = m.M2;
+      bad.opt.sim.B = 1;
+      const JobResult jr = eng.submit(bad);
+      EXPECT_EQ(jr.status, JobStatus::kError) << m.p << " " << m.M;
+      EXPECT_NE(jr.error.find("2^22 lines"), std::string::npos) << jr.error;
+    }
+  }
 }
 
 TEST(Engine, MalformedSchemaVersionsReturnErrors) {
