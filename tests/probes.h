@@ -1,25 +1,52 @@
-#include "ro/core/probes.h"
+// Empirical probes for the paper's structural parameters:
+//   f(r) — cache-friendliness (Def 2.1): a size-r task touches
+//          O(r/B + f(r)) blocks;
+//   L(r) — block sharing (Def 2.3): a size-r task shares O(L(r)) blocks with
+//          tasks that could be scheduled in parallel with it.
+// A test oracle: test_core checks it on hand-built traces and
+// test_integration reads the paper's Table 1 shapes off it.
+//
+// Both are measured per sampled activation from the recorded trace for a
+// probe block size B.  The L probe is a slight over-estimate: a block counts
+// as shared if any activation that is neither an ancestor nor a descendant
+// of τ touches it (sequenced-but-never-parallel phases are not excluded).
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "ro/core/graph.h"
 #include "ro/util/check.h"
 
 namespace ro {
-namespace {
+
+struct TaskProbe {
+  uint32_t act = 0;
+  uint32_t depth = 0;
+  uint64_t r = 0;             // declared task size |τ|
+  uint64_t blocks = 0;        // distinct blocks touched by τ's subtree
+  uint64_t shared_blocks = 0; // blocks also touched by potentially-parallel tasks
+  double f_excess = 0.0;      // blocks - r/B  (≈ f(r))
+};
+
+/// DFS intervals: for each activation, [in, out] such that u is an ancestor
+/// of v iff in(u) <= in(v) && out(v) <= out(u).
+struct Interval {
+  uint32_t in = 0;
+  uint32_t out = 0;
+};
 
 // Frame addresses live in a synthetic per-activation region far above the
 // data segment, so data and stack accesses never collide in the probe maps.
 // (Frame offsets are small; activations get 2^20 words of headroom each.)
-uint64_t probe_addr(const Access& a, vaddr_t data_top) {
+inline uint64_t probe_addr(const Access& a, vaddr_t data_top) {
   if (a.act == kNoAct) return a.addr;
   return data_top + (static_cast<uint64_t>(a.act) << 20) + a.addr;
 }
 
-}  // namespace
-
-std::vector<Interval> dfs_intervals(const TaskGraph& g) {
+inline std::vector<Interval> dfs_intervals(const TaskGraph& g) {
   std::vector<Interval> iv(g.acts.size());
   uint32_t clock = 0;
   // Iterative DFS over the fork structure.
@@ -58,8 +85,10 @@ std::vector<Interval> dfs_intervals(const TaskGraph& g) {
   return iv;
 }
 
-std::vector<uint32_t> sample_acts_per_depth(const TaskGraph& g,
-                                            uint32_t per_depth) {
+/// Picks up to `per_depth` activations at every depth (first-come), skipping
+/// depth 0 (the root shares nothing by definition).
+inline std::vector<uint32_t> sample_acts_per_depth(const TaskGraph& g,
+                                                   uint32_t per_depth) {
   std::unordered_map<uint32_t, uint32_t> taken;
   std::vector<uint32_t> out;
   for (uint32_t i = 0; i < g.acts.size(); ++i) {
@@ -73,8 +102,10 @@ std::vector<uint32_t> sample_acts_per_depth(const TaskGraph& g,
   return out;
 }
 
-std::vector<TaskProbe> probe_tasks(const TaskGraph& g, uint32_t block_words,
-                                   const std::vector<uint32_t>& acts) {
+/// Probes the given activations with block size B (words).
+inline std::vector<TaskProbe> probe_tasks(const TaskGraph& g,
+                                          uint32_t block_words,
+                                          const std::vector<uint32_t>& acts) {
   RO_CHECK(block_words > 0);
   const auto iv = dfs_intervals(g);
 

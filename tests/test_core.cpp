@@ -6,7 +6,7 @@
 
 #include "ro/alg/rm_bi.h"
 #include "ro/alg/scan.h"
-#include "ro/core/probes.h"
+#include "probes.h"
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"

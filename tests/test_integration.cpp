@@ -7,7 +7,7 @@
 #include "ro/alg/rm_bi.h"
 #include "ro/alg/scan.h"
 #include "ro/alg/strassen.h"
-#include "ro/core/probes.h"
+#include "probes.h"
 #include "test_helpers.h"
 
 namespace ro {
