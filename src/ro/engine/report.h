@@ -138,7 +138,7 @@ std::string reports_to_json(const std::vector<RunReport>& reports);
 /// report_from_json(r.to_json()).to_json() == r.to_json().  Returns false
 /// on malformed JSON or inconsistent counters; `out` is then unspecified.
 /// This is the seam the bench-history tooling and BatchReport aggregation
-/// rest on — a field silently dropped by to_json fails the round-trip test.
+/// rest on.  Both directions walk one field list (report.cpp).
 bool report_from_json(const std::string& json, RunReport& out);
 
 /// The result of one Engine::run_batch: per-shard RunReports (shard order)

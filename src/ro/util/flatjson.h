@@ -223,8 +223,12 @@ const char* enum_name(E e) {
 /// False, leaving `out` untouched, on a name the table does not list.
 template <class E>
 bool parse_enum(const std::string& name, E& out) {
-  for (const EnumName<E>& n : wire_names(E{}).names)
-    if (name == n.name) return out = n.value, true;
+  for (const EnumName<E>& n : wire_names(E{}).names) {
+    if (name == n.name) {
+      out = n.value;
+      return true;
+    }
+  }
   return false;
 }
 
