@@ -63,8 +63,9 @@ void fields(SpmsTuning& t, V& v) {
 template <class V>
 void fields(JobSpec& s, V& v) {
   // Written filled in; read first, by jobspec_from_json.
-  v.emit("schema_version",
-         s.schema_version.empty() ? job_schema_version() : s.schema_version);
+  v.emit("schema_version", [&] {
+    return s.schema_version.empty() ? job_schema_version() : s.schema_version;
+  });
   v("tenant", s.tenant);
   v.when(!s.tag.empty(), [&] { v("tag", s.tag); });
   v("kind", s.kind);
@@ -133,7 +134,7 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
 
 template <class V>
 void fields(JobResult& r, V& v) {
-  v.emit("schema_version", job_schema_version());
+  v.emit("schema_version", job_schema_version);
   v("job_id", r.job_id);
   v("tenant", r.tenant);
   v.when(!r.tag.empty(), [&] { v("tag", r.tag); });

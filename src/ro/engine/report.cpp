@@ -95,7 +95,7 @@ void fields(RunReport& r, SimTotals& t, V& v) {
     v("q_seq", r.q_seq);
     v("seq_makespan", r.seq_makespan);
     v("cache_excess", r.cache_excess);
-    v.emit("sim_speedup", r.sim_speedup());
+    v.emit("sim_speedup", [&] { return r.sim_speedup(); });
   });
   v.section(r.has_pool, [&] {
     v("threads", r.threads);
@@ -126,7 +126,8 @@ void fields(RunReport& r, SimTotals& t, V& v) {
     v("trace_spilled_bytes", r.trace_spilled_bytes);
     v("trace_compressed_bytes", r.trace_compressed_bytes);
     v("trace_peak_resident_bytes", r.trace_peak_resident_bytes);
-    v.emit("trace_compression_ratio", r.trace_compression_ratio());
+    v.emit("trace_compression_ratio",
+           [&] { return r.trace_compression_ratio(); });
   });
 }
 

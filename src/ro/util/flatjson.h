@@ -247,7 +247,7 @@ bool parse_enum(const std::string& name, E& out) {
 //                       parses it back
 //   v.when(cond, body)  body's keys are written only when cond holds
 //   v.section(has, body)  ... only when `has`; reading any of them sets it
-//   v.emit(key, value)  written, never read back
+//   v.emit(key, make)   make() written, never read back
 //
 // A Writer appends the keys in that order.  A Reader takes the document's
 // keys in their order, each into the field it names, and skips unknown
@@ -327,8 +327,8 @@ class Writer {
   void when(bool cond, F&& body) { if (cond) body(); }
   template <class F>
   void section(bool has, F&& body) { if (has) body(); }
-  template <class T>
-  void emit(const char* key, const T& v) { (*this)(key, v); }
+  template <class F>
+  void emit(const char* key, F&& make) { (*this)(key, make()); }
 
  private:
   std::string s_ = "{";
@@ -395,8 +395,8 @@ class Reader {
     body();
     if (found_ && !before) has = true;
   }
-  template <class T>
-  void emit(const char* key, const T&) { hit(key); }
+  template <class F>
+  void emit(const char* key, F&&) { hit(key); }
 
  private:
   /// True for the first field named `key`: the current pair's field.
