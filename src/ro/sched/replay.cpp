@@ -127,6 +127,7 @@ class ShardReplayer {
                 const SimConfig& cfg, std::vector<TenantShare>* shares)
       : kind_(kind), cfg_(cfg), shares_(shares),
         sp_(cfg.effective_steal_latency()),
+        profiled_(cfg.profile != nullptr),
         layout_(layout_tenants(gs, cfg)),
         arenas_(layout_.data_top, align_of(gs)), blk_(cfg.B),
         rng_(cfg.seed), clock_(cfg.p, 0) {
@@ -528,17 +529,20 @@ class ShardReplayer {
 
   void touch_block(Core& c, uint64_t block, uint16_t word, bool write,
                    bool stack, uint32_t act) {
-    // Attribution is for data lines only: stack frames are padded per
-    // arena (Lemma 3.1), so their sharing is by design, not a bug to fix.
-    const bool prof = cfg_.profile != nullptr && !stack;
     if (block == c.mru) {
       // A hit on the L1's MRU line: the LRU order and the directory stay
       // as they are, unless the touch is a write.
-      if (write) write_block(c, *c.mru_entry, block, word, act, prof);
-      if (prof) c.last_touch.put(block, LastTouch{word, act});
+      if (write || profiled_) [[unlikely]] {
+        const bool prof = profiled_ && !stack;
+        if (write) write_block(c, *c.mru_entry, block, word, act, prof);
+        if (prof) c.last_touch.put(block, LastTouch{word, act});
+      }
       return;
     }
     Directory::Entry& d = dir_.at(block);
+    // Attribution is for data lines only: stack frames are padded per
+    // arena (Lemma 3.1), so their sharing is by design, not a bug to fix.
+    const bool prof = profiled_ && !stack;
     const uint64_t me = uint64_t{1} << c.id;
     bool hit;
     bool evicted = false;
@@ -674,6 +678,7 @@ class ShardReplayer {
   SimConfig cfg_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
+  bool profiled_;  // a ContentionProfile is attached
   TenantLayout layout_;
   ArenaSet arenas_;
   BlockIndex blk_;
