@@ -124,12 +124,14 @@ void fields(LineFinding& f, V& v) {
 namespace {
 
 std::string rules_json(const AddressRemap& remap) {
-  return json::write_list(remap.rules());
+  return json::write_list(remap.rules(), json::write_object<RemapRule>);
 }
 
 bool rules_from_json(const std::string& text, AddressRemap& remap) {
   std::vector<RemapRule> rules;
-  if (!json::read_list(text, rules)) return false;
+  if (!json::read_list(text, rules, json::read_object<RemapRule>)) {
+    return false;
+  }
   // Rules off the wire are untrusted: refuse what AddressRemap would abort on.
   if (remap_rules_error(rules) != nullptr) return false;
   remap = AddressRemap(std::move(rules));

@@ -263,19 +263,9 @@ std::string write_object(const S& s);
 template <class S>
 bool read_object(const std::string& text, S& s);
 
-/// The element codec of a struct with a field list.
-struct ObjectCodec {
-  template <class T>
-  std::string operator()(const T& t) const { return write_object(t); }
-  template <class T>
-  bool operator()(const std::string& j, T& t) const {
-    return read_object(j, t);
-  }
-};
-
 /// `v` as an array of objects, each written by `one(e)`.
-template <class T, class F = ObjectCodec>
-std::string write_list(const std::vector<T>& v, F one = {}) {
+template <class T, class F>
+std::string write_list(const std::vector<T>& v, F one) {
   std::string arr = "[";
   for (size_t i = 0; i < v.size(); ++i) {
     if (i) arr += ",";
@@ -287,8 +277,8 @@ std::string write_list(const std::vector<T>& v, F one = {}) {
 /// Appends one element per object of the array `text`, each read by
 /// `one(json, e)`; false at the first element refused (a cut-off object
 /// ends the list).
-template <class T, class F = ObjectCodec>
-bool read_list(const std::string& text, std::vector<T>& out, F one = {}) {
+template <class T, class F>
+bool read_list(const std::string& text, std::vector<T>& out, F one) {
   std::string e;
   for (size_t i = 0; i < text.size();) {
     if (text[i] != '{') ++i;
@@ -312,7 +302,7 @@ class Writer {
     else if constexpr (!kIsVector<T>) kv_raw(s_, key, write_object(v));
     else if constexpr (std::is_unsigned_v<typename T::value_type>)
       kv(s_, key, v);
-    else kv_raw(s_, key, write_list(v));
+    else kv_raw(s_, key, write_list(v, write_object<typename T::value_type>));
   }
   template <class T>
   void operator()(const char* key, const std::optional<T>& v, const char*) {
@@ -373,7 +363,7 @@ class Reader {
       const std::vector<uint64_t> xs = as_u64_list(v);
       f.assign(xs.begin(), xs.end());
     } else {
-      ok_ = read_list(v, f);
+      ok_ = read_list(v, f, read_object<typename T::value_type>);
     }
   }
   template <class T>
