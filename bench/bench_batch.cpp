@@ -16,7 +16,6 @@
 //                   [--out=BENCH_batch.json]
 #include <cstdio>
 #include <fstream>
-#include <functional>
 
 #include "common.h"
 
@@ -41,13 +40,12 @@ int main(int argc, char** argv) {
   opt.sim.B = static_cast<uint32_t>(cli.get_int("B", 32));
 
   // A mixed tenant population: the three trace families of the test suite.
-  using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
-  std::vector<Prog> progs;
+  std::vector<AnyProg> progs;
   for (uint32_t i = 0; i < shards; ++i) {
     switch (i % 3) {
-      case 0: progs.emplace_back(prog_sort(n, 1, SortKind::kSpms)); break;
+      case 0: progs.emplace_back(sort_program(n, 0, SortKind::kSpms)); break;
       case 1: progs.emplace_back(prog_lr(n / 2)); break;
-      default: progs.emplace_back(prog_ps(2 * n)); break;
+      default: progs.emplace_back(make_workload("ps", 2 * n, 0)); break;
     }
   }
 

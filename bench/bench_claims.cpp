@@ -60,10 +60,12 @@ uint32_t side(uint64_t n) { return static_cast<uint32_t>(n); }
 // matrix-shaped.
 using Recorder = Recording (*)(uint64_t n);
 const std::map<std::string, Recorder> kPrograms = {
-    {"M-Sum", [](uint64_t n) { return rec(prog_msum(n)); }},
-    {"M-Sum padded", [](uint64_t n) { return rec(prog_msum(n), true); }},
-    {"PS", [](uint64_t n) { return rec(prog_ps(n)); }},
-    {"PS padded", [](uint64_t n) { return rec(prog_ps(n), true); }},
+    {"M-Sum", [](uint64_t n) { return rec(make_workload("msum", n, 0)); }},
+    {"M-Sum padded",
+     [](uint64_t n) { return rec(make_workload("msum", n, 0), true); }},
+    {"PS", [](uint64_t n) { return rec(make_workload("ps", n, 0)); }},
+    {"PS padded",
+     [](uint64_t n) { return rec(make_workload("ps", n, 0), true); }},
     {"MA", [](uint64_t n) { return rec(prog_ma(n)); }},
     {"MT-BI", [](uint64_t n) { return rec(prog_mt(side(n))); }},
     {"RM->BI", [](uint64_t n) { return rec(prog_rm2bi(side(n))); }},
@@ -75,9 +77,9 @@ const std::map<std::string, Recorder> kPrograms = {
     {"Strassen", [](uint64_t n) { return rec(prog_strassen(side(n))); }},
     {"Depth-n-MM", [](uint64_t n) { return rec(prog_mm(side(n))); }},
     {"FFT", [](uint64_t n) { return rec(prog_fft(n)); }},
-    {"Sort msort", [](uint64_t n) { return rec(prog_sort(n)); }},
+    {"Sort msort", [](uint64_t n) { return rec(make_workload("sort", n, 0)); }},
     {"Sort SPMS",
-     [](uint64_t n) { return rec(prog_sort(n, 1, SortKind::kSpms)); }},
+     [](uint64_t n) { return rec(make_workload("sort-spms", n, 0)); }},
     {"LR", [](uint64_t n) { return rec(prog_lr(n)); }},
     {"LR no-gap", [](uint64_t n) { return rec(prog_lr(n, false)); }},
     {"CC", [](uint64_t n) { return rec(prog_cc(n, 2 * n, 4)); }},

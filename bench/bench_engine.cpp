@@ -50,10 +50,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  sweep("scan-ps", prog_ps(n));
-  sweep("msum", prog_msum(n));
-  sweep("sort", prog_sort(n / 4));
-  sweep("sort-spms", prog_sort(n / 4, 1, SortKind::kSpms, spms));
+  sweep("scan-ps", make_workload("ps", n, 0));
+  sweep("msum", make_workload("msum", n, 0));
+  sweep("sort", make_workload("sort", n / 4, 0));
+  sweep("sort-spms", make_workload("sort-spms", n / 4, 0, spms));
   sweep("mt-bi", prog_mt(static_cast<uint32_t>(next_pow2(isqrt(n)))));
 
   // The sort's merge base case off-simulator (scalar vs kern::merge), as

@@ -40,7 +40,7 @@ namespace {
 // the critical-path span.  Deterministic: same n + same tuning = same
 // value on every build and host.
 uint64_t spms_span(size_t n, const alg::SpmsTuning& t) {
-  return engine().record(prog_sort(n, 1, alg::SortKind::kSpms, t)).stats.span;
+  return engine().record(sort_program(n, 0, SortKind::kSpms, t)).stats.span;
 }
 
 double span_norm(size_t n, uint64_t span) {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   uint64_t q[2] = {0, 0};
   for (SortKind kind : {SortKind::kMsort, SortKind::kSpms}) {
     const char* name = alg::sort_kind_name(kind);
-    const Recording rec = engine().record(prog_sort(n, 1, kind, tuning));
+    const Recording rec = engine().record(sort_program(n, 0, kind, tuning));
     for (Backend b : {Backend::kSimPws, Backend::kSimRws}) {
       const RunReport r = engine().replay(rec, b, c);
       if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       opt.backend = b;
       opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
       opt.label = name;
-      const RunReport r = engine().run(prog_sort(n, 1, kind, tuning), opt);
+      const RunReport r = engine().run(sort_program(n, 0, kind, tuning), opt);
       t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
              Table::num(r.wall_ms)});
     }
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       double best = 0;
       for (int r = 0; r < 3; ++r) {
         const double ms =
-            engine().run(prog_sort(n, 1, SortKind::kSpms, kt), opt).wall_ms;
+            engine().run(sort_program(n, 0, SortKind::kSpms, kt), opt).wall_ms;
         best = (r == 0 || ms < best) ? ms : best;
       }
       sort_ms[kernels] = best;

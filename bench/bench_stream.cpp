@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
 
   // The SPMS sort trace: the access-heaviest Table-1 family per input
   // word, so the stream dwarfs any reasonable window.
-  auto prog = prog_sort(n, 1, SortKind::kSpms);
+  const AnyProg prog = sort_program(n, 0, SortKind::kSpms);
 
   Table t("Streaming trace pipeline: bounded-memory record + replay");
   t.header({"pipeline", "window", "trace-MB", "resident-peak-MB", "spilled-MB",
@@ -174,12 +173,11 @@ int main(int argc, char** argv) {
   // after the JSON is written: a slow host must not hide the exact rows).
   double piped_wall_ms = 0, barrier_wall_ms = 0;
   if (cli.get_int("pipeline", 1) != 0) {
-    using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
-    std::vector<Prog> progs;
-    progs.emplace_back(prog_sort(n, 1, SortKind::kSpms));
-    progs.emplace_back(prog_sort(n, 1, SortKind::kMsort));
-    progs.emplace_back(prog_sort(n / 2, 1, SortKind::kSpms));
-    progs.emplace_back(prog_sort(n / 2, 1, SortKind::kMsort));
+    std::vector<AnyProg> progs;
+    progs.push_back(sort_program(n, 0, SortKind::kSpms));
+    progs.push_back(sort_program(n, 0, SortKind::kMsort));
+    progs.push_back(sort_program(n / 2, 0, SortKind::kSpms));
+    progs.push_back(sort_program(n / 2, 0, SortKind::kMsort));
     const size_t shards = progs.size();
 
     RunOptions popt = opt;

@@ -3,7 +3,9 @@
 // Workloads are *programs*: generic callables over any execution context,
 // runnable unchanged on every ro::Engine backend (seq, sim-PWS, sim-RWS,
 // par-random, par-priority).  `prog_*` builds deterministic inputs (per
-// size) and runs one Table-1 algorithm; `rec_*` records a program once
+// size) and runs one Table-1 algorithm; msum, ps, the sorts and the
+// counter stripes come from the workload registry (engine/workloads.h),
+// the programs a served job runs.  `rec_*` records a program once
 // through the shared Engine for the trace-replay benches.  Binaries print
 // their tables via ro::Table; bench_claims gates the paper's claims
 // (docs/claims.md).
@@ -17,7 +19,6 @@
 
 #include "ro/alg/cc.h"
 #include "ro/alg/kernels.h"
-#include "ro/alg/counters.h"
 #include "ro/alg/euler.h"
 #include "ro/alg/fft.h"
 #include "ro/alg/graphgen.h"
@@ -30,6 +31,7 @@
 #include "ro/alg/spms.h"
 #include "ro/alg/strassen.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/util/cli.h"
 #include "ro/util/rng.h"
 #include "ro/util/table.h"
@@ -102,7 +104,7 @@ inline std::vector<Backend> backends_from_cli(const Cli& cli,
 /// The shared SPMS tuning flags (`--spms-*`): every knob of
 /// alg::SpmsTuning is overridable from the command line so bench sweeps
 /// never need a recompile.  Returns the defaults with the given flags
-/// applied; benches pass it into their programs (prog_sort).
+/// applied; benches pass it into their programs (sort_program).
 inline alg::SpmsTuning spms_from_cli(const Cli& cli) {
   alg::SpmsTuning t;
   t.merge_base = static_cast<size_t>(
@@ -194,115 +196,93 @@ inline Engine& engine() {
 
 // ---- workload programs (inputs deterministic per size) ----
 
-inline auto prog_msum(size_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(1, "out");
-    cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice(), grain); });
-  };
-}
-
-inline auto prog_ps(size_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 1);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] { alg::prefix_sums(cx, a.slice(), out.slice(), grain); });
-  };
-}
-
-inline auto prog_ma(size_t n, size_t grain = 1) {
+inline auto prog_ma(size_t n) {
   return [=](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
     auto b = cx.template alloc<i64>(n, "b");
     auto out = cx.template alloc<i64>(n, "out");
     cx.run(3 * n, [&] {
-      alg::matrix_add(cx, a.slice(), b.slice(), out.slice(), grain);
+      alg::matrix_add(cx, a.slice(), b.slice(), out.slice());
     });
   };
 }
 
-inline auto prog_mt(uint32_t n, size_t grain = 1) {
+inline auto prog_mt(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto in = cx.template alloc<i64>(m, "in");
     auto out = cx.template alloc<i64>(m, "out");
-    cx.run(2 * m, [&] { alg::mt_bi(cx, in.slice(), out.slice(), n, grain); });
+    cx.run(2 * m, [&] { alg::mt_bi(cx, in.slice(), out.slice(), n); });
   };
 }
 
-inline auto prog_rm2bi(uint32_t n, size_t grain = 1) {
+inline auto prog_rm2bi(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto in = cx.template alloc<i64>(m, "rm");
     auto out = cx.template alloc<i64>(m, "bi");
-    cx.run(2 * m, [&] { alg::rm_to_bi(cx, in.slice(), out.slice(), n, grain); });
+    cx.run(2 * m, [&] { alg::rm_to_bi(cx, in.slice(), out.slice(), n); });
   };
 }
 
-inline auto prog_bi2rm_direct(uint32_t n, size_t grain = 1) {
+inline auto prog_bi2rm_direct(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto in = cx.template alloc<i64>(m, "bi");
     auto out = cx.template alloc<i64>(m, "rm");
     cx.run(2 * m, [&] {
-      alg::bi_to_rm_direct(cx, in.slice(), out.slice(), n, grain);
+      alg::bi_to_rm_direct(cx, in.slice(), out.slice(), n);
     });
   };
 }
 
-inline auto prog_bi2rm_gap(uint32_t n, size_t grain = 1) {
+inline auto prog_bi2rm_gap(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto in = cx.template alloc<i64>(m, "bi");
     auto out = cx.template alloc<i64>(m, "rm");
     cx.run(2 * m, [&] {
-      alg::bi_to_rm_gap(cx, in.slice(), out.slice(), n, grain);
+      alg::bi_to_rm_gap(cx, in.slice(), out.slice(), n);
     });
   };
 }
 
-inline auto prog_bi2rm_fft(uint32_t n, size_t grain = 1) {
+inline auto prog_bi2rm_fft(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto in = cx.template alloc<i64>(m, "bi");
     auto out = cx.template alloc<i64>(m, "rm");
     cx.run(2 * m, [&] {
-      alg::bi_to_rm_fft(cx, in.slice(), out.slice(), n, grain);
+      alg::bi_to_rm_fft(cx, in.slice(), out.slice(), n);
     });
   };
 }
 
-inline auto prog_strassen(uint32_t n, size_t grain = 1) {
+inline auto prog_strassen(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto a = cx.template alloc<i64>(m, "a");
     auto b = cx.template alloc<i64>(m, "b");
     auto c = cx.template alloc<i64>(m, "c");
     cx.run(3 * m, [&] {
-      alg::strassen_bi(cx, a.slice(), b.slice(), c.slice(), n, 2, grain);
+      alg::strassen_bi(cx, a.slice(), b.slice(), c.slice(), n, 2);
     });
   };
 }
 
-inline auto prog_mm(uint32_t n, size_t grain = 1) {
+inline auto prog_mm(uint32_t n) {
   return [=](auto& cx) {
     const size_t m = static_cast<size_t>(n) * n;
     auto a = cx.template alloc<i64>(m, "a");
     auto b = cx.template alloc<i64>(m, "b");
     auto c = cx.template alloc<i64>(m, "c");
     cx.run(3 * m, [&] {
-      alg::depth_n_mm(cx, a.slice(), b.slice(), c.slice(), n, 2, grain);
+      alg::depth_n_mm(cx, a.slice(), b.slice(), c.slice(), n, 2);
     });
   };
 }
 
-inline auto prog_fft(size_t n, bool bi_transpose = false, size_t grain = 1) {
+inline auto prog_fft(size_t n) {
   return [=](auto& cx) {
     auto x = cx.template alloc<cplx>(n, "x");
     Rng rng(n + 3);
@@ -310,25 +290,7 @@ inline auto prog_fft(size_t n, bool bi_transpose = false, size_t grain = 1) {
       x.raw()[i] = cplx(rng.next_double(), rng.next_double());
     }
     auto y = cx.template alloc<cplx>(n, "y");
-    alg::FftOptions opt;
-    opt.bi_transpose = bi_transpose;
-    opt.grain = grain;
-    cx.run(4 * n, [&] { alg::fft(cx, x.slice(), y.slice(), opt); });
-  };
-}
-
-inline auto prog_sort(size_t n, size_t grain = 1,
-                      SortKind kind = SortKind::kMsort,
-                      const alg::SpmsTuning& spms = {}) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 4);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] {
-      alg::sort_by(cx, kind, a.slice(), out.slice(), 8, grain, spms);
-    });
+    cx.run(4 * n, [&] { alg::fft(cx, x.slice(), y.slice()); });
   };
 }
 
@@ -360,29 +322,14 @@ inline auto prog_cc(size_t n, size_t extra, size_t groups) {
   };
 }
 
-/// The false-sharing calibration microbench (alg/counters.h): k counters
-/// `stride` words apart, `iters` increments each.  stride = 1 is the
-/// packed adversary ro-doctor must diagnose and repair; stride = B is the
-/// padded control.
-inline auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots = cx.template alloc<i64>(alg::counter_words(k, stride),
-                                        "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
-
 // ---- recorded-graph factories (record a program once, replay many) ----
 
 inline TaskGraph rec_msum(size_t n) {
-  return engine().record(prog_msum(n)).graph;
+  return engine().record(make_workload("msum", n, 0)).graph;
 }
 
 inline TaskGraph rec_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return engine().record(prog_counters(k, iters, stride)).graph;
+  return engine().record(counters_program(k, iters, stride)).graph;
 }
 
 // ---- run helpers ----

@@ -4,8 +4,6 @@
 
 #include "ro/alg/counters.h"
 #include "ro/alg/scan.h"
-#include "ro/alg/sort.h"
-#include "ro/alg/spms.h"
 #include "ro/util/rng.h"
 
 namespace ro {
@@ -13,10 +11,6 @@ namespace ro {
 namespace {
 
 using alg::i64;
-
-// The builders mirror bench/common.h's prog_* factories (same sizes, same
-// RNG streams at seed 0) but carry the seed salt so shards of a batch get
-// distinct deterministic inputs.
 
 AnyProg wl_msum(uint64_t n, uint64_t seed) {
   return [n, seed](auto& cx) {
@@ -40,8 +34,17 @@ AnyProg wl_ps(uint64_t n, uint64_t seed) {
   };
 }
 
-AnyProg wl_sort(uint64_t n, uint64_t seed, alg::SortKind kind,
-                const alg::SpmsTuning& spms = {}) {
+/// n counters at `stride`, 16 increments each; the seed shifts nothing
+/// here (the workload is access-pattern-only), but stays part of the key.
+AnyProg wl_counters(uint64_t n, uint64_t stride) {
+  return counters_program(static_cast<uint32_t>(std::max<uint64_t>(1, n)),
+                          16, stride);
+}
+
+}  // namespace
+
+AnyProg sort_program(uint64_t n, uint64_t seed, alg::SortKind kind,
+                     const alg::SpmsTuning& spms) {
   return [n, seed, kind, spms](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
     Rng rng(n + 4 + seed);
@@ -54,13 +57,7 @@ AnyProg wl_sort(uint64_t n, uint64_t seed, alg::SortKind kind,
   };
 }
 
-/// k counters `stride` words apart, 16 increments each (alg/counters.h):
-/// stride 1 is the packed false-sharing adversary, stride 64 the padded
-/// control.  n is the counter count; the seed shifts nothing here (the
-/// workload is access-pattern-only), but stays part of the key.
-AnyProg wl_counters(uint64_t n, uint64_t stride) {
-  const uint32_t k = static_cast<uint32_t>(std::max<uint64_t>(1, n));
-  const uint64_t iters = 16;
+AnyProg counters_program(uint32_t k, uint64_t iters, uint64_t stride) {
   return [k, iters, stride](auto& cx) {
     auto slots =
         cx.template alloc<i64>(alg::counter_words(k, stride), "counters");
@@ -71,14 +68,13 @@ AnyProg wl_counters(uint64_t n, uint64_t stride) {
   };
 }
 
-}  // namespace
-
 AnyProg make_workload(const std::string& name, uint64_t n, uint64_t seed,
                       const alg::SpmsTuning& spms) {
   if (name == "msum") return wl_msum(n, seed);
   if (name == "ps") return wl_ps(n, seed);
-  if (name == "sort") return wl_sort(n, seed, alg::SortKind::kMsort);
-  if (name == "sort-spms") return wl_sort(n, seed, alg::SortKind::kSpms, spms);
+  if (name == "sort") return sort_program(n, seed, alg::SortKind::kMsort);
+  if (name == "sort-spms")
+    return sort_program(n, seed, alg::SortKind::kSpms, spms);
   if (name == "counters-packed") return wl_counters(n, 1);
   if (name == "counters-padded") return wl_counters(n, 64);
   return AnyProg{};

@@ -7,14 +7,13 @@
 // forward-compat contract (unknown / missing fields default, never fail).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "ro/alg/counters.h"
 #include "ro/core/remap.h"
 #include "ro/doctor/doctor.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/sim/contention.h"
 #include "golden.h"
 #include "test_helpers.h"
@@ -22,19 +21,7 @@
 namespace ro {
 namespace {
 
-using alg::i64;
 using testing::engine;
-
-auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots =
-        cx.template alloc<i64>(alg::counter_words(k, stride), "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
 
 SimConfig doctor_cfg(uint32_t replay_threads = 1) {
   SimConfig cfg;
@@ -81,7 +68,7 @@ TEST(AddressRemap, PaddingRuleSpreadsWords) {
 TEST(AddressRemap, RoundTripOverRecordedAddresses) {
   // The property the verify step rests on: remap then unmap is the
   // identity on every *recorded* data address of a real trace.
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(counters_program(8, 16, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "rt");
   ASSERT_FALSE(d.plan.remap.empty());
@@ -131,7 +118,7 @@ TEST(AddressRemap, RulesErrorNamesEachViolation) {
 // ---- ContentionProfile determinism ----
 
 TEST(ContentionProfile, PackedCountersAttribution) {
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(counters_program(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -150,9 +137,8 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   // the caller's in shard order after the barrier, so the attribution is
   // bit-identical every time — and equals the shard-order merge of each
   // recording's own profiled replay (the p=1 baselines record nothing).
-  using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
-  const std::vector<Prog> progs{prog_counters(8, 512, 1),
-                                prog_counters(8, 512, 2)};
+  const std::vector<AnyProg> progs{counters_program(8, 512, 1),
+                                   counters_program(8, 512, 2)};
   auto batch_profile = [&](uint32_t rt) {
     ContentionProfile prof;
     RunOptions opt;
@@ -186,7 +172,7 @@ TEST(ContentionProfile, PackedCountersMatchCommittedGolden) {
   // doctor's diagnostic input) is pinned by a committed golden, captured
   // while the flat cache plane was still checked against the node-based
   // reference LRU.
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(counters_program(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -205,7 +191,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
   // 1 / 2 / unbounded profiles identically to the in-memory walk.
   ContentionProfile mem;
   {
-    const Recording rec = engine().record(prog_counters(8, 32, 1));
+    const Recording rec = engine().record(counters_program(8, 32, 1));
     SimConfig cfg = doctor_cfg();
     cfg.profile = &mem;
     engine().replay(rec, Backend::kSimPws, cfg, false);
@@ -216,7 +202,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
     stream.segment_tasks = 64;
     stream.max_resident_segments = w;
     const Recording rec =
-        engine().record_stream(prog_counters(8, 32, 1), stream);
+        engine().record_stream(counters_program(8, 32, 1), stream);
     ContentionProfile prof;
     SimConfig cfg = doctor_cfg();
     cfg.profile = &prof;
@@ -240,7 +226,7 @@ TEST(ContentionProfile, MergeSums) {
 // ---- the closed loop ----
 
 TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
-  const Recording rec = engine().record(prog_counters(8, 64, 1));
+  const Recording rec = engine().record(counters_program(8, 64, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "packed");
 
@@ -268,7 +254,7 @@ TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
 }
 
 TEST(Doctor, PaddedControlDiagnosesClean) {
-  const Recording rec = engine().record(prog_counters(8, 64, 32));
+  const Recording rec = engine().record(counters_program(8, 64, 32));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "padded");
   EXPECT_TRUE(d.findings.empty());
@@ -281,10 +267,10 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
   // The remap is gap.h's StrideLayout as a trace transformation: the
   // repaired packed run must show the padded run's coherence behaviour.
   const doctor::DoctorReport packed = engine().diagnose(
-      engine().record(prog_counters(8, 64, 1)), Backend::kSimPws,
+      engine().record(counters_program(8, 64, 1)), Backend::kSimPws,
       doctor_cfg(), {}, "packed");
   const doctor::DoctorReport padded = engine().diagnose(
-      engine().record(prog_counters(8, 64, 32)), Backend::kSimPws,
+      engine().record(counters_program(8, 64, 32)), Backend::kSimPws,
       doctor_cfg(), {}, "padded");
   ASSERT_TRUE(packed.has_after);
   EXPECT_EQ(packed.after.sim.block_misses(),
@@ -296,7 +282,7 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
 // ---- JSON ----
 
 TEST(Doctor, ReportJsonRoundTrips) {
-  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  const Recording rec = engine().record(counters_program(8, 32, 1));
   // A label that needs escaping: quote, backslash, braces, control bytes.
   const std::string label = "json quo\"te\\slash}{\n\x01";
   const doctor::DoctorReport d =
@@ -322,7 +308,7 @@ TEST(Doctor, ReportJsonRoundTrips) {
 TEST(Doctor, ReportJsonBytesMatchGolden) {
   // Byte-for-byte the output of the doctor's former private writer, so
   // moving to util/flatjson.h changed nothing a client can see.
-  const Recording rec = engine().record(prog_counters(8, 4, 8));
+  const Recording rec = engine().record(counters_program(8, 4, 8));
   doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "golden");
   d.before.wall_ms = 0;
@@ -364,7 +350,7 @@ TEST(Doctor, ReportJsonBytesMatchGolden) {
 TEST(Doctor, HostileRemapRulesAreRefusedNotAborted) {
   // Plan rules arrive over the wire; ones AddressRemap cannot hold make
   // the reply unparsable instead of killing the reading process.
-  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  const Recording rec = engine().record(counters_program(8, 32, 1));
   JobResult jr;
   jr.kind = JobKind::kDiagnose;
   jr.has_doctor = true;
@@ -398,7 +384,7 @@ TEST(Doctor, HostileRemapRulesAreRefusedNotAborted) {
 }
 
 TEST(Report, ForwardCompatUnknownAndMissingFields) {
-  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  const Recording rec = engine().record(counters_program(8, 32, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "fc");
   ASSERT_TRUE(d.before.has_contention);

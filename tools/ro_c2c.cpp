@@ -41,28 +41,16 @@
 #include <thread>
 #include <vector>
 
-#include "ro/alg/counters.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/util/check.h"
 #include "ro/util/cli.h"
 
 namespace {
 
 using namespace ro;
-using alg::i64;
 
 // ---- simulator half ----
-
-auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots =
-        cx.template alloc<i64>(alg::counter_words(k, stride), "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
 
 uint64_t sim_block_transfers(Engine& eng, uint32_t k, uint64_t iters,
                              uint64_t stride, const SimConfig& c) {
@@ -70,7 +58,7 @@ uint64_t sim_block_transfers(Engine& eng, uint32_t k, uint64_t iters,
   opt.backend = Backend::kSimPws;
   opt.sim = c;
   opt.label = stride == 1 ? "c2c-packed" : "c2c-padded";
-  const RunReport r = eng.run(prog_counters(k, iters, stride), opt);
+  const RunReport r = eng.run(counters_program(k, iters, stride), opt);
   return r.sim.total_block_transfers;
 }
 

@@ -23,39 +23,14 @@
 #include <fstream>
 #include <string>
 
-#include "ro/alg/counters.h"
-#include "ro/alg/scan.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/util/check.h"
 #include "ro/util/cli.h"
-#include "ro/util/rng.h"
 
 namespace {
 
 using namespace ro;
-using alg::i64;
-
-auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots =
-        cx.template alloc<i64>(alg::counter_words(k, stride), "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
-
-auto prog_msum(size_t n) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(1, "out");
-    cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice(), 1); });
-  };
-}
 
 void print_findings(const doctor::DoctorReport& d) {
   if (d.findings.empty()) {
@@ -138,7 +113,7 @@ int main(int argc, char** argv) {
   const std::string workload = cli.get_str("workload", "packed");
   const uint32_t k = static_cast<uint32_t>(cli.get_int("counters", 8));
   const uint64_t iters = static_cast<uint64_t>(cli.get_int("iters", 64));
-  const size_t n = static_cast<size_t>(cli.get_int("n", 1 << 12));
+  const uint64_t n = static_cast<uint64_t>(cli.get_int("n", 1 << 12));
 
   // The doctor loop goes through the concurrent-caller submit API: one
   // JobSpec (kind=diagnose) plus the program, one JobResult back — the
@@ -155,9 +130,9 @@ int main(int argc, char** argv) {
   if (workload == "packed" || workload == "padded") {
     const uint64_t stride = static_cast<uint64_t>(
         cli.get_int("stride", workload == "packed" ? 1 : cfg.B));
-    prog = prog_counters(k, iters, stride);
+    prog = counters_program(k, iters, stride);
   } else if (workload == "msum") {
-    prog = prog_msum(n);
+    prog = make_workload("msum", n, 0);
   } else {
     std::fprintf(stderr, "unknown --workload=%s (packed|padded|msum)\n",
                  workload.c_str());
