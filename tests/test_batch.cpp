@@ -9,14 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "ro/alg/graphgen.h"
-#include "ro/alg/listrank.h"
-#include "ro/alg/route.h"
 #include "ro/alg/scan.h"
-#include "ro/alg/spms.h"
 #include "ro/engine/engine.h"
 #include "ro/rt/pool.h"
-#include "ro/util/rng.h"
 #include "golden.h"
 #include "test_helpers.h"
 
@@ -24,48 +19,9 @@ namespace ro {
 namespace {
 
 using alg::i64;
-
-// ---- the three trace families the acceptance criteria name ----
-
-/// Sort-routed gather ("route"): two sorts + three BP scans per call.
-auto prog_route(size_t n) {
-  return [n](auto& cx) {
-    auto idx = cx.template alloc<i64>(n, "idx");
-    auto val = cx.template alloc<i64>(n, "val");
-    Rng rng(n * 31 + 5);
-    for (size_t i = 0; i < n; ++i) {
-      idx.raw()[i] = static_cast<i64>(rng.next_below(n));
-      val.raw()[i] = static_cast<i64>(rng.next_below(1000));
-    }
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] {
-      alg::gather(cx, alg::StridedView{idx.slice()},
-                  alg::StridedView{val.slice()},
-                  alg::StridedView{out.slice()}, n);
-    });
-  };
-}
-
-auto prog_listrank(size_t n) {
-  const auto succ = alg::random_list(n, n * 7 + 3);
-  return [n, succ](auto& cx) {
-    auto s = cx.template alloc<i64>(n, "succ");
-    std::copy(succ.begin(), succ.end(), s.raw());
-    auto r = cx.template alloc<i64>(n, "rank");
-    cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
-  };
-}
-
-auto prog_spms(size_t n) {
-  return [n](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 17);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-    auto o = cx.template alloc<i64>(n, "o");
-    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
-  };
-}
+using testing::prog_listrank;
+using testing::prog_route;
+using testing::prog_spms;
 
 SimConfig small_machine(uint32_t threads = 1) {
   SimConfig cfg;

@@ -2,18 +2,25 @@
 // SeqCtx for the golden output, re-run under TraceCtx, check equality, and
 // optionally replay under every scheduler (through the shared Engine) to
 // assert engine invariants; plus the schedule oracles the tests compare
-// against (all three schedulers on one graph, and Q(n, M, B)).
+// against (all three schedulers on one graph, and Q(n, M, B)), and the
+// trace families the streaming and batch suites share.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "ro/alg/graphgen.h"
+#include "ro/alg/listrank.h"
+#include "ro/alg/route.h"
+#include "ro/alg/spms.h"
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
 #include "ro/engine/engine.h"
 #include "ro/sched/replay.h"
+#include "ro/util/rng.h"
 
 namespace ro::testing {
 
@@ -81,6 +88,51 @@ inline std::vector<Access> accesses_of(const TaskGraph& g) {
   TraceStore::Cursor rd(*g.store);
   for (uint64_t i = 0; i < g.acc_count(); ++i) out.push_back(rd.at(i));
   return out;
+}
+
+/// The three trace families the streaming and batch suites run through
+/// every pipeline: a sort-routed gather ("route": two sorts and three BP
+/// scans per call), list ranking, and SPMS.
+inline auto prog_route(size_t n) {
+  using alg::i64;
+  return [n](auto& cx) {
+    auto idx = cx.template alloc<i64>(n, "idx");
+    auto val = cx.template alloc<i64>(n, "val");
+    Rng rng(n * 31 + 5);
+    for (size_t i = 0; i < n; ++i) {
+      idx.raw()[i] = static_cast<i64>(rng.next_below(n));
+      val.raw()[i] = static_cast<i64>(rng.next_below(1000));
+    }
+    auto out = cx.template alloc<i64>(n, "out");
+    cx.run(2 * n, [&] {
+      alg::gather(cx, alg::StridedView{idx.slice()},
+                  alg::StridedView{val.slice()},
+                  alg::StridedView{out.slice()}, n);
+    });
+  };
+}
+
+inline auto prog_listrank(size_t n) {
+  using alg::i64;
+  const auto succ = alg::random_list(n, n * 7 + 3);
+  return [n, succ](auto& cx) {
+    auto s = cx.template alloc<i64>(n, "succ");
+    std::copy(succ.begin(), succ.end(), s.raw());
+    auto r = cx.template alloc<i64>(n, "rank");
+    cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
+  };
+}
+
+inline auto prog_spms(size_t n) {
+  using alg::i64;
+  return [n](auto& cx) {
+    auto a = cx.template alloc<i64>(n, "a");
+    Rng rng(n + 17);
+    for (size_t i = 0; i < n; ++i)
+      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
+    auto o = cx.template alloc<i64>(n, "o");
+    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
+  };
 }
 
 /// Limited-access assertion with an explicit bound (Def 2.4).
