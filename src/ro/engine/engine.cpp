@@ -363,6 +363,10 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     fail(jr, "shards must be at most 2^24");
     return false;
   }
+  if (spec.n > kMaxWorkloadN) {
+    fail(jr, "n must be at most 2^20");
+    return false;
+  }
   const SimConfig& sim = spec.opt.sim;
   if (sim.p < 1 || sim.p > 64) {
     fail(jr, "sim p must be in [1, 64]");

@@ -43,6 +43,26 @@ std::string schema_version_error(const std::string& v) {
   return "";
 }
 
+namespace {
+
+/// Takes the object's schema_version before any other key: a newer major
+/// may have changed the meaning of any of them.  Sets `version` (the
+/// current one when the key is absent); returns schema_version_error's
+/// reason, "" when the object is readable.
+std::string read_version(const json::Reader::Pairs& kvs,
+                         std::string& version) {
+  version = job_schema_version();
+  for (const auto& [k, v] : kvs) {
+    if (k != "schema_version") continue;
+    std::string why = schema_version_error(v);
+    if (!why.empty()) return why;
+    version = v;
+  }
+  return "";
+}
+
+}  // namespace
+
 namespace alg {
 
 template <class V>
@@ -113,16 +133,9 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
   json::Reader::Pairs kvs;
   if (!json::scan_object(text, kvs)) return fail("malformed JSON object");
 
-  // Version first: a newer major may have changed the meaning of any key,
-  // so nothing else is interpreted until the version is accepted.
   JobSpec spec;
-  for (const auto& [k, v] : kvs) {
-    if (k != "schema_version") continue;
-    const std::string why = schema_version_error(v);
-    if (!why.empty()) return fail(why);
-    spec.schema_version = v;
-  }
-  if (spec.schema_version.empty()) spec.schema_version = job_schema_version();
+  const std::string why = read_version(kvs, spec.schema_version);
+  if (!why.empty()) return fail(why);
 
   json::Reader r;
   if (!r.read(kvs, [&](json::Reader& v) { fields(spec, v); })) {
@@ -161,7 +174,10 @@ std::string JobResult::to_json() const { return json::write_object(*this); }
 
 bool jobresult_from_json(const std::string& text, JobResult& out) {
   out = JobResult{};
-  return json::read_object(text, out);
+  json::Reader::Pairs kvs;
+  std::string version;
+  return json::scan_object(text, kvs) && read_version(kvs, version).empty() &&
+         json::Reader().read(kvs, [&](json::Reader& r) { fields(out, r); });
 }
 
 }  // namespace ro

@@ -35,6 +35,12 @@ std::string job_schema_version();
 /// naming schema_version (unparsable, or a newer major).
 std::string schema_version_error(const std::string& v);
 
+/// The largest JobSpec::n submit accepts.  counters-padded, the widest
+/// registry workload (64 words per counter), allocates 2^26 words
+/// (512 MiB) at this bound; an n past any host's memory would otherwise
+/// throw from the workload's input allocation and end the process.
+inline constexpr uint64_t kMaxWorkloadN = uint64_t{1} << 20;
+
 enum class JobKind : uint8_t {
   kRun = 0,       // one program, one RunReport
   kBatch = 1,     // `shards` programs through the batch pipeline
@@ -56,7 +62,7 @@ struct JobSpec {
   // ---- named workloads (the registry in engine/workloads.h) ----
   // Empty = the program is passed programmatically to Engine::submit.
   std::string workload;
-  uint64_t n = 1 << 12;  // workload size
+  uint64_t n = 1 << 12;  // workload size, at most kMaxWorkloadN
   uint64_t seed = 0;     // extra input-seed salt (0 = the classic inputs)
 
   uint32_t shards = 1;   // batch jobs: number of shard programs
@@ -110,7 +116,8 @@ struct JobResult {
 
 /// Parses a JobResult JSON object (the to_json format); the embedded
 /// report round-trips through its own parser.  Unknown keys are skipped;
-/// returns false on malformed JSON.
+/// returns false on malformed JSON or a schema_version jobspec_from_json
+/// would refuse (a newer major).
 bool jobresult_from_json(const std::string& text, JobResult& out);
 
 }  // namespace ro

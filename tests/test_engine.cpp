@@ -489,6 +489,46 @@ TEST(Engine, SubmitRejectsHostCountsAboveTheCaps) {
   EXPECT_EQ(cj.error.find("threads"), std::string::npos) << cj.error;
 }
 
+TEST(Engine, SubmitRefusesAWorkloadTooLargeToAllocate) {
+  // n = 2^60 used to throw std::bad_array_new_length from the workload's
+  // input allocation and end the process.  Resident or streamed, in every
+  // kind, it is a status now, and the same Engine serves on.
+  JobSpec huge;
+  std::string err;
+  ASSERT_TRUE(jobspec_from_json(
+      "{\"kind\":\"run\",\"workload\":\"msum\","
+      "\"n\":1152921504606846976,\"backend\":\"sim-pws\"}",
+      huge, &err))
+      << err;
+  Engine eng;
+  for (const JobKind kind :
+       {JobKind::kRun, JobKind::kBatch, JobKind::kDiagnose}) {
+    for (const uint64_t segment : {uint64_t{0}, uint64_t{64}}) {
+      JobSpec bad = huge;
+      bad.kind = kind;
+      bad.opt.trace.segment_tasks = segment;
+      bad.opt.trace.max_resident_segments = segment > 0 ? 2 : 0;
+      const JobResult jr = eng.submit(bad);
+      EXPECT_EQ(jr.status, JobStatus::kError) << segment;
+      EXPECT_NE(jr.error.find("n must be"), std::string::npos) << jr.error;
+    }
+  }
+  // The cap itself passes the check (the job fails later, on the backend
+  // check, so nothing of that size is built).
+  JobSpec at_cap = huge;
+  at_cap.n = kMaxWorkloadN;
+  at_cap.kind = JobKind::kDiagnose;
+  at_cap.opt.backend = Backend::kParRandom;
+  const JobResult cj = eng.submit(at_cap);
+  EXPECT_EQ(cj.status, JobStatus::kError);
+  EXPECT_EQ(cj.error.find("n must be"), std::string::npos) << cj.error;
+
+  JobSpec ok = huge;
+  ok.n = 1 << 10;
+  const JobResult jr = eng.submit(ok);
+  EXPECT_TRUE(jr.ok()) << jr.error;
+}
+
 TEST(Engine, RunIsTheOneShardChain) {
   // A sim-backend run job records, analyzes and replays exactly as one
   // chain of a batch does: its report equals the aggregate of a one-shard

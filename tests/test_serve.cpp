@@ -220,6 +220,29 @@ TEST(JobSchema, NewerMajorIsRejectedWithReason) {
   EXPECT_NE(err.find("schema"), std::string::npos) << err;
 }
 
+TEST(JobSchema, JobResultOfANewerMajorIsRefused) {
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 8;
+  spec.opt.backend = Backend::kSimPws;
+  const JobResult jr = ro::testing::engine().submit(spec);
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  const std::string j = jr.to_json();
+  const size_t at = j.find("\"1.0\"");
+  ASSERT_NE(at, std::string::npos) << j;
+  for (const char* v : {"\"9.0\"", "\"2.0\"", "\"x.0\""}) {
+    std::string newer = j;
+    newer.replace(at, 5, v);
+    JobResult back;
+    EXPECT_FALSE(jobresult_from_json(newer, back)) << v;
+  }
+  std::string minor = j;  // a newer minor of a known major still reads
+  minor.replace(at, 5, "\"1.7\"");
+  JobResult back;
+  ASSERT_TRUE(jobresult_from_json(minor, back));
+  EXPECT_EQ(back.to_json(), j);
+}
+
 TEST(JobSchema, MalformedSpecJsonIsRejectedNotMisread) {
   JobSpec out;
   EXPECT_FALSE(jobspec_from_json("not json at all", out));
@@ -656,9 +679,11 @@ TEST_F(ServeSocketTest, GarbageLinesGetErrorResultsAndTheConnectionLives) {
 
 TEST_F(ServeSocketTest, DaemonServesOnAfterHostileStoreAndAlignmentSpecs) {
   // Specs that used to abort the whole daemon: a 2^40-record unwindowed
-  // trace segment (an up-front reserve threw bad_alloc) and alignments
-  // VSpace cannot use (an RO_CHECK).  Each gets its status, and the next
-  // job on the same connection is still answered.
+  // trace segment (an up-front reserve threw bad_alloc), alignments
+  // VSpace cannot use (an RO_CHECK) and a streamed n = 2^60 (admission
+  // sizes a streamed job by its window, so it reached the input
+  // allocation, which threw).  Each gets its status, and the next job on
+  // the same connection is still answered.
   JobSpec ok;
   ok.workload = "msum";
   ok.n = 1 << 10;
@@ -670,10 +695,14 @@ TEST_F(ServeSocketTest, DaemonServesOnAfterHostileStoreAndAlignmentSpecs) {
   align0.opt.align_words = 0;
   JobSpec align3 = ok;
   align3.opt.align_words = 3;
+  JobSpec huge_n = ok;
+  huge_n.n = uint64_t{1} << 60;
+  huge_n.opt.trace.segment_tasks = 64;
+  huge_n.opt.trace.max_resident_segments = 2;
   serve::Client c;
   ASSERT_TRUE(c.connect(server_->socket_path()));
   const std::pair<JobSpec, bool> cases[] = {
-      {huge, true}, {align0, false}, {align3, false}};
+      {huge, true}, {align0, false}, {align3, false}, {huge_n, false}};
   for (const auto& [hostile, served] : cases) {
     JobResult jr;
     ASSERT_TRUE(c.submit(hostile, jr));
