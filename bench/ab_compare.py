@@ -11,7 +11,8 @@ same calls on the same recording: simulate() under PWS and RWS at the
 requested p, Engine::submit of a resident sim-pws run with its p = 1
 baseline (the run-resident job of BENCHMARK.json at n and p), and the
 wire codec: to_json -> jobresult_from_json -> to_json of a run, a
-capacity-shared batch and a diagnose result, built once.  One
+capacity-shared batch and a diagnose result, built once, 64 round trips
+per timed call.  One
 process removes the run-to-run noise that separate processes carry, so
 small per-layer differences resolve.  The side linked and constructed
 first reads 1-3 % slower whichever build it is, so half the rounds run in
