@@ -73,7 +73,7 @@ void zero_host_times(ro::JobResult& jr) {
   jr.doctor.before.wall_ms = jr.doctor.after.wall_ms = 0;
 }
 
-/// Round trips per timed wire call: one takes 0.1-0.2 ms, too short for
+/// Round trips per timed wire call: one takes about 0.1 ms, too short for
 /// a ratio of two timings to resolve a few percent.
 constexpr int kWireTrips = 64;
 
